@@ -301,7 +301,8 @@ def run_training(
 
     Global metrics are computed on the held-out test set, standardized with
     training-pool statistics, every ``eval_stride`` rounds and always after
-    the final round.
+    the final round. A round whose aggregated parameters are not finite
+    fails the run with a ValueError naming that round.
     """
     ap_batches = build_ap_batches(data, partition, cfg.modalities)
     stats = pool_stats(data, partition)
@@ -324,6 +325,8 @@ def run_training(
         else:
             locals_ = [local_train(s, w, cfg) for s in states]
         w = aggregate(locals_)
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"training diverged at round {t+1}: parameters are not finite")
         if (t + 1) % cfg.eval_stride == 0 or t == cfg.rounds - 1:
             loss, acc = evaluate(cfg.spec, w, test_batch)
             ap_losses = tuple(

@@ -9,7 +9,10 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   convolutions plus an additive skip each) separated by 2x1 max pooling
   along time, a trailing convolution, then two fully connected layers.
   Convolutions use odd-length kernels along the time axis with zero padding
-  and stride 1; the 2-wide column axis is never convolved.
+  and stride 1; the 2-wide column axis is never convolved. Each convolution
+  is an im2col GEMM: the K time shifts of the input form a patch matrix whose
+  rows are the (example, time, column) positions, so the forward pass, the
+  weight gradient and the input gradient are one matrix product each.
 
 Everything is float64 and gradients are computed by hand so they can be
 verified against central finite differences.
@@ -17,6 +20,7 @@ verified against central finite differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -91,20 +95,28 @@ def num_params(spec: ModelSpec) -> int:
     return sum(int(np.prod(shape)) for _, shape in param_layout(spec))
 
 
-def param_views(spec: ModelSpec, params: np.ndarray) -> Dict[str, np.ndarray]:
-    """Named, reshaped views into the flat vector (shared memory)."""
-    params = np.asarray(params)
-    views: Dict[str, np.ndarray] = {}
+@functools.lru_cache(maxsize=None)
+def _segments(spec: ModelSpec) -> Tuple[Tuple[str, int, int, Tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of every layout segment, computed once per spec."""
+    segments = []
     off = 0
     for name, shape in param_layout(spec):
         size = int(np.prod(shape))
-        views[name] = params[off : off + size].reshape(shape)
+        segments.append((name, off, off + size, shape))
         off += size
-    if off != params.shape[0]:
+    return tuple(segments)
+
+
+def param_views(spec: ModelSpec, params: np.ndarray) -> Dict[str, np.ndarray]:
+    """Named, reshaped views into the flat vector (shared memory)."""
+    params = np.asarray(params)
+    segments = _segments(spec)
+    total = segments[-1][2]
+    if total != params.shape[0]:
         raise ValueError(
-            f"parameter vector has length {params.shape[0]}, spec needs {off}"
+            f"parameter vector has length {params.shape[0]}, spec needs {total}"
         )
-    return views
+    return {name: params[start:stop].reshape(shape) for name, start, stop, shape in segments}
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -150,49 +162,64 @@ class Batch:
 # ---------------------------------------------------------------------------
 # primitive ops
 
+def _tap_ranges(t: int, k: int):
+    """Per tap j: output times [lo, hi) read input time + s, s = j - k // 2."""
+    ranges = []
+    for j in range(k):
+        s = j - k // 2
+        lo = min(max(-s, 0), t)
+        ranges.append((lo, max(min(t, t - s), lo), s))
+    return ranges
+
+
 def conv_time(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Convolve along the time axis with zero padding; columns stay separate.
 
-    x: (n, T, 2, Cin), w: (K, Cin, Cout), b: (Cout,). Returns (out, padded x).
+    x: (n, T, 2, Cin), w: (K, Cin, Cout), b: (Cout,). The K zero-padded time
+    shifts of x form a (n*T*2, K*Cin) patch matrix (im2col), so the whole
+    convolution is one GEMM. Returns (out, patches).
     """
-    n, t = x.shape[0], x.shape[1]
-    k = w.shape[0]
-    pad = k // 2
-    xp = np.zeros((n, t + 2 * pad, x.shape[2], x.shape[3]))
-    xp[:, pad : pad + t] = x
-    out = np.broadcast_to(b, (n, t, x.shape[2], w.shape[2])).copy()
-    for j in range(k):
-        out += np.tensordot(xp[:, j : j + t], w[j], axes=([3], [0]))
-    return out, xp
+    n, t, cols, cin = x.shape
+    k, _, cout = w.shape
+    patches = np.zeros((n, t, cols, k, cin))
+    for j, (lo, hi, s) in enumerate(_tap_ranges(t, k)):
+        patches[:, lo:hi, :, j] = x[:, lo + s : hi + s]
+    patches = patches.reshape(n * t * cols, k * cin)
+    out = patches @ w.reshape(k * cin, cout)
+    out += b
+    return out.reshape(n, t, cols, cout), patches
 
 
-def conv_time_backward(xp: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    """Gradients of conv_time; returns (dx, dw, db)."""
-    k = w.shape[0]
-    pad = k // 2
-    t = dy.shape[1]
-    db = dy.sum(axis=(0, 1, 2))
-    dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
-    for j in range(k):
-        dw[j] = np.tensordot(xp[:, j : j + t], dy, axes=([0, 1, 2], [0, 1, 2]))
-        dxp[:, j : j + t] += np.tensordot(dy, w[j], axes=([3], [1]))
-    return dxp[:, pad : pad + t], dw, db
+def conv_time_backward(patches: np.ndarray, w: np.ndarray, dy: np.ndarray):
+    """Gradients of conv_time from its patch matrix; returns (dx, dw, db)."""
+    n, t, cols, cout = dy.shape
+    k, cin, _ = w.shape
+    dy2 = dy.reshape(-1, cout)
+    dw = (patches.T @ dy2).reshape(w.shape)
+    db = dy2.sum(axis=0)
+    dpatches = (dy2 @ w.reshape(k * cin, cout).T).reshape(n, t, cols, k, cin)
+    dx = np.zeros((n, t, cols, cin))
+    for j, (lo, hi, s) in enumerate(_tap_ranges(t, k)):
+        dx[:, lo + s : hi + s] += dpatches[:, lo:hi, :, j]
+    return dx, dw, db
 
 
 def maxpool2_time(x: np.ndarray):
-    """Non-overlapping 2x1 max pooling along time; ties take the earlier sample."""
+    """Non-overlapping 2x1 max pooling along time; ties take the earlier sample.
+
+    Returns (out, idx) with idx True where the later sample of a pair won.
+    """
     n, t, cols, c = x.shape
     xr = x.reshape(n, t // 2, 2, cols, c)
-    idx = np.argmax(xr, axis=2)
-    out = np.take_along_axis(xr, idx[:, :, None], axis=2)[:, :, 0]
-    return out, idx
+    first, second = xr[:, :, 0], xr[:, :, 1]
+    return np.maximum(first, second), second > first
 
 
 def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray, t: int) -> np.ndarray:
     n, th, cols, c = dy.shape
-    dxr = np.zeros((n, th, 2, cols, c))
-    np.put_along_axis(dxr, idx[:, :, None], dy[:, :, None], axis=2)
+    dxr = np.empty((n, th, 2, cols, c))
+    np.multiply(dy, ~idx, out=dxr[:, :, 0])
+    np.multiply(dy, idx, out=dxr[:, :, 1])
     return dxr.reshape(n, t, cols, c)
 
 
@@ -219,36 +246,45 @@ def _check_input(spec: ModelSpec, x: np.ndarray) -> None:
 
 
 def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
-    """Returns (logits, cache). cache is None unless keep."""
-    cache: Optional[dict] = {} if keep else None
-    h = x
-    masks = []
-    for name in ("block1", "block2"):
-        a1, xp1 = conv_time(h, views[f"{name}.conv1.w"], views[f"{name}.conv1.b"])
-        z2, xp2 = conv_time(a1, views[f"{name}.conv2.w"], views[f"{name}.conv2.b"])
-        m2 = z2 > 0
-        a2 = np.where(m2, z2, 0.0)
-        z3, xp3 = conv_time(a2, views[f"{name}.conv3.w"], views[f"{name}.conv3.b"])
-        pre = z3 + a1
-        mo = pre > 0
-        out = np.where(mo, pre, 0.0)
+    """Returns (logits, cache). cache is None unless keep.
+
+    Without keep, every patch matrix is dropped as soon as its convolution
+    returns and no ReLU mask is built, so large eval batches stay small. Each
+    block runs in its own call so its activations are freed when it returns.
+    """
+    cache: Optional[dict] = {"masks": []} if keep else None
+
+    def conv(name, h):
+        z, patches = conv_time(h, views[f"{name}.w"], views[f"{name}.b"])
+        return z, (patches if keep else None)
+
+    def relu(z):
+        # in place: every z here is a fresh array that no one else holds
+        mask = z > 0 if keep else None
+        return np.maximum(z, 0.0, out=z), mask
+
+    def block(name, h):
+        a1, p1 = conv(f"{name}.conv1", h)
+        a2, p2 = conv(f"{name}.conv2", a1)
+        a2, m2 = relu(a2)
+        pre, p3 = conv(f"{name}.conv3", a2)
+        pre += a1
+        out, mo = relu(pre)
         pooled, pidx = maxpool2_time(out)
-        masks.extend([m2, mo, pidx])
         if keep:
-            cache[name] = (xp1, xp2, xp3, m2, mo, pidx, out.shape[1])
-        h = pooled
-    zm, xpm = conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
-    mm = zm > 0
-    am = np.where(mm, zm, 0.0)
+            cache[name] = (p1, p2, p3, m2, mo, pidx, out.shape[1])
+            cache["masks"].extend([m2, mo, pidx])
+        return pooled
+
+    h = block("block2", block("block1", x))
+    am, pm = conv("mid_conv", h)
+    am, mm = relu(am)
     flat = am.reshape(am.shape[0], -1)
-    z1 = flat @ views["fc1.w"] + views["fc1.b"]
-    m1 = z1 > 0
-    a1f = np.where(m1, z1, 0.0)
+    a1f, m1 = relu(flat @ views["fc1.w"] + views["fc1.b"])
     logits = a1f @ views["fc2.w"] + views["fc2.b"]
-    masks.extend([mm, m1])
     if keep:
-        cache["head"] = (xpm, mm, am.shape, flat, m1, a1f)
-        cache["masks"] = masks
+        cache["head"] = (pm, mm, am.shape, flat, m1, a1f)
+        cache["masks"].extend([mm, m1])
     return logits, cache
 
 
@@ -307,32 +343,32 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
         gviews["w"] += flat.T @ dlogits
         gviews["b"] += dlogits.sum(axis=0)
     else:
-        xpm, mm, am_shape, flat, m1, a1f = cache["head"]
+        pm, mm, am_shape, flat, m1, a1f = cache["head"]
         gviews["fc2.w"] += a1f.T @ dlogits
         gviews["fc2.b"] += dlogits.sum(axis=0)
         da1f = dlogits @ views["fc2.w"].T
-        dz1 = np.where(m1, da1f, 0.0)
+        dz1 = da1f * m1
         gviews["fc1.w"] += flat.T @ dz1
         gviews["fc1.b"] += dz1.sum(axis=0)
         dflat = dz1 @ views["fc1.w"].T
         dam = dflat.reshape(am_shape)
-        dzm = np.where(mm, dam, 0.0)
-        dh, dw, db = conv_time_backward(xpm, views["mid_conv.w"], dzm)
+        dzm = dam * mm
+        dh, dw, db = conv_time_backward(pm, views["mid_conv.w"], dzm)
         gviews["mid_conv.w"] += dw
         gviews["mid_conv.b"] += db
         for name in ("block2", "block1"):
-            xp1, xp2, xp3, m2, mo, pidx, t_out = cache[name]
+            p1, p2, p3, m2, mo, pidx, t_out = cache[name]
             dout = maxpool2_time_backward(pidx, dh, t_out)
-            dpre = np.where(mo, dout, 0.0)
-            da2, dw3, db3 = conv_time_backward(xp3, views[f"{name}.conv3.w"], dpre)
+            dpre = dout * mo
+            da2, dw3, db3 = conv_time_backward(p3, views[f"{name}.conv3.w"], dpre)
             gviews[f"{name}.conv3.w"] += dw3
             gviews[f"{name}.conv3.b"] += db3
-            dz2 = np.where(m2, da2, 0.0)
-            da1, dw2, db2 = conv_time_backward(xp2, views[f"{name}.conv2.w"], dz2)
+            dz2 = da2 * m2
+            da1, dw2, db2 = conv_time_backward(p2, views[f"{name}.conv2.w"], dz2)
             gviews[f"{name}.conv2.w"] += dw2
             gviews[f"{name}.conv2.b"] += db2
             da1 += dpre  # additive skip from the block output
-            dh, dw1, db1 = conv_time_backward(xp1, views[f"{name}.conv1.w"], da1)
+            dh, dw1, db1 = conv_time_backward(p1, views[f"{name}.conv1.w"], da1)
             gviews[f"{name}.conv1.w"] += dw1
             gviews[f"{name}.conv1.b"] += db1
 

@@ -246,3 +246,18 @@ def test_run_failure_writes_manifest(tmp_path):
     manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"]
+
+
+def test_run_divergence_fails_with_round(tmp_path, capsys):
+    # the l2 term multiplies the parameters by (1 - eta * l2) per step, so they
+    # overflow to inf within a few rounds and then turn into nan
+    cfg_path = small_desk(tmp_path, training={"eta": 1e30, "rounds": 6})
+    out = tmp_path / "r"
+    with np.errstate(all="ignore"):
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    error = "training diverged at round 4: parameters are not finite"
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == error
+    assert error in capsys.readouterr().err

@@ -233,3 +233,92 @@ def test_spec_validation():
         models.ModelSpec("mini_resnet", 18, 1, 3)  # not divisible by 4
     with pytest.raises(ValueError):
         models.ModelSpec("mini_resnet", 16, 1, 3, kernel_len=2)
+
+
+# ---------------------------------------------------------------------------
+# mini_resnet kernels against naive references
+
+def naive_conv_time(x, w, b):
+    n, t, cols, _ = x.shape
+    k, _, cout = w.shape
+    pad = k // 2
+    out = np.empty((n, t, cols, cout))
+    for i in range(n):
+        for tt in range(t):
+            for c in range(cols):
+                acc = b.copy()
+                for j in range(k):
+                    src = tt + j - pad
+                    if 0 <= src < t:
+                        acc = acc + x[i, src, c] @ w[j]
+                out[i, tt, c] = acc
+    return out
+
+
+def naive_conv_time_backward(x, w, dy):
+    n, t, cols, _ = x.shape
+    k = w.shape[0]
+    pad = k // 2
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for i in range(n):
+        for tt in range(t):
+            for c in range(cols):
+                for j in range(k):
+                    src = tt + j - pad
+                    if 0 <= src < t:
+                        dw[j] += np.outer(x[i, src, c], dy[i, tt, c])
+                        dx[i, src, c] += w[j] @ dy[i, tt, c]
+    return dx, dw, dy.sum(axis=(0, 1, 2))
+
+
+@pytest.mark.parametrize("kernel_len", [1, 3, 5])
+def test_conv_time_matches_naive_loop(kernel_len):
+    rng = np.random.default_rng(kernel_len)
+    n, cin, cout = (int(v) for v in rng.integers(1, 6, size=3))
+    t = int(rng.integers(2, 9))
+    x = rng.standard_normal((n, t, 2, cin))
+    w = rng.standard_normal((kernel_len, cin, cout))
+    b = rng.standard_normal(cout)
+    dy = rng.standard_normal((n, t, 2, cout))
+
+    out, patches = models.conv_time(x, w, b)
+    assert patches.shape == (n * t * 2, kernel_len * cin)
+    assert np.allclose(out, naive_conv_time(x, w, b), rtol=0, atol=1e-12)
+    for got, ref in zip(models.conv_time_backward(patches, w, dy),
+                        naive_conv_time_backward(x, w, dy)):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_maxpool2_time_tie_takes_earlier_sample():
+    x = np.array([3.0, 3.0, 1.0, 2.0, 5.0, 4.0]).reshape(1, 6, 1, 1)
+    out, idx = models.maxpool2_time(x)
+    assert out.ravel().tolist() == [3.0, 2.0, 5.0]
+    assert idx.ravel().tolist() == [False, True, False]
+    dx = models.maxpool2_time_backward(idx, np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1), 6)
+    assert dx.ravel().tolist() == [1.0, 0.0, 0.0, 2.0, 3.0, 0.0]
+
+
+def test_eval_logits_equal_training_logits():
+    spec = small_resnet_spec()
+    params = models.init_params(spec, 12)
+    batch = random_batch(spec, 9, seed=13)
+    eval_logits, cache = models._logits(spec, params, batch.inputs, keep=False)
+    train_logits, _ = models._logits(spec, params, batch.inputs, keep=True)
+    assert cache is None
+    assert np.array_equal(eval_logits, train_logits)
+
+
+def test_resnet_kernel5_gradient_finite_difference():
+    spec = models.ModelSpec(
+        "mini_resnet", 16, 2, 5, l2_coeff=1e-3, block_channels=(4, 6), hidden=8,
+        kernel_len=5,
+    )
+    params = models.init_params(spec, 14)
+    batch = random_batch(spec, 4, seed=15)
+    err, checked = models.finite_diff_details(
+        spec, params, batch, step=1e-5, num_coords=220, seed=3
+    )
+    assert checked >= 200
+    assert err <= 1e-3
