@@ -136,7 +136,7 @@ def cmd_run(args) -> int:
         ds = experiment.load_dataset(cfg)
         results = []
         for seed in cfg.training.seeds:
-            result = experiment.run_single(cfg, seed, threads=args.threads, ds=ds)
+            result = experiment.run_single(cfg, seed, ds=ds)
             results.append(result)
             model_name = f"model_seed{seed}.npz"
             save_model(out / model_name, result)
@@ -239,6 +239,21 @@ def cmd_verify_bound(args) -> int:
     return 0
 
 
+def _check_model_fits(spec: models.ModelSpec, cfg, ds, model_path) -> None:
+    """Reject a saved model whose input or output shape the config cannot feed."""
+    needs = {
+        "num_modalities": len(cfg.training.modalities),
+        "window_len": ds.window_len,
+        "num_classes": ds.num_transmitters,
+    }
+    for field, want in needs.items():
+        got = getattr(spec, field)
+        if got != want:
+            raise cfg_mod.ConfigError(
+                f"model {model_path} has {field} {got}, but the config gives {want}"
+            )
+
+
 def cmd_personalize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
@@ -248,11 +263,16 @@ def cmd_personalize(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     ds = experiment.load_dataset(cfg)
+    _check_model_fits(spec, cfg, ds, args.model)
     split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
     partition = experiment.build_partition(split, cfg, seed)
     train_cfg = experiment.training_config(cfg, spec, seed)
     steps = experiment.resolve_fine_tune_steps(cfg, partition)
-    results = federation.personalize(split, partition, params, steps, train_cfg)
+    try:
+        results = federation.personalize(split, partition, params, steps, train_cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     lines = ["ap,before_acc,after_acc"]
     for r in results:
         lines.append(f"{r.ap},{_fmt(r.before_acc)},{_fmt(r.after_acc)}")
@@ -278,8 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
+        # kept so existing command lines keep working: the APs of a round
+        # train as one stacked computation, so there are no workers to cap
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for per-AP parallelism (results unchanged)")
+                       help="accepted and ignored (APs train as one stacked computation)")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace training.seeds with this single seed")
         if name == "personalize":

@@ -88,7 +88,7 @@ def build_spec(
 
 
 def training_config(
-    cfg: cfg_mod.ExperimentConfig, spec: models.ModelSpec, seed: int, threads: int = 1
+    cfg: cfg_mod.ExperimentConfig, spec: models.ModelSpec, seed: int
 ) -> federation.TrainingConfig:
     t = cfg.training
     return federation.TrainingConfig(
@@ -100,14 +100,12 @@ def training_config(
         modalities=tuple(t.modalities),
         eval_stride=t.eval_stride,
         seed=seed,
-        threads=threads,
     )
 
 
 def run_single(
     cfg: cfg_mod.ExperimentConfig,
     seed: int,
-    threads: int = 1,
     ds: Optional[datafile.DatasetFile] = None,
 ) -> RunResult:
     """One complete federated run for one seed."""
@@ -116,7 +114,7 @@ def run_single(
     split = split_train_test(ds, cfg.dataset.test_fraction, seed)
     partition = build_partition(split, cfg, seed)
     spec = build_spec(cfg, ds.num_transmitters, ds.window_len)
-    train_cfg = training_config(cfg, spec, seed, threads)
+    train_cfg = training_config(cfg, spec, seed)
     metrics, params = federation.run_training(split, partition, train_cfg)
     return RunResult(
         seed=seed,

@@ -2,18 +2,19 @@
 
 One training round broadcasts the global parameter vector to every AP, runs
 J local SGD steps on each AP's private shard, and averages the returned
-vectors. APs inside a round may execute in parallel; every AP draws from its
-own RNG stream keyed by (seed, ap, round), so results are bit-identical to
-sequential execution.
+vectors. The APs of a round step in lockstep: every AP draws its mini-batch
+from its own RNG stream keyed by (seed, ap, round), and one stacked gradient
+call serves all APs of equal batch size, so results are bit-identical to
+training the APs one after another.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +46,15 @@ class Partition:
     ``indices[n]`` are row indices into the training arrays (pairwise
     disjoint across APs), ``label_sets[n]`` the labels actually present in
     shard n, and ``stats[n]`` normalization statistics fit on shard n only.
+    ``pool`` holds the training-pool statistics once ``pool_stats`` has fit
+    them; a partition belongs to the split it was built from.
     """
 
     num_aps: int
     indices: List[np.ndarray]
     label_sets: List[np.ndarray]
     stats: List[modality.NormStats]
+    pool: Optional[modality.NormStats] = None
 
 
 @dataclass
@@ -63,7 +67,6 @@ class TrainingConfig:
     modalities: Tuple[str, ...]
     eval_stride: int = 1
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.rounds < 0 or self.local_steps < 1 or self.batch_size < 1:
@@ -229,24 +232,47 @@ def ap_stream(seed: int, ap: int, round_index: int) -> np.random.Generator:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def local_train(
-    ap: APState,
+    aps: Sequence[APState],
     w_global: np.ndarray,
     cfg: TrainingConfig,
     grad_fn: Optional[Callable[[np.ndarray, models.Batch], np.ndarray]] = None,
 ) -> np.ndarray:
-    """Run exactly ``cfg.local_steps`` SGD steps from the broadcast parameters."""
-    if len(ap.data) < 1:
-        raise ValueError("AP has an empty shard")
+    """Run exactly ``cfg.local_steps`` SGD steps at every AP from the broadcast parameters.
+
+    Returns the local parameters stacked as (N, P) in the order of ``aps``.
+    Each AP draws its mini-batches from its own sampler and RNG stream. APs
+    with the same effective batch size (``batch_size`` capped at the shard
+    size) step together: each step is one ``grad_fn`` call on their stacked
+    (G, P) parameters and stacked (G, B, ...) batch, returning (G, P)
+    gradients. Overflow is not reported here; callers check for divergence.
+    """
     if grad_fn is None:
         grad_fn = lambda w, b: models.loss_and_grad(cfg.spec, w, b)[1]
-    sampler = _BatchSampler(len(ap.data), cfg.batch_size, ap.rng)
-    w = np.array(w_global, dtype=np.float64, copy=True)
-    for _ in range(cfg.local_steps):
-        idx = sampler.next()
-        g = grad_fn(w, ap.data.select(idx))
-        w = models.sgd_step(w, g, cfg.eta)
-    return w
+    w_global = np.asarray(w_global, dtype=np.float64)
+    samplers = [_BatchSampler(len(ap.data), cfg.batch_size, ap.rng) for ap in aps]
+    groups: Dict[int, List[int]] = {}
+    for n, sampler in enumerate(samplers):
+        groups.setdefault(sampler.batch_size, []).append(n)
+    out = np.empty((len(aps),) + w_global.shape)
+    for members in groups.values():
+        size = samplers[members[0]].batch_size
+        shape = aps[members[0]].data.inputs.shape[1:]
+        # one stacked batch, refilled in place at every step
+        batch = models.Batch(
+            np.empty((len(members), size) + shape),
+            np.empty((len(members), size), dtype=np.int64),
+        )
+        w = np.repeat(w_global[None], len(members), axis=0)
+        for _ in range(cfg.local_steps):
+            for g, n in enumerate(members):
+                idx = samplers[n].next()
+                batch.inputs[g] = aps[n].data.inputs[idx]
+                batch.labels[g] = aps[n].data.labels[idx]
+            w = models.sgd_step(w, grad_fn(w, batch), cfg.eta)
+        out[members] = w
+    return out
 
 
 def aggregate(params_list: Sequence[np.ndarray]) -> np.ndarray:
@@ -289,11 +315,20 @@ def build_ap_batches(
 
 
 def pool_stats(data: SplitDataset, partition: Partition) -> modality.NormStats:
-    """Statistics over the whole training pool (union of the AP shards)."""
-    all_ix = np.sort(np.concatenate(partition.indices))
-    return modality.fit_normalization(list(data.train_iq[all_ix]), modality.ALL_MODALITIES)
+    """Statistics over the whole training pool (union of the AP shards).
+
+    The first call fits them and keeps them on the partition; later calls
+    return the kept statistics.
+    """
+    if partition.pool is None:
+        all_ix = np.sort(np.concatenate(partition.indices))
+        partition.pool = modality.fit_normalization(
+            list(data.train_iq[all_ix]), modality.ALL_MODALITIES
+        )
+    return partition.pool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(
     data: SplitDataset, partition: Partition, cfg: TrainingConfig
 ) -> Tuple[List[RoundMetrics], np.ndarray]:
@@ -302,7 +337,8 @@ def run_training(
     Global metrics are computed on the held-out test set, standardized with
     training-pool statistics, every ``eval_stride`` rounds and always after
     the final round. A round whose aggregated parameters are not finite
-    fails the run with a ValueError naming that round.
+    fails the run with a ValueError naming that round; the overflow that
+    leads there is not reported as NumPy warnings.
     """
     ap_batches = build_ap_batches(data, partition, cfg.modalities)
     stats = pool_stats(data, partition)
@@ -319,12 +355,7 @@ def run_training(
             APState(index=n, data=ap_batches[n], rng=ap_stream(cfg.seed, n, t))
             for n in range(partition.num_aps)
         ]
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                locals_ = list(pool.map(lambda s: local_train(s, w, cfg), states))
-        else:
-            locals_ = [local_train(s, w, cfg) for s in states]
-        w = aggregate(locals_)
+        w = aggregate(local_train(states, w, cfg))
         if not np.all(np.isfinite(w)):
             raise ValueError(f"training diverged at round {t+1}: parameters are not finite")
         if (t + 1) % cfg.eval_stride == 0 or t == cfg.rounds - 1:
@@ -357,19 +388,19 @@ def personalize(
     Each AP is scored before and after on the subset of the global test set
     whose labels it holds. Training-pool statistics standardize both the
     fine-tuning inputs and the test subsets, so in the i.i.d. case every AP
-    starts from an identical "before" accuracy.
+    starts from an identical "before" accuracy. Fine-tuned parameters that
+    are not finite raise a ValueError naming the first such AP.
     """
     if fine_tune_steps < 0:
         raise ValueError("fine_tune_steps must be >= 0")
     stats = pool_stats(data, partition)
     test_x = modality.stack_batch(data.test_iq, cfg.modalities, stats)
-    results = []
+    test_subsets, states = [], []
     for n in range(partition.num_aps):
         mask = np.isin(data.test_labels, partition.label_sets[n])
         if not mask.any():
             raise ValueError(f"AP {n}: personalized test subset is empty")
-        test_subset = models.Batch(test_x[mask], data.test_labels[mask])
-        before = evaluate(cfg.spec, w_global, test_subset)[1]
+        test_subsets.append(models.Batch(test_x[mask], data.test_labels[mask]))
         ix = partition.indices[n]
         local = models.Batch(
             modality.stack_batch(data.train_iq[ix], cfg.modalities, stats),
@@ -378,23 +409,23 @@ def personalize(
         rng = np.random.default_rng(
             np.random.SeedSequence((_DOMAIN_PERSONALIZE, cfg.seed, n))
         )
-        state = APState(index=n, data=local, rng=rng)
-        tuned_cfg = TrainingConfig(
-            spec=cfg.spec,
-            rounds=1,
-            local_steps=max(fine_tune_steps, 1),
-            batch_size=cfg.batch_size,
-            eta=cfg.eta,
-            modalities=cfg.modalities,
-            seed=cfg.seed,
-        )
-        if fine_tune_steps == 0:
-            tuned = np.array(w_global, copy=True)
-        else:
-            tuned = local_train(state, w_global, tuned_cfg)
-        after = evaluate(cfg.spec, tuned, test_subset)[1]
+        states.append(APState(index=n, data=local, rng=rng))
+    if fine_tune_steps == 0:
+        tuned = np.repeat(np.asarray(w_global, dtype=np.float64)[None], len(states), axis=0)
+    else:
+        tuned_cfg = dataclasses.replace(cfg, local_steps=fine_tune_steps)
+        tuned = local_train(states, w_global, tuned_cfg)
+        diverged = np.flatnonzero(~np.isfinite(tuned).all(axis=1))
+        if len(diverged):
+            raise ValueError(
+                f"fine-tuning diverged at AP {diverged[0]}: parameters are not finite"
+            )
+    results = []
+    for n, subset in enumerate(test_subsets):
+        before = evaluate(cfg.spec, w_global, subset)[1]
+        after = evaluate(cfg.spec, tuned[n], subset)[1]
         results.append(
-            PersonalizationResult(ap=n, before_acc=before, after_acc=after, params=tuned)
+            PersonalizationResult(ap=n, before_acc=before, after_acc=after, params=tuned[n])
         )
     return results
 

@@ -8,6 +8,7 @@ per-sample amplitude/phase. Selected representations are standardized per
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
@@ -26,6 +27,10 @@ _COLUMN_TAGS = {
 }
 
 STD_FLOOR = 1e-8
+
+# values per tolist() chunk fed to math.fsum: converting a whole column to a
+# list at once costs its full size in Python floats
+FSUM_CHUNK = 4096
 
 
 @dataclass
@@ -136,8 +141,8 @@ def fit_normalization(
         std = np.empty(2)
         for col in range(2):
             vals = mats[:, :, col].ravel()
-            s = math.fsum(vals)
-            s2 = math.fsum(v * v for v in vals)
+            s = exact_sum(vals)
+            s2 = exact_sum(vals, squared=True)
             mu = s / count
             var = max(s2 / count - mu * mu, 0.0)
             mean[col] = mu
@@ -145,6 +150,18 @@ def fit_normalization(
         means[m] = mean
         stds[m] = std
     return NormStats(means=means, stds=stds)
+
+
+def exact_sum(vals: np.ndarray, squared: bool = False) -> float:
+    """Correctly rounded sum of a 1-D float64 array, or of its squares.
+
+    Equals ``math.fsum`` over the values; it feeds fsum ``FSUM_CHUNK``
+    values at a time as Python floats.
+    """
+    chunks = (vals[i : i + FSUM_CHUNK] for i in range(0, len(vals), FSUM_CHUNK))
+    if squared:
+        chunks = (c * c for c in chunks)
+    return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
 
 
 def _check_selection(selection: Sequence[str]) -> Tuple[str, ...]:

@@ -108,15 +108,23 @@ def _segments(spec: ModelSpec) -> Tuple[Tuple[str, int, int, Tuple[int, ...]], .
 
 
 def param_views(spec: ModelSpec, params: np.ndarray) -> Dict[str, np.ndarray]:
-    """Named, reshaped views into the flat vector (shared memory)."""
+    """Named, reshaped views into the flat vector (shared memory).
+
+    Leading axes of ``params`` (stacked vectors, e.g. (N, P) for N APs) are
+    kept in front of every view's shape.
+    """
     params = np.asarray(params)
     segments = _segments(spec)
     total = segments[-1][2]
-    if total != params.shape[0]:
+    if total != params.shape[-1]:
         raise ValueError(
-            f"parameter vector has length {params.shape[0]}, spec needs {total}"
+            f"parameter vector has length {params.shape[-1]}, spec needs {total}"
         )
-    return {name: params[start:stop].reshape(shape) for name, start, stop, shape in segments}
+    lead = params.shape[:-1]
+    return {
+        name: params[..., start:stop].reshape(lead + shape)
+        for name, start, stop, shape in segments
+    }
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -135,7 +143,12 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 @dataclass
 class Batch:
-    """Stacked inputs (n, L, 2, M) with integer labels (n,)."""
+    """Stacked inputs (n, L, 2, M) with integer labels (n,).
+
+    A stacked batch holds N equal-size batches, one per AP, as inputs
+    (N, n, L, 2, M) and labels (N, n); ``loss_and_grad`` takes one step on
+    each of them in one call.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -143,13 +156,14 @@ class Batch:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 4:
-            raise ValueError("inputs must be a 4-D (n, L, 2, M) array")
-        if len(self.inputs) != len(self.labels) or len(self.labels) == 0:
+        if self.labels.ndim not in (1, 2) or self.inputs.ndim != self.labels.ndim + 3:
+            raise ValueError("inputs must be a 4-D (n, L, 2, M) array, 5-D when stacked")
+        if self.inputs.shape[: self.labels.ndim] != self.labels.shape or self.labels.size == 0:
             raise ValueError("batch needs >= 1 example and matching label count")
 
     def __len__(self) -> int:
-        return len(self.labels)
+        """Number of examples, over all stacked batches."""
+        return self.labels.size
 
     def select(self, idx) -> "Batch":
         return Batch(self.inputs[idx], self.labels[idx])
@@ -223,25 +237,45 @@ def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray, t: int) -> np.ndarra
     return dxr.reshape(n, t, cols, c)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+def _shifted_exp(logits: np.ndarray):
+    """(z, e, s): logits shifted by their row max, exp(z), and the row sums of e."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return z, e, e.sum(axis=-1)
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(len(labels)), labels]))
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    _, e, s = _shifted_exp(logits)
+    return e / s[..., None]
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, parts=None):
+    """Mean cross-entropy; one value per batch when the logits are stacked.
+
+    ``parts`` reuses a ``_shifted_exp(logits)`` the caller already has.
+    """
+    z, _, s = _shifted_exp(logits) if parts is None else parts
+    rows = z.reshape(-1, z.shape[-1])
+    picked = rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+    loss = np.mean(np.log(s) - picked, axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def _l2_term(spec: ModelSpec, params: np.ndarray):
+    """(l2/2)*||params||^2; one value per row when the parameters are stacked."""
+    if params.ndim == 1:
+        return 0.5 * spec.l2_coeff * float(params @ params)
+    # a stack of (1, P) @ (P, 1) products: the same dot product per row
+    return 0.5 * spec.l2_coeff * (params[:, None, :] @ params[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
 
 def _check_input(spec: ModelSpec, x: np.ndarray) -> None:
-    if x.shape[1:] != spec.input_shape:
+    if x.shape[-3:] != spec.input_shape:
         raise ValueError(
-            f"input shape {x.shape[1:]} does not match spec {spec.input_shape}"
+            f"input shape {x.shape[-3:]} does not match spec {spec.input_shape}"
         )
 
 
@@ -292,8 +326,8 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = Fal
     _check_input(spec, x)
     views = param_views(spec, params)
     if spec.kind == KIND_SOFTMAX:
-        flat = x.reshape(x.shape[0], -1)
-        return flat @ views["w"] + views["b"], {"flat": flat} if keep else None
+        flat = x.reshape(x.shape[:-3] + (-1,))
+        return flat @ views["w"] + views["b"][..., None, :], {"flat": flat} if keep else None
     return _resnet_forward(spec, views, x, keep)
 
 
@@ -319,20 +353,38 @@ def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     logits, _ = _logits(spec, params, batch.inputs)
     loss = _cross_entropy(logits, batch.labels)
     if spec.l2_coeff:
-        loss += 0.5 * spec.l2_coeff * float(params @ params)
+        loss += _l2_term(spec, params)
     return loss
 
 
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
-    """Exact gradient of the batch loss with respect to the flat parameters."""
+    """Exact gradient of the batch loss with respect to the flat parameters.
+
+    Stacked parameters (N, P) with a stacked batch (N, n, ...) take N
+    independent steps in one call and return N losses and (N, P) gradients,
+    each bit-identical to its own unstacked call. softmax_linear runs them as
+    batched matrix products; mini_resnet steps through the rows in turn.
+    """
     params = np.asarray(params, dtype=np.float64)
-    n = len(batch)
-    logits, cache = _logits(spec, params, batch.inputs, keep=True)
-    probs = _softmax(logits)
-    loss = _cross_entropy(logits, batch.labels)
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
+    if params.shape[:-1] != batch.labels.shape[:-1]:
+        raise ValueError("stacked parameters and stacked batches differ in count")
+    if spec.kind == KIND_RESNET and params.ndim > 1:
+        parts = [
+            _loss_and_grad(spec, p, x, y)
+            for p, x, y in zip(params, batch.inputs, batch.labels)
+        ]
+        return np.array([loss for loss, _ in parts]), np.stack([g for _, g in parts])
+    return _loss_and_grad(spec, params, batch.inputs, batch.labels)
+
+
+def _loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray):
+    logits, cache = _logits(spec, params, x, keep=True)
+    parts = _shifted_exp(logits)
+    probs = parts[1] / parts[2][..., None]
+    loss = _cross_entropy(logits, labels, parts)
+    # subtracting the one-hot labels as 0.0/1.0 leaves every other entry exact
+    dlogits = probs - (labels[..., None] == np.arange(spec.num_classes))
+    dlogits /= labels.shape[-1]
 
     grad = np.zeros_like(params)
     gviews = param_views(spec, grad)
@@ -340,8 +392,8 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
 
     if spec.kind == KIND_SOFTMAX:
         flat = cache["flat"]
-        gviews["w"] += flat.T @ dlogits
-        gviews["b"] += dlogits.sum(axis=0)
+        gviews["w"] += np.swapaxes(flat, -1, -2) @ dlogits
+        gviews["b"] += dlogits.sum(axis=-2)
     else:
         pm, mm, am_shape, flat, m1, a1f = cache["head"]
         gviews["fc2.w"] += a1f.T @ dlogits
@@ -373,7 +425,7 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
             gviews[f"{name}.conv1.b"] += db1
 
     if spec.l2_coeff:
-        loss += 0.5 * spec.l2_coeff * float(params @ params)
+        loss += _l2_term(spec, params)
         grad += spec.l2_coeff * params
     return loss, grad
 
@@ -395,7 +447,7 @@ def _activation_signature(spec: ModelSpec, params: np.ndarray, batch: Batch):
     logits, cache = _logits(spec, params, batch.inputs, keep=True)
     loss = _cross_entropy(logits, batch.labels)
     if spec.l2_coeff:
-        loss += 0.5 * spec.l2_coeff * float(params @ params)
+        loss += _l2_term(spec, params)
     if spec.kind == KIND_SOFTMAX:
         return loss, None
     return loss, [m.copy() for m in cache["masks"]]

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedrf import cli, config as cfg_mod, datafile
+from fedrf import cli, config as cfg_mod, datafile, modality
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -204,6 +207,27 @@ def test_personalize_zero_steps_noop(tmp_path):
         assert before == after
 
 
+@pytest.mark.parametrize("field, overrides", [
+    ("num_modalities", {"training": {"modalities": ["iq", "dft", "amp_phase"]}}),
+    ("window_len", {"dataset": {"window_len": 32}}),
+    ("num_classes", {"dataset": {"num_transmitters": 6},
+                     "partition": {"mode": "iid", "num_aps": 2}}),
+], ids=["num_modalities", "window_len", "num_classes"])
+def test_personalize_rejects_model_config_mismatch(tmp_path, capsys, field, overrides):
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(small_desk(tmp_path, training={"seeds": [1]})),
+                     "--out", str(out)]) == 0
+    (tmp_path / "other").mkdir()
+    other = small_desk(tmp_path / "other", **overrides)
+    capsys.readouterr()
+    rc = cli.main(["personalize", "--config", str(other), "--out", str(tmp_path / "p"),
+                   "--model", str(out / "model_seed1.npz")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: model ")
+    assert field in err
+
+
 def test_personalize_missing_model(tmp_path):
     cfg_path = small_desk(tmp_path)
     rc = cli.main(["personalize", "--config", str(cfg_path),
@@ -261,3 +285,58 @@ def test_run_divergence_fails_with_round(tmp_path, capsys):
     assert manifest["status"] == "failed"
     assert manifest["error"] == error
     assert error in capsys.readouterr().err
+
+
+def test_run_fine_tuning_divergence_fails(tmp_path, capsys):
+    # one training step stays finite; 20 fine-tuning steps at this eta overflow
+    cfg_path = small_desk(tmp_path, training={"eta": 1e30, "rounds": 1, "local_steps": 1,
+                                              "seeds": [1]},
+                          personalization={"fine_tune_steps": 20})
+    out = tmp_path / "r"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["status"] == "failed"
+    error = "fine-tuning diverged at AP 0: parameters are not finite"
+    assert manifest["error"] == error
+    assert capsys.readouterr().err == f"run failed: {error}\n"
+    rc = cli.main(["personalize", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
+                   "--model", str(out / "model_seed1.npz")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_run_divergence_prints_one_line(tmp_path):
+    # fedrf run as a user runs it: NumPy overflow warnings would reach stderr
+    raw = json.loads((CONFIG_DIR / "desk_determinism.json").read_text())
+    raw["training"]["eta"] = 1e6
+    raw["training"]["seeds"] = [1]
+    cfg_path = write_cfg(tmp_path, raw)
+    out = tmp_path / "r"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedrf.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    error = "training diverged at round 8: parameters are not finite"
+    assert proc.returncode == 1
+    assert proc.stderr == f"run failed: {error}\n"
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == error
+
+
+def test_run_fits_normalization_once_per_shard_and_once_for_pool(tmp_path, monkeypatch):
+    calls = []
+    fit = modality.fit_normalization
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(modality, "fit_normalization", counting_fit)
+    cfg_path = small_desk(tmp_path, training={"seeds": [1]})
+    assert cfg_mod.parse_config(cfg_path).personalization.enabled
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 2 + 1  # two AP shards, then the training pool

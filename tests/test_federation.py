@@ -12,13 +12,15 @@ def make_split(num_tx=4, per_tx=16, window=8, seed=0, test_fraction=0.25):
 
 
 def small_cfg(split, seed=0, rounds=2, local_steps=3, batch=8, eta=0.05,
-              modalities=("iq",), threads=1, l2=1e-3):
+              modalities=("iq",), l2=1e-3, kind="softmax_linear"):
     spec = models.ModelSpec(
-        "softmax_linear",
+        kind,
         split.window_len,
         len(modalities),
         split.num_transmitters,
         l2_coeff=l2,
+        block_channels=(4, 6),
+        hidden=8,
     )
     return federation.TrainingConfig(
         spec=spec,
@@ -28,7 +30,6 @@ def small_cfg(split, seed=0, rounds=2, local_steps=3, batch=8, eta=0.05,
         eta=eta,
         modalities=tuple(modalities),
         seed=seed,
-        threads=threads,
     )
 
 
@@ -146,8 +147,8 @@ def test_local_train_zero_eta_is_identity():
     batches = federation.build_ap_batches(split, part, cfg.modalities)
     w0 = models.init_params(cfg.spec, 0)
     state = federation.APState(0, batches[0], federation.ap_stream(cfg.seed, 0, 0))
-    out = federation.local_train(state, w0, cfg)
-    assert np.array_equal(out, w0)
+    out = federation.local_train([state], w0, cfg)
+    assert np.array_equal(out, w0[None])
 
 
 def test_local_train_quadratic_closed_form():
@@ -159,8 +160,8 @@ def test_local_train_quadratic_closed_form():
     for steps, expected in ((1, 0.3), (2, 0.57)):
         cfg.local_steps = steps
         state = federation.APState(0, dummy, federation.ap_stream(0, 0, 0))
-        out = federation.local_train(state, np.zeros(1), cfg, grad_fn=grad_fn)
-        assert out[0] == pytest.approx(expected, rel=1e-12)
+        out = federation.local_train([state], np.zeros(1), cfg, grad_fn=grad_fn)
+        assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_local_train_deterministic():
@@ -172,7 +173,7 @@ def test_local_train_deterministic():
     outs = []
     for _ in range(2):
         state = federation.APState(1, batches[1], federation.ap_stream(cfg.seed, 1, 3))
-        outs.append(federation.local_train(state, w0, cfg))
+        outs.append(federation.local_train([state], w0, cfg))
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -291,19 +292,36 @@ def test_single_ap_full_batch_equals_centralized():
     assert np.array_equal(w_fed, w)
 
 
-def test_parallel_matches_sequential():
+def per_ap_local_train(batches, rngs, w0, cfg):
+    """Reference for local_train: each AP alone, one loss_and_grad + sgd_step per step."""
+    outs = []
+    for batch, rng in zip(batches, rngs):
+        sampler = federation._BatchSampler(len(batch), cfg.batch_size, rng)
+        w = w0.copy()
+        for _ in range(cfg.local_steps):
+            _, g = models.loss_and_grad(cfg.spec, w, batch.select(sampler.next()))
+            w = models.sgd_step(w, g, cfg.eta)
+        outs.append(w)
+    return np.stack(outs)
+
+
+@pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])
+@pytest.mark.parametrize("shard_sizes", [None, (3, 10, 5, 12)],
+                         ids=["equal_batches", "unequal_batches"])
+def test_stacked_local_train_matches_per_ap_loop(kind, shard_sizes):
+    # shard sizes 3, 10, 5, 12 at batch 6 give effective batch sizes 3, 6, 5, 6:
+    # three stacks, one of them holding two APs
     split = make_split()
     part = federation.partition_iid(split, 4, seed=2)
-    cfg_seq = small_cfg(split, seed=5, rounds=3, local_steps=4, batch=6, threads=1)
-    cfg_par = small_cfg(split, seed=5, rounds=3, local_steps=4, batch=6, threads=4)
-    m_seq, w_seq = federation.run_training(split, part, cfg_seq)
-    m_par, w_par = federation.run_training(split, part, cfg_par)
-    assert np.array_equal(w_seq, w_par)
-    for a, b in zip(m_seq, m_par):
-        assert a.round == b.round
-        assert a.global_loss == b.global_loss
-        assert a.global_acc == b.global_acc
-        assert a.ap_losses == b.ap_losses
+    cfg = small_cfg(split, seed=5, local_steps=4, batch=6, kind=kind)
+    batches = federation.build_ap_batches(split, part, cfg.modalities)
+    if shard_sizes is not None:
+        batches = [b.select(np.arange(k)) for b, k in zip(batches, shard_sizes)]
+    w0 = models.init_params(cfg.spec, 3)
+    rngs = lambda: [federation.ap_stream(cfg.seed, n, 7) for n in range(4)]
+    states = [federation.APState(n, b, rng) for n, (b, rng) in enumerate(zip(batches, rngs()))]
+    stacked = federation.local_train(states, w0, cfg)
+    assert np.array_equal(stacked, per_ap_local_train(batches, rngs(), w0, cfg))
 
 
 def test_metric_rounds_and_stride():

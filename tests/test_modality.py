@@ -183,3 +183,17 @@ def test_selection_validation():
         modality.stack_modalities(
             np.ones(4, dtype=complex), ("bogus",), modality.NormStats.identity(("iq",))
         )
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_exact_sum_matches_fsum_on_adversarial_arrays(squared):
+    rng = np.random.default_rng(8)
+    chunk = modality.FSUM_CHUNK
+    # squares of the widest values would overflow, so they span half the exponents
+    top = 150 if squared else 300
+    wide = rng.choice([-1.0, 1.0], 2 * chunk + 17) * 10.0 ** rng.uniform(-top, top, 2 * chunk + 17)
+    cancel = np.array([1e16, 1.0, -1e16, 1e-16, 3.0, -3.0] * 1000)
+    cancel[[5, 2999, chunk]] = [1e100, -1e100, 2.0 ** -60]
+    for vals in (wide, cancel, wide[:chunk], wide[: chunk + 1], wide[:1], wide[:0]):
+        ref = math.fsum(v * v for v in vals) if squared else math.fsum(vals)
+        assert modality.exact_sum(vals, squared=squared) == ref

@@ -213,6 +213,23 @@ def test_softmax_gradient_strong_monotonicity():
         assert lhs >= lam * np.linalg.norm(w1 - w2) - 1e-9
 
 
+@pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
+def test_stacked_loss_and_grad_matches_rows(make_spec):
+    spec = make_spec(l2=0.05)
+    rng = np.random.default_rng(4)
+    params = np.stack([models.init_params(spec, s) for s in range(3)])
+    x = rng.standard_normal((3, 5, spec.window_len, 2, spec.num_modalities))
+    y = rng.integers(0, spec.num_classes, (3, 5))
+    losses, grads = models.loss_and_grad(spec, params, models.Batch(x, y))
+    assert losses.shape == (3,) and grads.shape == params.shape
+    for k in range(3):
+        loss, grad = models.loss_and_grad(spec, params[k], models.Batch(x[k], y[k]))
+        assert losses[k] == loss
+        assert np.array_equal(grads[k], grad)
+    with pytest.raises(ValueError):
+        models.loss_and_grad(spec, params[:2], models.Batch(x, y))
+
+
 def test_batch_validation():
     with pytest.raises(ValueError):
         models.Batch(np.zeros((0, 4, 2, 1)), np.zeros(0, dtype=int))
@@ -220,6 +237,9 @@ def test_batch_validation():
         models.Batch(np.zeros((2, 4, 2)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
         models.Batch(np.zeros((2, 4, 2, 1)), np.zeros(3, dtype=int))
+    assert len(models.Batch(np.zeros((3, 2, 4, 2, 1)), np.zeros((3, 2), dtype=int))) == 6
+    with pytest.raises(ValueError):
+        models.Batch(np.zeros((3, 2, 4, 2, 1)), np.zeros((2, 3), dtype=int))
 
 
 def test_spec_validation():
