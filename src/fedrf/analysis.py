@@ -286,6 +286,7 @@ def _gap_rows(problem: QuadraticProblem, w: np.ndarray) -> np.ndarray:
     return vals - problem.f_star
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_bound(
     problem: QuadraticProblem, cfg: QuadRunConfig, seeds: int
 ) -> BoundTrace:
@@ -294,7 +295,10 @@ def verify_bound(
     Runs ``seeds`` independent trajectories, averages the gap per round, and
     iterates the step bound from the measured initial gap using the
     problem's exact constants. A round is a violation when the empirical
-    mean exceeds bound + 3 * (standard error).
+    mean exceeds bound + 3 * (standard error). A round whose mean gap is not
+    finite raises a ValueError naming that round, because no comparison with
+    the bound can flag it; the overflow that leads there is not reported as
+    NumPy warnings.
     """
     contraction = cfg.eta * cfg.local_steps * problem.mu / cfg.modality_count
     if contraction >= 1.0:
@@ -303,6 +307,11 @@ def verify_bound(
         )
     gaps = simulate_quadratic_runs(problem, cfg, seeds)
     empirical = gaps.mean(axis=0)
+    diverged = np.flatnonzero(~np.isfinite(empirical))
+    if len(diverged):
+        raise ValueError(
+            f"bound check diverged at round {diverged[0]}: empirical gap is not finite"
+        )
     if seeds > 1:
         stderr = gaps.std(axis=0, ddof=1) / np.sqrt(seeds)
     else:

@@ -231,6 +231,9 @@ def cmd_verify_bound(args) -> int:
     except analysis.BoundInapplicableError as exc:
         print(f"bound inapplicable: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     summary = json.loads((out / BOUND_SUMMARY_FILENAME).read_text())
     print(
         f"bound check: {summary['violation_count']} violation(s) "
@@ -264,11 +267,11 @@ def cmd_personalize(args) -> int:
         return 1
     ds = experiment.load_dataset(cfg)
     _check_model_fits(spec, cfg, ds, args.model)
-    split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
-    partition = experiment.build_partition(split, cfg, seed)
-    train_cfg = experiment.training_config(cfg, spec, seed)
-    steps = experiment.resolve_fine_tune_steps(cfg, partition)
     try:
+        split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
+        partition = experiment.build_partition(split, cfg, seed)
+        train_cfg = experiment.training_config(cfg, spec, seed)
+        steps = experiment.resolve_fine_tune_steps(cfg, partition)
         results = federation.personalize(split, partition, params, steps, train_cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
-
 import numpy as np
 
 from . import waveforms
@@ -45,11 +43,12 @@ class TruncatedFileError(DatasetFormatError):
     pass
 
 
-@dataclass
-class LabeledExample:
-    waveform: np.ndarray
-    label: int
-    snr_db: Optional[float] = None
+class BadHeaderError(DatasetFormatError):
+    """A header field no dataset can have."""
+
+
+class BadRecordError(DatasetFormatError):
+    """A record whose label or samples the header does not allow."""
 
 
 @dataclass
@@ -71,9 +70,6 @@ class DatasetFile:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def record(self, i: int) -> LabeledExample:
-        return LabeledExample(waveform=self.iq[i], label=int(self.labels[i]))
 
 
 def generate_dataset(
@@ -141,6 +137,10 @@ def read_dataset(path) -> DatasetFile:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
+    if num_tx < 2:
+        raise BadHeaderError(f"header declares {num_tx} transmitters, need at least 2")
+    if window_len < 2:
+        raise BadHeaderError(f"header declares window_len {window_len}, need at least 2")
     rec_dtype = _record_dtype(window_len)
     body = data[_HEADER.size :]
     expected = count * rec_dtype.itemsize
@@ -151,13 +151,24 @@ def read_dataset(path) -> DatasetFile:
     if len(body) > expected:
         raise DatasetFormatError("trailing bytes after final record")
     records = np.frombuffer(body, dtype=rec_dtype, count=count)
+    labels = records["label"]
+    bad = labels >= num_tx
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise BadRecordError(
+            f"record {row} has label {labels[row]}, but the header declares "
+            f"{num_tx} transmitters"
+        )
     flat = records["iq"]
+    bad = ~np.isfinite(flat).all(axis=1)
+    if bad.any():
+        raise BadRecordError(f"record {int(np.argmax(bad))} has a non-finite sample")
     iq = np.empty((count, window_len), dtype=np.complex64)
     iq.real = flat[:, 0::2]
     iq.imag = flat[:, 1::2]
     return DatasetFile(
         num_transmitters=num_tx,
         window_len=window_len,
-        labels=records["label"].astype(np.uint16),
+        labels=labels.astype(np.uint16),
         iq=iq,
     )

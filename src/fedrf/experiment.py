@@ -64,10 +64,11 @@ def build_partition(
     split: federation.SplitDataset, cfg: cfg_mod.ExperimentConfig, seed: int
 ) -> federation.Partition:
     p = cfg.partition
+    selection = cfg.training.modalities
     if p.mode == "iid":
-        return federation.partition_iid(split, p.num_aps, seed)
+        return federation.partition_iid(split, p.num_aps, seed, selection)
     return federation.partition_noniid(
-        split, p.num_aps, p.labels_per_ap, p.overlap_pairs, seed
+        split, p.num_aps, p.labels_per_ap, p.overlap_pairs, seed, selection
     )
 
 

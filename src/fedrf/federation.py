@@ -45,9 +45,10 @@ class Partition:
 
     ``indices[n]`` are row indices into the training arrays (pairwise
     disjoint across APs), ``label_sets[n]`` the labels actually present in
-    shard n, and ``stats[n]`` normalization statistics fit on shard n only.
-    ``pool`` holds the training-pool statistics once ``pool_stats`` has fit
-    them; a partition belongs to the split it was built from.
+    shard n, and ``stats[n]`` normalization statistics fit on shard n only,
+    for the modalities selected when the partition was built. ``pool`` holds
+    the training-pool statistics once ``pool_stats`` has fit them; a
+    partition belongs to the split it was built from.
     """
 
     num_aps: int
@@ -79,9 +80,8 @@ class TrainingConfig:
 
 @dataclass
 class APState:
-    """One AP's view for a single round: shard, parameters scratch, RNG."""
+    """One AP's view for a single round: its shard and its RNG."""
 
-    index: int
     data: models.Batch
     rng: np.random.Generator
 
@@ -103,18 +103,22 @@ class PersonalizationResult:
     params: np.ndarray
 
 
-def _finalize_partition(data: SplitDataset, indices: List[np.ndarray]) -> Partition:
+def _finalize_partition(
+    data: SplitDataset, indices: List[np.ndarray], selection: Sequence[str]
+) -> Partition:
     indices = [np.sort(np.asarray(ix, dtype=np.int64)) for ix in indices]
     label_sets = [np.unique(data.train_labels[ix]) for ix in indices]
-    stats = [
-        modality.fit_normalization(list(data.train_iq[ix]), modality.ALL_MODALITIES)
-        for ix in indices
-    ]
+    stats = [modality.fit_normalization(data.train_iq[ix], selection) for ix in indices]
     return Partition(len(indices), indices, label_sets, stats)
 
 
-def partition_iid(data: SplitDataset, num_aps: int, seed: int) -> Partition:
-    """Deal every label's examples round-robin, so each AP sees all labels."""
+def partition_iid(
+    data: SplitDataset, num_aps: int, seed: int, selection: Sequence[str]
+) -> Partition:
+    """Deal every label's examples round-robin, so each AP sees all labels.
+
+    Each shard's normalization is fit for the ``selection`` modalities.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((_DOMAIN_PARTITION, seed)))
     indices: List[list] = [[] for _ in range(num_aps)]
     for label in range(data.num_transmitters):
@@ -126,7 +130,7 @@ def partition_iid(data: SplitDataset, num_aps: int, seed: int) -> Partition:
         rows = rng.permutation(rows)
         for ap in range(num_aps):
             indices[ap].extend(rows[ap::num_aps])
-    return _finalize_partition(data, [np.array(ix) for ix in indices])
+    return _finalize_partition(data, [np.array(ix) for ix in indices], selection)
 
 
 def partition_noniid(
@@ -135,12 +139,14 @@ def partition_noniid(
     labels_per_ap: int,
     overlap_pairs: int,
     seed: int,
+    selection: Sequence[str],
 ) -> Partition:
     """Label-skewed partition: each AP holds ``labels_per_ap`` labels.
 
     Exactly ``overlap_pairs`` labels are shared between two APs (their
     examples split evenly); every other label belongs to a single AP and no
-    label appears at more than two APs.
+    label appears at more than two APs. Each shard's normalization is fit
+    for the ``selection`` modalities.
     """
     num_labels = data.num_transmitters
     if num_aps * labels_per_ap - num_labels != overlap_pairs:
@@ -199,7 +205,7 @@ def partition_noniid(
             half = (len(rows) + 1) // 2
             indices[aps[0]].extend(rows[:half])
             indices[aps[1]].extend(rows[half:])
-    return _finalize_partition(data, [np.array(ix) for ix in indices])
+    return _finalize_partition(data, [np.array(ix) for ix in indices], selection)
 
 
 class _BatchSampler:
@@ -317,13 +323,14 @@ def build_ap_batches(
 def pool_stats(data: SplitDataset, partition: Partition) -> modality.NormStats:
     """Statistics over the whole training pool (union of the AP shards).
 
-    The first call fits them and keeps them on the partition; later calls
-    return the kept statistics.
+    They cover the modalities the shard statistics were fit for. The first
+    call fits them and keeps them on the partition; later calls return the
+    kept statistics.
     """
     if partition.pool is None:
         all_ix = np.sort(np.concatenate(partition.indices))
         partition.pool = modality.fit_normalization(
-            list(data.train_iq[all_ix]), modality.ALL_MODALITIES
+            data.train_iq[all_ix], tuple(partition.stats[0].means)
         )
     return partition.pool
 
@@ -352,7 +359,7 @@ def run_training(
     for t in range(cfg.rounds):
         start = time.perf_counter()
         states = [
-            APState(index=n, data=ap_batches[n], rng=ap_stream(cfg.seed, n, t))
+            APState(data=ap_batches[n], rng=ap_stream(cfg.seed, n, t))
             for n in range(partition.num_aps)
         ]
         w = aggregate(local_train(states, w, cfg))
@@ -409,7 +416,7 @@ def personalize(
         rng = np.random.default_rng(
             np.random.SeedSequence((_DOMAIN_PERSONALIZE, cfg.seed, n))
         )
-        states.append(APState(index=n, data=local, rng=rng))
+        states.append(APState(data=local, rng=rng))
     if fine_tune_steps == 0:
         tuned = np.repeat(np.asarray(w_global, dtype=np.float64)[None], len(states), axis=0)
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -20,12 +20,6 @@ MODALITY_DFT = "dft"
 MODALITY_AMP_PHASE = "amp_phase"
 ALL_MODALITIES = (MODALITY_IQ, MODALITY_DFT, MODALITY_AMP_PHASE)
 
-_COLUMN_TAGS = {
-    MODALITY_IQ: ("i", "q"),
-    MODALITY_DFT: ("dft_re", "dft_im"),
-    MODALITY_AMP_PHASE: ("amplitude", "phase"),
-}
-
 STD_FLOOR = 1e-8
 
 # values per tolist() chunk fed to math.fsum: converting a whole column to a
@@ -33,34 +27,14 @@ STD_FLOOR = 1e-8
 FSUM_CHUNK = 4096
 
 
-@dataclass
-class RealMatrix:
-    """L x 2 real matrix with a tag describing its column semantics."""
+def transform(iq: np.ndarray, modality: str) -> np.ndarray:
+    """Map complex waveforms of shape (..., L) to real (..., L, 2) columns.
 
-    values: np.ndarray
-    columns: Tuple[str, str]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != 2:
-            raise ValueError("RealMatrix must have exactly 2 columns")
-
-
-@dataclass
-class ModalInput:
-    """L x 2 x M tensor; channel m holds the m-th selected modality."""
-
-    tensor: np.ndarray
-    selection: Tuple[str, ...]
-
-    def __post_init__(self):
-        self.tensor = np.asarray(self.tensor, dtype=np.float64)
-        if self.tensor.ndim != 3 or self.tensor.shape[2] != len(self.selection):
-            raise ValueError("tensor shape must be (L, 2, M) with M = len(selection)")
-
-
-def _batch_transform(iq: np.ndarray, modality: str) -> np.ndarray:
-    """Apply one modality to a (n, L) complex array, returning (n, L, 2)."""
+    ``iq``: (Re r[k], Im r[k]). ``dft``: (Re R[p], Im R[p]) of the
+    unnormalized DFT sum. ``amp_phase``: (|r[k]|, angle(r[k])) with the angle
+    in (-pi, pi] and angle(0) = 0. Rows are transformed independently, so row
+    i of a batch equals the transform of waveform i alone.
+    """
     x = np.asarray(iq, dtype=np.complex128)
     if modality == MODALITY_IQ:
         return np.stack([x.real, x.imag], axis=-1)
@@ -75,29 +49,6 @@ def _batch_transform(iq: np.ndarray, modality: str) -> np.ndarray:
         phase = np.where(amp == 0.0, 0.0, phase)
         return np.stack([amp, phase], axis=-1)
     raise ValueError(f"unknown modality {modality!r}")
-
-
-def to_iq(w: np.ndarray) -> RealMatrix:
-    """Columns (Re r[k], Im r[k])."""
-    return RealMatrix(_batch_transform(np.asarray(w)[None, :], MODALITY_IQ)[0],
-                      _COLUMN_TAGS[MODALITY_IQ])
-
-
-def to_dft(w: np.ndarray) -> RealMatrix:
-    """Columns (Re R[p], Im R[p]) of the unnormalized DFT sum."""
-    return RealMatrix(_batch_transform(np.asarray(w)[None, :], MODALITY_DFT)[0],
-                      _COLUMN_TAGS[MODALITY_DFT])
-
-
-def to_amp_phase(w: np.ndarray) -> RealMatrix:
-    """Columns (|r[k]|, angle(r[k])) with the angle in (-pi, pi] and angle(0) = 0."""
-    return RealMatrix(_batch_transform(np.asarray(w)[None, :], MODALITY_AMP_PHASE)[0],
-                      _COLUMN_TAGS[MODALITY_AMP_PHASE])
-
-
-def transform(w: np.ndarray, modality: str) -> RealMatrix:
-    return RealMatrix(_batch_transform(np.asarray(w)[None, :], modality)[0],
-                      _COLUMN_TAGS[modality])
 
 
 @dataclass
@@ -119,24 +70,24 @@ class NormStats:
         )
 
 
-def fit_normalization(
-    examples: Iterable[np.ndarray], selection: Sequence[str] = ALL_MODALITIES
-) -> NormStats:
-    """Fit per-(modality, column) mean and std over all samples of all examples.
+def fit_normalization(iq: np.ndarray, selection: Sequence[str]) -> NormStats:
+    """Fit per-(modality, column) mean and std over all samples of a (n, L) array.
 
+    Only the selected modalities are fit, each independently of the others.
     Moments are accumulated with exact (correctly rounded) summation, so the
     result does not depend on example order.
     """
     selection = _check_selection(selection)
-    wfs = [np.asarray(w, dtype=np.complex128) for w in examples]
-    if len(wfs) < 2:
+    stacked = np.asarray(iq, dtype=np.complex128)
+    if stacked.ndim != 2:
+        raise ValueError("waveforms must be a (n, L) array")
+    if len(stacked) < 2:
         raise ValueError("need at least 2 examples to fit normalization stats")
-    stacked = np.stack(wfs)
     means: Dict[str, np.ndarray] = {}
     stds: Dict[str, np.ndarray] = {}
     count = stacked.shape[0] * stacked.shape[1]
     for m in selection:
-        mats = _batch_transform(stacked, m)  # (n, L, 2)
+        mats = transform(stacked, m)  # (n, L, 2)
         mean = np.empty(2)
         std = np.empty(2)
         for col in range(2):
@@ -187,30 +138,7 @@ def stack_batch(
     x = np.asarray(iq, dtype=np.complex128)
     channels = []
     for m in selection:
-        mats = _batch_transform(x, m)
+        mats = transform(x, m)
         denom = np.maximum(stats.stds[m], STD_FLOOR)
         channels.append((mats - stats.means[m]) / denom)
     return np.stack(channels, axis=-1)
-
-
-def stack_from_matrices(
-    matrices: Sequence[RealMatrix], selection: Sequence[str], stats: NormStats
-) -> ModalInput:
-    """Stack pre-computed per-modality matrices; channels are independent."""
-    selection = _check_selection(selection)
-    if len(matrices) != len(selection):
-        raise ValueError("one matrix required per selected modality")
-    channels = []
-    for m, mat in zip(selection, matrices):
-        denom = np.maximum(stats.stds[m], STD_FLOOR)
-        channels.append((mat.values - stats.means[m]) / denom)
-    return ModalInput(tensor=np.stack(channels, axis=-1), selection=selection)
-
-
-def stack_modalities(
-    w: np.ndarray, selection: Sequence[str], stats: NormStats
-) -> ModalInput:
-    """Build the stacked classifier input for a single waveform."""
-    selection = _check_selection(selection)
-    tensor = stack_batch(np.asarray(w)[None, :], selection, stats)[0]
-    return ModalInput(tensor=tensor, selection=selection)

@@ -168,10 +168,6 @@ class Batch:
     def select(self, idx) -> "Batch":
         return Batch(self.inputs[idx], self.labels[idx])
 
-    @classmethod
-    def from_modal_inputs(cls, inputs, labels) -> "Batch":
-        return cls(np.stack([mi.tensor for mi in inputs]), np.asarray(labels))
-
 
 # ---------------------------------------------------------------------------
 # primitive ops
@@ -337,17 +333,6 @@ def forward_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
     return _softmax(logits)
 
 
-def forward(spec: ModelSpec, params: np.ndarray, inp) -> np.ndarray:
-    """Class probabilities for a single input (ModalInput or (L, 2, M) array)."""
-    tensor = inp.tensor if hasattr(inp, "tensor") else np.asarray(inp, dtype=np.float64)
-    return forward_batch(spec, params, tensor[None])[0]
-
-
-def predict(spec: ModelSpec, params: np.ndarray, inp) -> int:
-    """Most probable class; ties resolve to the lowest label index."""
-    return int(np.argmax(forward(spec, params, inp)))
-
-
 def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Mean cross-entropy plus (l2/2)*||params||^2, without the gradient."""
     logits, _ = _logits(spec, params, batch.inputs)
@@ -460,20 +445,35 @@ def _same_signature(a, b) -> bool:
 
 
 def central_diff_max_error(loss_fn, params: np.ndarray, grad: np.ndarray,
-                           coords: Sequence[int], step: float) -> float:
-    """Max relative error between grad and central differences of loss_fn."""
+                           coords: Sequence[int], step: float,
+                           limit: Optional[int] = None) -> Tuple[float, int]:
+    """Max relative error between grad and central differences of loss_fn.
+
+    ``loss_fn(p)`` returns ``(loss, signature)``. A coordinate whose +step or
+    -step signature differs from the signature at ``params`` has a kink inside
+    the difference stencil and is skipped. Coordinates are taken in the order
+    of ``coords`` until ``limit`` of them have been compared. Returns the max
+    relative error and the number of coordinates compared.
+    """
+    _, sig0 = loss_fn(params)
     scale = max(float(np.max(np.abs(grad))), 1e-12)
     worst = 0.0
+    checked = 0
     for i in coords:
+        if limit is not None and checked >= limit:
+            break
         p = params.copy()
         p[i] = params[i] + step
-        lp = loss_fn(p)
+        lp, sig_p = loss_fn(p)
         p[i] = params[i] - step
-        lm = loss_fn(p)
+        lm, sig_m = loss_fn(p)
+        if not (_same_signature(sig0, sig_p) and _same_signature(sig0, sig_m)):
+            continue
         fd = (lp - lm) / (2.0 * step)
         denom = max(abs(grad[i]), abs(fd), 1e-8 * (1.0 + scale))
         worst = max(worst, abs(fd - grad[i]) / denom)
-    return worst
+        checked += 1
+    return worst, checked
 
 
 def finite_diff_check(
@@ -483,59 +483,28 @@ def finite_diff_check(
     step: float = 1e-5,
     num_coords: Optional[int] = None,
     seed: int = 0,
-) -> float:
+) -> Tuple[float, int]:
     """Compare loss_and_grad against central differences.
 
-    For mini_resnet a random subset of coordinates is checked; candidates
-    whose perturbation flips a ReLU mask or a pooling argmax (i.e. the loss
-    has a kink inside the difference stencil) are rejected and resampled.
-    Returns the max relative error over the checked coordinates.
+    Every coordinate is checked unless ``num_coords`` is smaller than the
+    parameter count; then coordinates are drawn in a random order until
+    ``num_coords`` of them have been compared. For mini_resnet a coordinate
+    whose perturbation flips a ReLU mask or a pooling argmax (the loss has a
+    kink inside the difference stencil) is skipped. Returns the max relative
+    error and the number of coordinates compared.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
-    err, _ = finite_diff_details(spec, params, batch, step, num_coords, seed)
-    return err
-
-
-def finite_diff_details(
-    spec: ModelSpec,
-    params: np.ndarray,
-    batch: Batch,
-    step: float = 1e-5,
-    num_coords: Optional[int] = None,
-    seed: int = 0,
-) -> Tuple[float, int]:
-    """finite_diff_check plus the number of coordinates actually compared."""
     params = np.asarray(params, dtype=np.float64)
     _, grad = loss_and_grad(spec, params, batch)
     dim = params.shape[0]
-    rng = np.random.default_rng(seed)
     if num_coords is None or num_coords >= dim:
-        candidates = np.arange(dim)
-        target = dim
+        coords, limit = np.arange(dim), None
     else:
-        candidates = rng.permutation(dim)
-        target = num_coords
-
-    _, sig0 = _activation_signature(spec, params, batch)
-    scale = max(float(np.max(np.abs(grad))), 1e-12)
-    worst = 0.0
-    checked = 0
-    for i in candidates:
-        if checked >= target:
-            break
-        p = params.copy()
-        p[i] = params[i] + step
-        lp, sig_p = _activation_signature(spec, p, batch)
-        p[i] = params[i] - step
-        lm, sig_m = _activation_signature(spec, p, batch)
-        if not (_same_signature(sig0, sig_p) and _same_signature(sig0, sig_m)):
-            continue  # kink inside the stencil
-        fd = (lp - lm) / (2.0 * step)
-        denom = max(abs(grad[i]), abs(fd), 1e-8 * (1.0 + scale))
-        worst = max(worst, abs(fd - grad[i]) / denom)
-        checked += 1
-    return worst, checked
+        coords, limit = np.random.default_rng(seed).permutation(dim), num_coords
+    return central_diff_max_error(
+        lambda p: _activation_signature(spec, p, batch), params, grad, coords, step, limit
+    )
 
 
 def describe_layers(spec: ModelSpec) -> List[Tuple[str, Tuple[int, ...]]]:

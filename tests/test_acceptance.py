@@ -70,7 +70,7 @@ def test_criterion_1_dft_oracle():
             w = np.exp(-2j * np.pi * np.outer(p, p) / ell)  # brute-force matrix
             for _ in range(100):
                 r = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
-                got = modality.to_dft(r).values
+                got = modality.transform(r, "dft")
                 got_c = got[:, 0] + 1j * got[:, 1]
                 ref = w @ r
                 rel = np.max(np.abs(got_c - ref)) / np.max(np.abs(ref))
@@ -88,11 +88,11 @@ def test_criterion_2_modality_round_trip():
         rng = np.random.default_rng(7)
         for _ in range(50):
             r = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-            ap = modality.to_amp_phase(r).values
+            ap = modality.transform(r, "amp_phase")
             back = ap[:, 0] * np.exp(1j * ap[:, 1])
             assert np.max(np.abs(back - r)) <= 1e-12
             assert np.all(ap[:, 1] > -np.pi) and np.all(ap[:, 1] <= np.pi)
-            iq = modality.to_iq(r).values
+            iq = modality.transform(r, "iq")
             assert np.array_equal(iq[:, 0] + 1j * iq[:, 1], r)
 
     _report(2, "amplitude/phase reconstruction and IQ bijection", 1, body)
@@ -106,7 +106,7 @@ def test_criterion_3_gradient_correctness():
         batch = models.Batch(
             rng.standard_normal((12, 8, 2, 2)), rng.integers(0, 5, 12)
         )
-        err = models.finite_diff_check(
+        err, _ = models.finite_diff_check(
             spec, models.init_params(spec, 1), batch, step=1e-5
         )
         assert err <= 1e-6, f"softmax fd error {err}"
@@ -118,7 +118,7 @@ def test_criterion_3_gradient_correctness():
         rbatch = models.Batch(
             rng.standard_normal((4, 16, 2, 2)), rng.integers(0, 5, 4)
         )
-        rerr, checked = models.finite_diff_details(
+        rerr, checked = models.finite_diff_check(
             rspec, models.init_params(rspec, 2), rbatch, step=1e-5,
             num_coords=220, seed=5,
         )
@@ -131,8 +131,8 @@ def test_criterion_3_gradient_correctness():
         a, b = prob.a_matrices[0], prob.b_vectors[0]
         loss_fn = lambda w: 0.5 * w @ a @ w - b @ w
         w0 = np.random.default_rng(11).standard_normal(8)
-        qerr = models.central_diff_max_error(
-            loss_fn, w0, a @ w0 - b, range(8), step=1e-3
+        qerr, _ = models.central_diff_max_error(
+            lambda w: (loss_fn(w), None), w0, a @ w0 - b, range(8), step=1e-3
         )
         assert qerr <= 1e-9, f"quadratic fd error {qerr}"
 
@@ -226,7 +226,7 @@ def test_criterion_7_fedavg_algebra():
         # N=1 full batch == centralized gradient descent, 50 steps, bit-exact
         ds = datafile.generate_dataset(3, 12, 16, 10.0, 21)
         split = experiment.split_train_test(ds, 0.25, 0)
-        part = federation.partition_iid(split, 1, 0)
+        part = federation.partition_iid(split, 1, 0, ("iq",))
         spec = models.ModelSpec("softmax_linear", 16, 1, 3, l2_coeff=1e-3)
         cfg = federation.TrainingConfig(
             spec=spec, rounds=5, local_steps=10,
@@ -250,14 +250,14 @@ def test_criterion_8_partition_contracts():
         # i.i.d.: every AP sees the full label set
         ds = datafile.generate_dataset(163, 8, 8, 10.0, 31)
         split = experiment.split_train_test(ds, 0.25, 1)
-        part = federation.partition_iid(split, 4, 1)
+        part = federation.partition_iid(split, 4, 1, ("iq",))
         for n in range(4):
             assert part.label_sets[n].tolist() == list(range(163))
         allidx = np.concatenate(part.indices)
         assert len(np.unique(allidx)) == len(allidx) == len(split.train_labels)
 
         # non-i.i.d.: 163 labels over 4 APs, 41 each, one doubly-assigned
-        part2 = federation.partition_noniid(split, 4, 41, 1, 1)
+        part2 = federation.partition_noniid(split, 4, 41, 1, 1, ("iq",))
         counts = np.zeros(163, dtype=int)
         for s in part2.label_sets:
             assert len(s) == 41

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedrf import analysis, datafile, experiment, federation, models
+from fedrf import analysis, datafile, experiment, federation, modality, models
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,8 @@ def test_zeta2_iid_below_noniid():
         params = models.init_params(spec, seed)
         sel = ("iq", "amp_phase")
 
-        p_iid = federation.partition_iid(split, 4, seed)
-        p_non = federation.partition_noniid(split, 4, 2, 0, seed)
+        p_iid = federation.partition_iid(split, 4, seed, sel)
+        p_non = federation.partition_noniid(split, 4, 2, 0, seed, sel)
         z_iid = analysis.estimate_zeta2(
             spec, params, federation.build_ap_batches(split, p_iid, sel)
         )
@@ -304,7 +304,7 @@ def test_modality_variance_ratio_reported_not_asserted():
     as data; the 1/M scaling is an assumption, not an asserted fact."""
     ds = datafile.generate_dataset(6, 10, 16, 10.0, 3)
     split = experiment.split_train_test(ds, 0.25, 3)
-    part = federation.partition_iid(split, 3, 3)
+    part = federation.partition_iid(split, 3, 3, modality.ALL_MODALITIES)
     ratios = {}
     for sel in (("iq",), ("iq", "dft", "amp_phase")):
         spec = models.ModelSpec("softmax_linear", 16, len(sel), 6, l2_coeff=1e-3)
@@ -328,8 +328,8 @@ def test_modality_variance_ratio_reported_not_asserted():
 def test_estimate_assumptions_bundle():
     ds = datafile.generate_dataset(4, 10, 16, 10.0, 1)
     split = experiment.split_train_test(ds, 0.25, 1)
-    part = federation.partition_iid(split, 2, 1)
     sel = ("iq",)
+    part = federation.partition_iid(split, 2, 1, sel)
     spec = models.ModelSpec("softmax_linear", 16, 1, 4, l2_coeff=0.01)
     params = models.init_params(spec, 0)
     batches = federation.build_ap_batches(split, part, sel)

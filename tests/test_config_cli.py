@@ -99,6 +99,16 @@ def test_shipped_configs_parse():
 # ---------------------------------------------------------------------------
 # CLI: gen-data
 
+def run_fedrf(*args):
+    """Run the CLI as a user runs it, so warnings and tracebacks reach stderr."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "fedrf.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def small_desk(tmp_path, **extra):
     raw = {
         "dataset": {"num_transmitters": 4, "per_tx_count": 24, "window_len": 16,
@@ -228,6 +238,18 @@ def test_personalize_rejects_model_config_mismatch(tmp_path, capsys, field, over
     assert field in err
 
 
+def test_personalize_pipeline_error_prints_one_line(tmp_path):
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(small_desk(tmp_path, training={"seeds": [1]})),
+                     "--out", str(out)]) == 0
+    (tmp_path / "other").mkdir()
+    other = small_desk(tmp_path / "other", dataset={"per_tx_count": 1})
+    proc = run_fedrf("personalize", "--config", str(other), "--out", str(tmp_path / "p"),
+                     "--model", str(out / "model_seed1.npz"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: label 0 has fewer than 2 examples to split\n"
+
+
 def test_personalize_missing_model(tmp_path):
     cfg_path = small_desk(tmp_path)
     rc = cli.main(["personalize", "--config", str(cfg_path),
@@ -259,6 +281,18 @@ def test_verify_bound_inapplicable(tmp_path):
     rc = cli.main(["verify-bound", "--config", str(cfg_path),
                    "--out", str(tmp_path / "b")])
     assert rc == 1
+
+
+def test_verify_bound_divergence_prints_one_line(tmp_path):
+    # eta*J*mu/M = 0.19, so the bound applies, but eta exceeds 2/L: the runs blow up
+    raw = json.loads((CONFIG_DIR / "quad_bound.json").read_text())
+    raw["analysis"].update(eta=1.9, local_steps=1, mu_target=0.1, smoothness_target=1e6)
+    proc = run_fedrf("verify-bound", "--config", str(write_cfg(tmp_path, raw)),
+                     "--out", str(tmp_path / "b"))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: bound check diverged at round 25: empirical gap is not finite\n"
+    )
 
 
 def test_run_failure_writes_manifest(tmp_path):
@@ -313,12 +347,7 @@ def test_run_divergence_prints_one_line(tmp_path):
     raw["training"]["seeds"] = [1]
     cfg_path = write_cfg(tmp_path, raw)
     out = tmp_path / "r"
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedrf.cli", "run", "--config", str(cfg_path), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fedrf("run", "--config", str(cfg_path), "--out", str(out))
     error = "training diverged at round 8: parameters are not finite"
     assert proc.returncode == 1
     assert proc.stderr == f"run failed: {error}\n"
@@ -328,15 +357,17 @@ def test_run_divergence_prints_one_line(tmp_path):
 
 
 def test_run_fits_normalization_once_per_shard_and_once_for_pool(tmp_path, monkeypatch):
-    calls = []
+    selections = []
     fit = modality.fit_normalization
 
-    def counting_fit(*args, **kwargs):
-        calls.append(1)
-        return fit(*args, **kwargs)
+    def counting_fit(iq, selection):
+        selections.append(tuple(selection))
+        return fit(iq, selection)
 
     monkeypatch.setattr(modality, "fit_normalization", counting_fit)
     cfg_path = small_desk(tmp_path, training={"seeds": [1]})
-    assert cfg_mod.parse_config(cfg_path).personalization.enabled
+    cfg = cfg_mod.parse_config(cfg_path)
+    assert cfg.personalization.enabled and cfg.training.modalities == ("iq",)
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
-    assert len(calls) == 2 + 1  # two AP shards, then the training pool
+    assert len(selections) == 2 + 1  # two AP shards, then the training pool
+    assert selections == [("iq",)] * 3  # only the selected modality is fit

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,39 @@ def test_label_bound_enforced():
             labels=np.array([0, 2], dtype=np.uint16),
             iq=np.zeros((2, 4), dtype=np.complex64),
         )
+
+
+def patched_dataset(tmp_path, offset, fmt, value):
+    """A valid 2-transmitter file with one field overwritten in place."""
+    path = tmp_path / "d.rfds"
+    datafile.write_dataset(datafile.generate_dataset(2, 2, 8, 10.0, 0), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_header_with_one_transmitter_rejected(tmp_path):
+    path = patched_dataset(tmp_path, 8, "<I", 1)
+    with pytest.raises(datafile.BadHeaderError, match="1 transmitters, need at least 2"):
+        datafile.read_dataset(path)
+
+
+def test_header_with_short_window_rejected(tmp_path):
+    path = patched_dataset(tmp_path, 12, "<I", 1)
+    with pytest.raises(datafile.BadHeaderError, match="window_len 1, need at least 2"):
+        datafile.read_dataset(path)
+
+
+def test_label_beyond_declared_transmitters_rejected(tmp_path):
+    # the first record's label sits right after the 24-byte header
+    path = patched_dataset(tmp_path, 24, "<H", 2)
+    with pytest.raises(datafile.BadRecordError, match="record 0 has label 2"):
+        datafile.read_dataset(path)
+
+
+def test_non_finite_sample_rejected(tmp_path):
+    # second record: 24-byte header, one 2 + 8*2*4 byte record, then its label
+    path = patched_dataset(tmp_path, 24 + 66 + 2 + 4, "<f", float("nan"))
+    with pytest.raises(datafile.BadRecordError, match="record 1 has a non-finite sample"):
+        datafile.read_dataset(path)

@@ -41,7 +41,7 @@ def test_iid_partition_basic():
     ds = datafile.generate_dataset(2, 8, 8, 10.0, 1)
     split = federation.SplitDataset(2, 8, ds.iq, ds.labels.astype(np.int64),
                                     ds.iq[:2], ds.labels[:2].astype(np.int64))
-    part = federation.partition_iid(split, 4, seed=3)
+    part = federation.partition_iid(split, 4, seed=3, selection=("iq",))
     for n in range(4):
         assert len(part.indices[n]) == 4  # 2 per label
         assert part.label_sets[n].tolist() == [0, 1]
@@ -49,7 +49,7 @@ def test_iid_partition_basic():
 
 def test_iid_partition_disjoint_union():
     split = make_split()
-    part = federation.partition_iid(split, 4, seed=5)
+    part = federation.partition_iid(split, 4, seed=5, selection=("iq",))
     allidx = np.concatenate(part.indices)
     assert len(np.unique(allidx)) == len(allidx)
     assert sorted(allidx.tolist()) == list(range(len(split.train_labels)))
@@ -62,12 +62,12 @@ def test_iid_partition_too_few_examples():
     split = federation.SplitDataset(2, 8, ds.iq, ds.labels.astype(np.int64),
                                     ds.iq[:2], ds.labels[:2].astype(np.int64))
     with pytest.raises(ValueError):
-        federation.partition_iid(split, 4, seed=0)
+        federation.partition_iid(split, 4, seed=0, selection=("iq",))
 
 
 def test_noniid_exact_cover():
     split = make_split(num_tx=4, per_tx=10)
-    part = federation.partition_noniid(split, 2, 2, 0, seed=1)
+    part = federation.partition_noniid(split, 2, 2, 0, seed=1, selection=("iq",))
     labels = [set(s.tolist()) for s in part.label_sets]
     assert labels[0] | labels[1] == {0, 1, 2, 3}
     assert labels[0] & labels[1] == set()
@@ -76,7 +76,7 @@ def test_noniid_exact_cover():
 
 def test_noniid_overlap_accounting():
     split = make_split(num_tx=16, per_tx=8)
-    part = federation.partition_noniid(split, 4, 5, 4, seed=2)
+    part = federation.partition_noniid(split, 4, 5, 4, seed=2, selection=("iq",))
     counts = np.zeros(16, dtype=int)
     for s in part.label_sets:
         assert len(s) == 5
@@ -90,7 +90,7 @@ def test_noniid_overlap_accounting():
 
 def test_noniid_full_scale_assignment():
     split = make_split(num_tx=163, per_tx=4, window=8, test_fraction=0.25)
-    part = federation.partition_noniid(split, 4, 41, 1, seed=7)
+    part = federation.partition_noniid(split, 4, 41, 1, seed=7, selection=("iq",))
     counts = np.zeros(163, dtype=int)
     for s in part.label_sets:
         assert len(s) == 41
@@ -103,9 +103,9 @@ def test_noniid_full_scale_assignment():
 def test_noniid_infeasible_counts():
     split = make_split(num_tx=4, per_tx=10)
     with pytest.raises(ValueError):
-        federation.partition_noniid(split, 2, 1, 0, seed=0)  # cannot cover
+        federation.partition_noniid(split, 2, 1, 0, seed=0, selection=("iq",))  # cannot cover
     with pytest.raises(ValueError):
-        federation.partition_noniid(split, 2, 2, 1, seed=0)  # wrong overlap
+        federation.partition_noniid(split, 2, 2, 1, seed=0, selection=("iq",))  # wrong overlap
 
 
 def test_noniid_assignment_fuzz():
@@ -113,7 +113,7 @@ def test_noniid_assignment_fuzz():
         split = make_split(num_tx=num_tx, per_tx=6)
         overlap = aps * lpa - num_tx
         for seed in range(5):
-            part = federation.partition_noniid(split, aps, lpa, overlap, seed=seed)
+            part = federation.partition_noniid(split, aps, lpa, overlap, seed=seed, selection=("iq",))
             counts = np.zeros(num_tx, dtype=int)
             for s in part.label_sets:
                 counts[s] += 1
@@ -123,7 +123,7 @@ def test_noniid_assignment_fuzz():
 
 def test_shared_label_examples_split_evenly():
     split = make_split(num_tx=16, per_tx=8)
-    part = federation.partition_noniid(split, 4, 5, 4, seed=2)
+    part = federation.partition_noniid(split, 4, 5, 4, seed=2, selection=("iq",))
     counts = np.zeros(16, dtype=int)
     for s in part.label_sets:
         counts[s] += 1
@@ -141,12 +141,12 @@ def test_shared_label_examples_split_evenly():
 
 def test_local_train_zero_eta_is_identity():
     split = make_split()
-    part = federation.partition_iid(split, 2, seed=1)
+    part = federation.partition_iid(split, 2, seed=1, selection=("iq",))
     cfg = small_cfg(split, rounds=1)
     cfg.eta = 0.0  # zero step size: every update is a no-op
     batches = federation.build_ap_batches(split, part, cfg.modalities)
     w0 = models.init_params(cfg.spec, 0)
-    state = federation.APState(0, batches[0], federation.ap_stream(cfg.seed, 0, 0))
+    state = federation.APState(batches[0], federation.ap_stream(cfg.seed, 0, 0))
     out = federation.local_train([state], w0, cfg)
     assert np.array_equal(out, w0[None])
 
@@ -159,20 +159,20 @@ def test_local_train_quadratic_closed_form():
     grad_fn = lambda w, b: w - 3.0
     for steps, expected in ((1, 0.3), (2, 0.57)):
         cfg.local_steps = steps
-        state = federation.APState(0, dummy, federation.ap_stream(0, 0, 0))
+        state = federation.APState(dummy, federation.ap_stream(0, 0, 0))
         out = federation.local_train([state], np.zeros(1), cfg, grad_fn=grad_fn)
         assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_local_train_deterministic():
     split = make_split()
-    part = federation.partition_iid(split, 2, seed=1)
+    part = federation.partition_iid(split, 2, seed=1, selection=("iq",))
     cfg = small_cfg(split, seed=9, rounds=1, local_steps=5, batch=4)
     batches = federation.build_ap_batches(split, part, cfg.modalities)
     w0 = models.init_params(cfg.spec, 0)
     outs = []
     for _ in range(2):
-        state = federation.APState(1, batches[1], federation.ap_stream(cfg.seed, 1, 3))
+        state = federation.APState(batches[1], federation.ap_stream(cfg.seed, 1, 3))
         outs.append(federation.local_train([state], w0, cfg))
     assert np.array_equal(outs[0], outs[1])
 
@@ -251,7 +251,7 @@ def test_evaluate_uniform_and_perfect():
 def test_evaluate_loss_matches_batch_loss_without_l2():
     split = make_split()
     cfg = small_cfg(split, l2=0.0)
-    part = federation.partition_iid(split, 2, seed=0)
+    part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
     batches = federation.build_ap_batches(split, part, cfg.modalities)
     params = models.init_params(cfg.spec, 1)
     loss, _ = federation.evaluate(cfg.spec, params, batches[0])
@@ -263,7 +263,7 @@ def test_evaluate_loss_matches_batch_loss_without_l2():
 
 def test_run_training_zero_rounds():
     split = make_split()
-    part = federation.partition_iid(split, 2, seed=0)
+    part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
     cfg = small_cfg(split, rounds=0)
     metrics, params = federation.run_training(split, part, cfg)
     assert metrics == []
@@ -275,7 +275,7 @@ def test_run_training_zero_rounds():
 
 def test_single_ap_full_batch_equals_centralized():
     split = make_split(num_tx=3, per_tx=8)
-    part = federation.partition_iid(split, 1, seed=0)
+    part = federation.partition_iid(split, 1, seed=0, selection=("iq",))
     n_train = len(split.train_labels)
     cfg = small_cfg(split, rounds=5, local_steps=10, batch=n_train, eta=0.05)
     metrics, w_fed = federation.run_training(split, part, cfg)
@@ -312,21 +312,21 @@ def test_stacked_local_train_matches_per_ap_loop(kind, shard_sizes):
     # shard sizes 3, 10, 5, 12 at batch 6 give effective batch sizes 3, 6, 5, 6:
     # three stacks, one of them holding two APs
     split = make_split()
-    part = federation.partition_iid(split, 4, seed=2)
+    part = federation.partition_iid(split, 4, seed=2, selection=("iq",))
     cfg = small_cfg(split, seed=5, local_steps=4, batch=6, kind=kind)
     batches = federation.build_ap_batches(split, part, cfg.modalities)
     if shard_sizes is not None:
         batches = [b.select(np.arange(k)) for b, k in zip(batches, shard_sizes)]
     w0 = models.init_params(cfg.spec, 3)
     rngs = lambda: [federation.ap_stream(cfg.seed, n, 7) for n in range(4)]
-    states = [federation.APState(n, b, rng) for n, (b, rng) in enumerate(zip(batches, rngs()))]
+    states = [federation.APState(b, rng) for b, rng in zip(batches, rngs())]
     stacked = federation.local_train(states, w0, cfg)
     assert np.array_equal(stacked, per_ap_local_train(batches, rngs(), w0, cfg))
 
 
 def test_metric_rounds_and_stride():
     split = make_split()
-    part = federation.partition_iid(split, 2, seed=0)
+    part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
     cfg = small_cfg(split, rounds=5)
     cfg.eval_stride = 2
     metrics, _ = federation.run_training(split, part, cfg)
@@ -341,7 +341,7 @@ def test_metric_rounds_and_stride():
 
 def test_personalize_zero_steps_noop():
     split = make_split()
-    part = federation.partition_iid(split, 2, seed=0)
+    part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
     cfg = small_cfg(split, rounds=1)
     _, w = federation.run_training(split, part, cfg)
     results = federation.personalize(split, part, w, 0, cfg)
@@ -352,7 +352,7 @@ def test_personalize_zero_steps_noop():
 
 def test_personalize_iid_before_identical():
     split = make_split(num_tx=4, per_tx=20)
-    part = federation.partition_iid(split, 4, seed=1)
+    part = federation.partition_iid(split, 4, seed=1, selection=("iq",))
     cfg = small_cfg(split, rounds=2)
     _, w = federation.run_training(split, part, cfg)
     results = federation.personalize(split, part, w, 10, cfg)
@@ -362,7 +362,7 @@ def test_personalize_iid_before_identical():
 
 def test_personalize_noniid_subset_labels():
     split = make_split(num_tx=4, per_tx=20)
-    part = federation.partition_noniid(split, 2, 2, 0, seed=1)
+    part = federation.partition_noniid(split, 2, 2, 0, seed=1, selection=("iq",))
     cfg = small_cfg(split, rounds=1)
     _, w = federation.run_training(split, part, cfg)
     results = federation.personalize(split, part, w, 5, cfg)

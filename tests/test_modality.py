@@ -14,30 +14,30 @@ def brute_force_dft(r):
     return w @ r
 
 
-def test_to_iq_examples():
-    m = modality.to_iq(np.array([1 + 2j, 3 - 4j]))
-    assert np.array_equal(m.values, [[1, 2], [3, -4]])
-    z = modality.to_iq(np.zeros(8, dtype=complex))
-    assert np.array_equal(z.values, np.zeros((8, 2)))
+def test_iq_examples():
+    m = modality.transform(np.array([1 + 2j, 3 - 4j]), "iq")
+    assert np.array_equal(m, [[1, 2], [3, -4]])
+    z = modality.transform(np.zeros(8, dtype=complex), "iq")
+    assert np.array_equal(z, np.zeros((8, 2)))
 
 
-def test_to_iq_bijection():
+def test_iq_bijection():
     rng = np.random.default_rng(0)
     r = rng.standard_normal(33) + 1j * rng.standard_normal(33)
-    m = modality.to_iq(r)
-    back = m.values[:, 0] + 1j * m.values[:, 1]
+    m = modality.transform(r, "iq")
+    back = m[:, 0] + 1j * m[:, 1]
     assert np.array_equal(back, r)
 
 
-def test_to_dft_examples():
-    z = modality.to_dft(np.zeros(4, dtype=complex))
-    assert np.array_equal(z.values, np.zeros((4, 2)))
-    imp = modality.to_dft(np.array([1, 0, 0, 0], dtype=complex))
-    assert np.allclose(imp.values[:, 0], 1.0, atol=1e-15)
-    assert np.allclose(imp.values[:, 1], 0.0, atol=1e-15)
-    tone = modality.to_dft(np.exp(2j * np.pi * np.arange(4) / 4))
-    assert np.allclose(tone.values[:, 0], [0, 4, 0, 0], atol=1e-12)
-    assert np.allclose(tone.values[:, 1], 0.0, atol=1e-12)
+def test_dft_examples():
+    z = modality.transform(np.zeros(4, dtype=complex), "dft")
+    assert np.array_equal(z, np.zeros((4, 2)))
+    imp = modality.transform(np.array([1, 0, 0, 0], dtype=complex), "dft")
+    assert np.allclose(imp[:, 0], 1.0, atol=1e-15)
+    assert np.allclose(imp[:, 1], 0.0, atol=1e-15)
+    tone = modality.transform(np.exp(2j * np.pi * np.arange(4) / 4), "dft")
+    assert np.allclose(tone[:, 0], [0, 4, 0, 0], atol=1e-12)
+    assert np.allclose(tone[:, 1], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ell", [4, 16, 256])
@@ -45,7 +45,7 @@ def test_dft_matches_brute_force(ell):
     rng = np.random.default_rng(ell)
     for _ in range(20):
         r = rng.standard_normal(ell) + 1j * rng.standard_normal(ell)
-        got = modality.to_dft(r).values
+        got = modality.transform(r, "dft")
         ref = brute_force_dft(r)
         err = np.max(np.abs((got[:, 0] + 1j * got[:, 1]) - ref))
         assert err / np.max(np.abs(ref)) <= 1e-9
@@ -54,37 +54,37 @@ def test_dft_matches_brute_force(ell):
 def test_parseval():
     rng = np.random.default_rng(3)
     r = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    spec = modality.to_dft(r).values
+    spec = modality.transform(r, "dft")
     lhs = np.sum(spec[:, 0] ** 2 + spec[:, 1] ** 2)
     rhs = 128 * np.sum(np.abs(r) ** 2)
     assert abs(lhs - rhs) / rhs <= 1e-9
 
 
 def test_amp_phase_examples():
-    m = modality.to_amp_phase(np.array([1 + 0j, 1j, -1 - 1j]))
-    assert np.allclose(m.values[0], [1.0, 0.0])
-    assert np.allclose(m.values[1], [1.0, np.pi / 2])
-    assert np.allclose(m.values[2], [math.sqrt(2.0), -3 * np.pi / 4])
+    m = modality.transform(np.array([1 + 0j, 1j, -1 - 1j]), "amp_phase")
+    assert np.allclose(m[0], [1.0, 0.0])
+    assert np.allclose(m[1], [1.0, np.pi / 2])
+    assert np.allclose(m[2], [math.sqrt(2.0), -3 * np.pi / 4])
 
 
 def test_phase_branch_and_zero():
-    vals = modality.to_amp_phase(
-        np.array([-1 + 0j, complex(-1, -0.0), 0j, complex(-0.0, 0.0)])
-    ).values
+    vals = modality.transform(
+        np.array([-1 + 0j, complex(-1, -0.0), 0j, complex(-0.0, 0.0)]), "amp_phase"
+    )
     assert vals[0, 1] == np.pi
     assert vals[1, 1] == np.pi  # -pi folded onto the half-open branch
     assert vals[2, 1] == 0.0
     assert vals[3, 1] == 0.0
     rng = np.random.default_rng(8)
     r = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    ph = modality.to_amp_phase(r).values[:, 1]
+    ph = modality.transform(r, "amp_phase")[:, 1]
     assert np.all(ph > -np.pi) and np.all(ph <= np.pi)
 
 
 def test_amp_phase_reconstruction():
     rng = np.random.default_rng(9)
     r = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    m = modality.to_amp_phase(r).values
+    m = modality.transform(r, "amp_phase")
     back = m[:, 0] * np.exp(1j * m[:, 1])
     assert np.max(np.abs(back - r)) <= 1e-12
     amp2 = m[:, 0] ** 2
@@ -92,9 +92,8 @@ def test_amp_phase_reconstruction():
 
 
 def test_fit_normalization_two_examples():
-    w1 = np.array([1 + 2j, 3 + 4j])
-    w2 = np.array([5 + 6j, 7 + 8j])
-    stats = modality.fit_normalization([w1, w2], ("iq",))
+    wfs = np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
+    stats = modality.fit_normalization(wfs, ("iq",))
     # hand-computed over {1,3,5,7} and {2,4,6,8}
     assert np.allclose(stats.means["iq"], [4.0, 5.0])
     assert np.allclose(stats.stds["iq"], [math.sqrt(5.0), math.sqrt(5.0)])
@@ -102,7 +101,7 @@ def test_fit_normalization_two_examples():
 
 def test_fit_normalization_order_independent():
     rng = np.random.default_rng(4)
-    wfs = [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(7)]
+    wfs = rng.standard_normal((7, 16)) + 1j * rng.standard_normal((7, 16))
     a = modality.fit_normalization(wfs, modality.ALL_MODALITIES)
     b = modality.fit_normalization(wfs[::-1], modality.ALL_MODALITIES)
     for m in modality.ALL_MODALITIES:
@@ -112,16 +111,16 @@ def test_fit_normalization_order_independent():
 
 def test_fit_normalization_needs_examples():
     with pytest.raises(ValueError):
-        modality.fit_normalization([], ("iq",))
+        modality.fit_normalization(np.empty((0, 4), dtype=complex), ("iq",))
     with pytest.raises(ValueError):
-        modality.fit_normalization([np.ones(4, dtype=complex)], ("iq",))
+        modality.fit_normalization(np.ones((1, 4), dtype=complex), ("iq",))
 
 
 def test_constant_channel_std_floored():
-    wfs = [np.full(8, 2 + 0j), np.full(8, 2 + 0j)]
+    wfs = np.full((2, 8), 2 + 0j)
     stats = modality.fit_normalization(wfs, ("iq",))
     assert stats.stds["iq"][0] == 0.0
-    out = modality.stack_batch(np.stack(wfs), ("iq",), stats)
+    out = modality.stack_batch(wfs, ("iq",), stats)
     assert np.array_equal(out, np.zeros_like(out))
 
 
@@ -129,23 +128,23 @@ def test_stack_identity_passthrough():
     rng = np.random.default_rng(5)
     r = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     stats = modality.NormStats.identity(("iq",))
-    mi = modality.stack_modalities(r, ("iq",), stats)
-    assert mi.tensor.shape == (16, 2, 1)
-    assert np.array_equal(mi.tensor[:, :, 0], modality.to_iq(r).values)
+    out = modality.stack_batch(r[None], ("iq",), stats)[0]
+    assert out.shape == (16, 2, 1)
+    assert np.array_equal(out[:, :, 0], modality.transform(r, "iq"))
 
 
 def test_stack_channel_order():
     rng = np.random.default_rng(6)
     r = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     stats = modality.NormStats.identity(modality.ALL_MODALITIES)
-    mi = modality.stack_modalities(r, modality.ALL_MODALITIES, stats)
-    assert mi.tensor.shape == (8, 2, 3)
-    assert np.array_equal(mi.tensor[:, :, 0], modality.to_iq(r).values)
-    assert np.array_equal(mi.tensor[:, :, 1], modality.to_dft(r).values)
-    assert np.array_equal(mi.tensor[:, :, 2], modality.to_amp_phase(r).values)
+    out = modality.stack_batch(r[None], modality.ALL_MODALITIES, stats)[0]
+    assert out.shape == (8, 2, 3)
+    assert np.array_equal(out[:, :, 0], modality.transform(r, "iq"))
+    assert np.array_equal(out[:, :, 1], modality.transform(r, "dft"))
+    assert np.array_equal(out[:, :, 2], modality.transform(r, "amp_phase"))
     # order follows the selection, not a fixed canonical order
-    swapped = modality.stack_modalities(r, ("dft", "iq"), stats)
-    assert np.array_equal(swapped.tensor[:, :, 0], modality.to_dft(r).values)
+    swapped = modality.stack_batch(r[None], ("dft", "iq"), stats)[0]
+    assert np.array_equal(swapped[:, :, 0], modality.transform(r, "dft"))
 
 
 def test_standardized_moments_on_fitting_set():
@@ -153,7 +152,7 @@ def test_standardized_moments_on_fitting_set():
     wfs = np.array(
         [rng.standard_normal(32) + 1j * rng.standard_normal(32) for _ in range(40)]
     )
-    stats = modality.fit_normalization(list(wfs), modality.ALL_MODALITIES)
+    stats = modality.fit_normalization(wfs, modality.ALL_MODALITIES)
     out = modality.stack_batch(wfs, modality.ALL_MODALITIES, stats)
     for ch in range(3):
         for col in range(2):
@@ -164,24 +163,25 @@ def test_standardized_moments_on_fitting_set():
 
 def test_stack_channels_independent():
     rng = np.random.default_rng(11)
-    r = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    r = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     stats = modality.NormStats.identity(modality.ALL_MODALITIES)
-    mats = [modality.transform(r, m) for m in modality.ALL_MODALITIES]
-    base = modality.stack_from_matrices(mats, modality.ALL_MODALITIES, stats)
-    zeroed = [modality.RealMatrix(m.values.copy(), m.columns) for m in mats]
-    zeroed[1].values[:] = 0.0
-    out = modality.stack_from_matrices(zeroed, modality.ALL_MODALITIES, stats)
-    assert np.array_equal(out.tensor[:, :, 0], base.tensor[:, :, 0])
-    assert np.array_equal(out.tensor[:, :, 2], base.tensor[:, :, 2])
-    assert np.all(out.tensor[:, :, 1] == 0.0)
+    base = modality.stack_batch(r, modality.ALL_MODALITIES, stats)
+    stats.means["dft"] = np.array([2.5, -1.0])
+    stats.stds["dft"] = np.array([4.0, 0.5])
+    out = modality.stack_batch(r, modality.ALL_MODALITIES, stats)
+    assert np.array_equal(out[..., 0], base[..., 0])
+    assert np.array_equal(out[..., 2], base[..., 2])
+    moved = (base[..., 1] - stats.means["dft"]) / stats.stds["dft"]
+    assert np.array_equal(out[..., 1], moved)
+    assert not np.array_equal(out[..., 1], base[..., 1])
 
 
 def test_selection_validation():
     with pytest.raises(ValueError):
-        modality.stack_modalities(np.ones(4, dtype=complex), (), modality.NormStats.identity(()))
+        modality.stack_batch(np.ones((1, 4), dtype=complex), (), modality.NormStats.identity(()))
     with pytest.raises(ValueError):
-        modality.stack_modalities(
-            np.ones(4, dtype=complex), ("bogus",), modality.NormStats.identity(("iq",))
+        modality.stack_batch(
+            np.ones((1, 4), dtype=complex), ("bogus",), modality.NormStats.identity(("iq",))
         )
 
 
@@ -197,3 +197,18 @@ def test_exact_sum_matches_fsum_on_adversarial_arrays(squared):
     for vals in (wide, cancel, wide[:chunk], wide[: chunk + 1], wide[:1], wide[:0]):
         ref = math.fsum(v * v for v in vals) if squared else math.fsum(vals)
         assert modality.exact_sum(vals, squared=squared) == ref
+
+
+@pytest.mark.parametrize("ell", [4, 33, 256])
+@pytest.mark.parametrize("mod", modality.ALL_MODALITIES)
+def test_batch_transform_rows_equal_single_waveform(mod, ell):
+    rng = np.random.default_rng(ell)
+    r = rng.standard_normal((5, ell)) + 1j * rng.standard_normal((5, ell))
+    r[0, :2] = [0j, complex(-1, -0.0)]  # the pinned phase cases
+    batch = modality.transform(r, mod)
+    stacked = modality.stack_batch(r, (mod,), modality.NormStats.identity((mod,)))
+    assert batch.shape == (5, ell, 2)
+    for i in range(len(r)):
+        row = modality.transform(r[i], mod)
+        assert np.array_equal(batch[i], row)
+        assert np.array_equal(stacked[i, :, :, 0], row)

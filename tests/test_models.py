@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedrf import models
+from fedrf import federation, models
 
 
 def small_softmax_spec(l2=0.0):
@@ -45,7 +45,7 @@ def test_init_deterministic_and_biases_zero():
 def test_forward_zero_params_uniform():
     spec = small_softmax_spec()
     batch = random_batch(spec, 3)
-    probs = models.forward(spec, np.zeros(models.num_params(spec)), batch.inputs[0])
+    probs = models.forward_batch(spec, np.zeros(models.num_params(spec)), batch.inputs[:1])[0]
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
 
 
@@ -92,7 +92,7 @@ def test_softmax_gradient_finite_difference():
     spec = small_softmax_spec(l2=0.01)
     params = models.init_params(spec, 4)
     batch = random_batch(spec, 8, seed=5)
-    err = models.finite_diff_check(spec, params, batch, step=1e-5)
+    err, _ = models.finite_diff_check(spec, params, batch, step=1e-5)
     assert err <= 1e-6
 
 
@@ -100,7 +100,7 @@ def test_resnet_gradient_finite_difference():
     spec = small_resnet_spec(l2=1e-3)
     params = models.init_params(spec, 6)
     batch = random_batch(spec, 4, seed=7)
-    err, checked = models.finite_diff_details(
+    err, checked = models.finite_diff_check(
         spec, params, batch, step=1e-5, num_coords=220, seed=1
     )
     assert checked >= 200
@@ -124,20 +124,30 @@ def test_sgd_contraction_closed_form():
     assert w[0] == pytest.approx(0.9**3, rel=1e-12)
 
 
+def evaluated_prediction(spec, params, x):
+    """The one label that federation.evaluate scores as correct for input x."""
+    hits = [
+        c for c in range(spec.num_classes)
+        if federation.evaluate(spec, params, models.Batch(x[None], [c]))[1] == 1.0
+    ]
+    assert len(hits) == 1
+    return hits[0]
+
+
 def test_predict_argmax_and_ties():
     spec = models.ModelSpec("softmax_linear", 4, 1, 3)
     params = np.zeros(models.num_params(spec))
     views = models.param_views(spec, params)
     views["b"][:] = [0.1, 0.7, 0.2]
     x = np.zeros((4, 2, 1))
-    assert models.predict(spec, params, x) == 1
+    assert evaluated_prediction(spec, params, x) == 1
     views["b"][:] = [0.5, 0.5, 0.0]
-    assert models.predict(spec, params, x) == 0
+    assert evaluated_prediction(spec, params, x) == 0
     # shift invariance
     views["b"][:] = [0.5, 0.5, 0.0]
-    p1 = models.predict(spec, params, x)
+    p1 = evaluated_prediction(spec, params, x)
     views["b"][:] += 3.25
-    assert models.predict(spec, params, x) == p1
+    assert evaluated_prediction(spec, params, x) == p1
 
 
 def test_resnet_structure():
@@ -337,7 +347,7 @@ def test_resnet_kernel5_gradient_finite_difference():
     )
     params = models.init_params(spec, 14)
     batch = random_batch(spec, 4, seed=15)
-    err, checked = models.finite_diff_details(
+    err, checked = models.finite_diff_check(
         spec, params, batch, step=1e-5, num_coords=220, seed=3
     )
     assert checked >= 200
