@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    gen-data     write the configured synthetic dataset to disk
+    gen-data     write the configured dataset to disk (a copy of dataset.path if set)
     run          full pipeline: data, partition, federated training,
                  optional quadratic bound check and personalization
     verify-bound Monte Carlo check of the convergence bound on quadratics
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional
@@ -32,6 +33,7 @@ PERSONALIZE_FILENAME = "personalize.csv"
 BOUND_TRACE_FILENAME = "bound_trace.csv"
 BOUND_SUMMARY_FILENAME = "bound_summary.json"
 ASSUMPTIONS_FILENAME = "assumptions.json"
+MODEL_ENTRIES = ("params", "spec", "seed", "modalities")
 
 
 def _fmt(x: float) -> str:
@@ -75,21 +77,38 @@ def save_model(path: Path, result: experiment.RunResult) -> None:
         params=result.params,
         spec=json.dumps(asdict(result.spec)),
         seed=result.seed,
+        modalities=np.array(result.train_cfg.modalities),
         version=__version__,
     )
 
 
 def load_model(path: Path):
+    """``(params, spec, seed, modalities)`` from a file ``save_model`` wrote.
+
+    A file that is not such a model raises ValueError naming the path.
+    """
     if not Path(path).exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    data = np.load(path, allow_pickle=False)
-    raw = json.loads(str(data["spec"]))
-    raw["block_channels"] = tuple(raw["block_channels"])
-    spec = models.ModelSpec(**raw)
-    return data["params"], spec, int(data["seed"])
+    try:
+        if not zipfile.is_zipfile(path):
+            raise ValueError("not an .npz archive")
+        with np.load(path, allow_pickle=False) as data:
+            missing = [key for key in MODEL_ENTRIES if key not in data.files]
+            if missing:
+                raise ValueError(f"no {missing[0]!r} entry")
+            params, spec, seed, modalities = (data[key] for key in MODEL_ENTRIES)
+        raw = json.loads(str(spec))
+        raw["block_channels"] = tuple(raw["block_channels"])
+        spec = models.ModelSpec(**raw)
+        size = models.num_params(spec)
+        if params.shape != (size,):
+            raise ValueError(f"params has shape {params.shape}, but the spec needs ({size},)")
+        return params, spec, int(seed), tuple(modalities.tolist())
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"model {path}: {exc}") from exc
 
 
-def _metrics_rows(result: experiment.RunResult, num_aps: int) -> List[str]:
+def _metrics_rows(result: experiment.RunResult) -> List[str]:
     rows = []
     run_id = f"seed{result.seed}"
     for m in result.metrics:
@@ -106,7 +125,7 @@ def _write_metrics(out: Path, results, num_aps: int) -> str:
     header.append("bound")
     lines = [",".join(header)]
     for result in results:
-        lines.extend(_metrics_rows(result, num_aps))
+        lines.extend(_metrics_rows(result))
     path = out / METRICS_FILENAME
     path.write_text("\n".join(lines) + "\n")
     return METRICS_FILENAME
@@ -115,13 +134,7 @@ def _write_metrics(out: Path, results, num_aps: int) -> str:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    ds = datafile.generate_dataset(
-        cfg.dataset.num_transmitters,
-        cfg.dataset.per_tx_count,
-        cfg.dataset.window_len,
-        cfg.dataset.snr_db,
-        cfg.dataset.seed,
-    )
+    ds = experiment.load_dataset(cfg)
     datafile.write_dataset(ds, out / DATASET_FILENAME)
     _write_manifest(out, cfg, "complete", [DATASET_FILENAME])
     print(f"wrote {out / DATASET_FILENAME} ({len(ds)} records)")
@@ -143,7 +156,8 @@ def cmd_run(args) -> int:
             outputs.append(model_name)
         outputs.append(_write_metrics(out, results, cfg.partition.num_aps))
         if cfg.analysis.enabled:
-            outputs.extend(_run_bound_check(cfg, out))
+            _run_bound_check(cfg, out)
+            outputs.extend([BOUND_TRACE_FILENAME, BOUND_SUMMARY_FILENAME])
             estimates = {
                 f"seed{r.seed}": asdict(experiment.assumptions_for_run(cfg, r))
                 for r in results
@@ -176,7 +190,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path) -> List[str]:
+def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path) -> dict:
+    """Write the bound trace and summary files; returns the summary."""
     a = cfg.analysis
     problem = analysis.make_quadratic_problem(
         seed=a.seed,
@@ -220,21 +235,20 @@ def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path) -> List[str]:
     (out / BOUND_SUMMARY_FILENAME).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
-    return [BOUND_TRACE_FILENAME, BOUND_SUMMARY_FILENAME]
+    return summary
 
 
 def cmd_verify_bound(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     try:
-        _run_bound_check(cfg, out)
+        summary = _run_bound_check(cfg, out)
     except analysis.BoundInapplicableError as exc:
         print(f"bound inapplicable: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    summary = json.loads((out / BOUND_SUMMARY_FILENAME).read_text())
     print(
         f"bound check: {summary['violation_count']} violation(s) "
         f"over {summary['rounds']} rounds"
@@ -242,15 +256,15 @@ def cmd_verify_bound(args) -> int:
     return 0
 
 
-def _check_model_fits(spec: models.ModelSpec, cfg, ds, model_path) -> None:
-    """Reject a saved model whose input or output shape the config cannot feed."""
-    needs = {
-        "num_modalities": len(cfg.training.modalities),
-        "window_len": ds.window_len,
-        "num_classes": ds.num_transmitters,
+def _check_model_fits(spec: models.ModelSpec, modalities, cfg, ds, model_path) -> None:
+    """Reject a saved model whose inputs or outputs the config cannot feed."""
+    fields = {
+        "num_modalities": (spec.num_modalities, len(cfg.training.modalities)),
+        "window_len": (spec.window_len, ds.window_len),
+        "num_classes": (spec.num_classes, ds.num_transmitters),
+        "modalities": (modalities, cfg.training.modalities),
     }
-    for field, want in needs.items():
-        got = getattr(spec, field)
+    for field, (got, want) in fields.items():
         if got != want:
             raise cfg_mod.ConfigError(
                 f"model {model_path} has {field} {got}, but the config gives {want}"
@@ -261,13 +275,9 @@ def cmd_personalize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     try:
-        params, spec, seed = load_model(Path(args.model))
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    ds = experiment.load_dataset(cfg)
-    _check_model_fits(spec, cfg, ds, args.model)
-    try:
+        params, spec, seed, modalities = load_model(Path(args.model))
+        ds = experiment.load_dataset(cfg)
+        _check_model_fits(spec, modalities, cfg, ds, args.model)
         split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
         partition = experiment.build_partition(split, cfg, seed)
         train_cfg = experiment.training_config(cfg, spec, seed)

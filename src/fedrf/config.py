@@ -2,15 +2,18 @@
 
 Every key is optional; the defaults reproduce the shipped desk-scale
 non-i.i.d. profile. Unknown keys and invalid values are rejected with the
-offending dotted key named in the error message.
+offending dotted key named in the error message. Each section's dataclass is
+the one place its keys, types and defaults are declared: a value is checked
+against the annotation of its field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from . import modality
 
@@ -35,7 +38,6 @@ class PartitionConfig:
     mode: str = "noniid"
     num_aps: int = 4
     labels_per_ap: int = 5
-    overlap_pairs: Optional[int] = None  # derived when omitted
 
 
 @dataclass
@@ -97,121 +99,59 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "partition": PartitionConfig,
-    "model": ModelConfig,
-    "training": TrainingConfigSection,
-    "analysis": AnalysisConfig,
-    "personalization": PersonalizationConfig,
+# what a scalar annotation accepts, and how its error message names it
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
 }
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _typed(key: str, value, tp):
+    """``value`` checked against the field annotation ``tp``; errors name ``key``."""
+    if tp in _SCALARS:
+        accepted, expected = _SCALARS[tp]
+        # bool is an int subclass: only a bool field takes true/false
+        if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{key} must be {expected}, got {value!r}")
+        return float(value) if tp is float else value
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object")
+        return _fill(tp, value, key + ".")
+    args = get_args(tp)
+    if get_origin(tp) is Union:  # Optional[T]
+        return None if value is None else _typed(key, value, args[0])
+    # the remaining annotations are tuples: Tuple[T, ...], or Tuple[int, int]
+    # for model.block_channels, the one fixed-length tuple
+    if args[-1] is Ellipsis:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a non-empty list")
+        args = args[:1] * len(value)
+    elif not isinstance(value, (list, tuple)) or len(value) != len(args):
+        raise ConfigError(f"{key} must be a list of two integers")
+    return tuple(_typed(key, x, t) for x, t in zip(value, args))
 
 
-def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+@functools.lru_cache(maxsize=None)
+def _hints(cls) -> dict:
+    """Field name -> annotation; resolving the annotation strings is slow."""
+    return get_type_hints(cls)
 
 
-def _as_bool(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _as_str(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _fill_section(name: str, cls, raw: dict):
+def _fill(cls, raw: dict, prefix: str):
+    """An instance of ``cls`` with the keys of ``raw`` set over its defaults."""
     obj = cls()
-    allowed = set(obj.__dataclass_fields__)
+    hints = _hints(cls)
     for key, value in raw.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key: {name}.{key}")
-        setattr(obj, key, value)
+        if key not in hints:
+            raise ConfigError(f"unknown key: {prefix}{key}")
+        setattr(obj, key, _typed(prefix + key, value, hints[key]))
     return obj
 
 
-def _coerce(cfg: ExperimentConfig) -> None:
-    d, p, m, t, a, pers = (
-        cfg.dataset,
-        cfg.partition,
-        cfg.model,
-        cfg.training,
-        cfg.analysis,
-        cfg.personalization,
-    )
-    d.num_transmitters = _as_int("dataset.num_transmitters", d.num_transmitters)
-    d.per_tx_count = _as_int("dataset.per_tx_count", d.per_tx_count)
-    d.window_len = _as_int("dataset.window_len", d.window_len)
-    d.snr_db = _as_float("dataset.snr_db", d.snr_db)
-    d.seed = _as_int("dataset.seed", d.seed)
-    if d.path is not None:
-        d.path = _as_str("dataset.path", d.path)
-    d.test_fraction = _as_float("dataset.test_fraction", d.test_fraction)
-
-    p.mode = _as_str("partition.mode", p.mode)
-    p.num_aps = _as_int("partition.num_aps", p.num_aps)
-    p.labels_per_ap = _as_int("partition.labels_per_ap", p.labels_per_ap)
-    if p.overlap_pairs is not None:
-        p.overlap_pairs = _as_int("partition.overlap_pairs", p.overlap_pairs)
-
-    m.kind = _as_str("model.kind", m.kind)
-    if not isinstance(m.block_channels, (list, tuple)) or len(m.block_channels) != 2:
-        raise ConfigError("model.block_channels must be a list of two integers")
-    m.block_channels = tuple(
-        _as_int("model.block_channels", c) for c in m.block_channels
-    )
-    m.kernel_len = _as_int("model.kernel_len", m.kernel_len)
-    m.hidden = _as_int("model.hidden", m.hidden)
-    m.l2_coeff = _as_float("model.l2_coeff", m.l2_coeff)
-
-    t.rounds = _as_int("training.rounds", t.rounds)
-    t.local_steps = _as_int("training.local_steps", t.local_steps)
-    t.batch_size = _as_int("training.batch_size", t.batch_size)
-    t.eta = _as_float("training.eta", t.eta)
-    if not isinstance(t.modalities, (list, tuple)) or not t.modalities:
-        raise ConfigError("training.modalities must be a non-empty list")
-    t.modalities = tuple(_as_str("training.modalities", x) for x in t.modalities)
-    t.eval_stride = _as_int("training.eval_stride", t.eval_stride)
-    if not isinstance(t.seeds, (list, tuple)) or not t.seeds:
-        raise ConfigError("training.seeds must be a non-empty list")
-    t.seeds = tuple(_as_int("training.seeds", s) for s in t.seeds)
-
-    a.enabled = _as_bool("analysis.enabled", a.enabled)
-    a.dim = _as_int("analysis.dim", a.dim)
-    a.num_aps = _as_int("analysis.num_aps", a.num_aps)
-    a.noise_scale = _as_float("analysis.noise_scale", a.noise_scale)
-    a.drift_scale = _as_float("analysis.drift_scale", a.drift_scale)
-    a.mu_target = _as_float("analysis.mu_target", a.mu_target)
-    a.smoothness_target = _as_float("analysis.smoothness_target", a.smoothness_target)
-    a.init_radius = _as_float("analysis.init_radius", a.init_radius)
-    a.rounds = _as_int("analysis.rounds", a.rounds)
-    a.local_steps = _as_int("analysis.local_steps", a.local_steps)
-    a.batch_size = _as_int("analysis.batch_size", a.batch_size)
-    a.eta = _as_float("analysis.eta", a.eta)
-    a.modality_count = _as_int("analysis.modality_count", a.modality_count)
-    a.mc_seeds = _as_int("analysis.mc_seeds", a.mc_seeds)
-    a.seed = _as_int("analysis.seed", a.seed)
-
-    pers.enabled = _as_bool("personalization.enabled", pers.enabled)
-    if pers.fine_tune_steps is not None:
-        pers.fine_tune_steps = _as_int(
-            "personalization.fine_tune_steps", pers.fine_tune_steps
-        )
-
-
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    _coerce(cfg)
     d, p, m, t, a, pers = (
         cfg.dataset,
         cfg.partition,
@@ -238,14 +178,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if p.mode == "noniid":
         if p.labels_per_ap < 1:
             raise ConfigError("partition.labels_per_ap must be >= 1")
-        derived = p.num_aps * p.labels_per_ap - d.num_transmitters
-        if p.overlap_pairs is None:
-            p.overlap_pairs = derived
-        elif p.overlap_pairs != derived:
-            raise ConfigError(
-                f"partition.overlap_pairs must be {derived} for these counts"
-            )
-        if p.overlap_pairs < 0:
+        # a dataset file brings its own label count and window length, which
+        # partition_noniid and models.ModelSpec check
+        if d.path is None and p.num_aps * p.labels_per_ap < d.num_transmitters:
             raise ConfigError(
                 "partition.labels_per_ap too small to cover every transmitter"
             )
@@ -258,7 +193,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("model widths must be >= 1")
     if m.kernel_len < 1 or m.kernel_len % 2 == 0:
         raise ConfigError("model.kernel_len must be odd and >= 1")
-    if m.kind == "mini_resnet" and d.window_len % 4 != 0:
+    if m.kind == "mini_resnet" and d.path is None and d.window_len % 4 != 0:
         raise ConfigError("dataset.window_len must be divisible by 4 for mini_resnet")
 
     if t.rounds < 0:
@@ -305,17 +240,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
 def from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = ExperimentConfig()
-    for key, value in raw.items():
-        if key == "output_dir":
-            cfg.output_dir = _as_str("output_dir", value)
-            continue
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown key: {key}")
-        if not isinstance(value, dict):
-            raise ConfigError(f"{key} must be a JSON object")
-        setattr(cfg, key, _fill_section(key, _SECTIONS[key], value))
-    return validate(cfg)
+    if "output_dir" in raw and raw["output_dir"] is None:
+        # null is the unset default, so an explicit null is a mistake
+        raise ConfigError("output_dir must be a string, got None")
+    return validate(_fill(ExperimentConfig, raw, ""))
 
 
 def parse_config(path) -> ExperimentConfig:

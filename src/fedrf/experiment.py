@@ -67,9 +67,7 @@ def build_partition(
     selection = cfg.training.modalities
     if p.mode == "iid":
         return federation.partition_iid(split, p.num_aps, seed, selection)
-    return federation.partition_noniid(
-        split, p.num_aps, p.labels_per_ap, p.overlap_pairs, seed, selection
-    )
+    return federation.partition_noniid(split, p.num_aps, p.labels_per_ap, seed, selection)
 
 
 def build_spec(

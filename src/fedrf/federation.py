@@ -137,36 +137,32 @@ def partition_noniid(
     data: SplitDataset,
     num_aps: int,
     labels_per_ap: int,
-    overlap_pairs: int,
     seed: int,
     selection: Sequence[str],
 ) -> Partition:
     """Label-skewed partition: each AP holds ``labels_per_ap`` labels.
 
-    Exactly ``overlap_pairs`` labels are shared between two APs (their
-    examples split evenly); every other label belongs to a single AP and no
-    label appears at more than two APs. Each shard's normalization is fit
-    for the ``selection`` modalities.
+    Exactly ``num_aps*labels_per_ap - num_labels`` labels, counted from
+    ``data``, are shared between two APs (their examples split evenly);
+    every other label belongs to a single AP and no label appears at more
+    than two APs. Each shard's normalization is fit for the ``selection``
+    modalities.
     """
     num_labels = data.num_transmitters
-    if num_aps * labels_per_ap - num_labels != overlap_pairs:
-        raise ValueError(
-            "overlap_pairs must equal num_aps*labels_per_ap - num_labels "
-            f"({num_aps}*{labels_per_ap} - {num_labels})"
-        )
-    if overlap_pairs < 0:
+    shared = num_aps * labels_per_ap - num_labels
+    if shared < 0:
         raise ValueError("num_aps*labels_per_ap must cover every label")
-    if overlap_pairs > num_labels:
+    if shared > num_labels:
         raise ValueError("more overlap slots than labels (a label would need >2 APs)")
     if labels_per_ap > num_labels:
         raise ValueError("labels_per_ap exceeds the number of labels")
-    if overlap_pairs > 0 and num_aps < 2:
+    if shared > 0 and num_aps < 2:
         raise ValueError("shared labels need at least 2 APs")
 
     rng = np.random.default_rng(np.random.SeedSequence((_DOMAIN_PARTITION, seed)))
     order = rng.permutation(num_labels)
-    doubled = order[:overlap_pairs]
-    singles = order[overlap_pairs:]
+    doubled = order[:shared]
+    singles = order[shared:]
 
     capacity = np.full(num_aps, labels_per_ap, dtype=np.int64)
     assigned: List[List[int]] = [[] for _ in range(num_labels)]

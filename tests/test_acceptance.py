@@ -257,7 +257,7 @@ def test_criterion_8_partition_contracts():
         assert len(np.unique(allidx)) == len(allidx) == len(split.train_labels)
 
         # non-i.i.d.: 163 labels over 4 APs, 41 each, one doubly-assigned
-        part2 = federation.partition_noniid(split, 4, 41, 1, 1, ("iq",))
+        part2 = federation.partition_noniid(split, 4, 41, 1, ("iq",))
         counts = np.zeros(163, dtype=int)
         for s in part2.label_sets:
             assert len(s) == 41

@@ -205,7 +205,7 @@ def test_zeta2_iid_below_noniid():
         sel = ("iq", "amp_phase")
 
         p_iid = federation.partition_iid(split, 4, seed, sel)
-        p_non = federation.partition_noniid(split, 4, 2, 0, seed, sel)
+        p_non = federation.partition_noniid(split, 4, 2, seed, sel)
         z_iid = analysis.estimate_zeta2(
             spec, params, federation.build_ap_batches(split, p_iid, sel)
         )

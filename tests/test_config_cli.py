@@ -26,7 +26,6 @@ def test_defaults_from_empty_config(tmp_path):
     cfg = cfg_mod.parse_config(write_cfg(tmp_path, {}))
     assert cfg.dataset.num_transmitters == 16
     assert cfg.partition.mode == "noniid"
-    assert cfg.partition.overlap_pairs == 4  # derived from 4*5 - 16
     assert cfg.training.modalities == ("iq", "dft", "amp_phase")
     assert cfg.training.seeds == (1, 2, 3, 4, 5)
 
@@ -48,6 +47,9 @@ def test_unknown_keys_rejected(tmp_path):
         cfg_mod.parse_config(write_cfg(tmp_path, {"frobnicate": {}}))
     with pytest.raises(cfg_mod.ConfigError, match="unknown key: training.foo"):
         cfg_mod.parse_config(write_cfg(tmp_path, {"training": {"foo": 1}}))
+    # the shared-label count is derived from the data, not set
+    with pytest.raises(cfg_mod.ConfigError, match="unknown key: partition.overlap_pairs"):
+        cfg_mod.parse_config(write_cfg(tmp_path, {"partition": {"overlap_pairs": 4}}))
 
 
 def test_malformed_and_missing(tmp_path):
@@ -74,15 +76,62 @@ def test_invalid_values_named(tmp_path):
             cfg_mod.parse_config(write_cfg(tmp_path, raw))
 
 
-def test_overlap_consistency(tmp_path):
-    with pytest.raises(cfg_mod.ConfigError, match="overlap_pairs"):
-        cfg_mod.parse_config(
-            write_cfg(tmp_path, {"partition": {"overlap_pairs": 2}})
-        )
-    cfg = cfg_mod.parse_config(
-        write_cfg(tmp_path, {"partition": {"overlap_pairs": 4}})
-    )
-    assert cfg.partition.overlap_pairs == 4
+# key, JSON value, parsed value (when accepted), error message (when rejected)
+COERCION_CASES = [
+    ("dataset.seed", 3, 3, None),
+    ("dataset.seed", True, None, "dataset.seed must be an integer, got True"),
+    ("dataset.seed", 1.5, None, "dataset.seed must be an integer, got 1.5"),
+    ("dataset.snr_db", 5, 5.0, None),
+    ("dataset.snr_db", "x", None, "dataset.snr_db must be a number, got 'x'"),
+    ("dataset.snr_db", False, None, "dataset.snr_db must be a number, got False"),
+    ("analysis.enabled", True, True, None),
+    ("analysis.enabled", 1, None, "analysis.enabled must be true or false, got 1"),
+    ("partition.mode", "iid", "iid", None),
+    ("partition.mode", 1, None, "partition.mode must be a string, got 1"),
+    ("dataset.path", None, None, None),
+    ("dataset.path", [], None, "dataset.path must be a string, got []"),
+    ("personalization.fine_tune_steps", None, None, None),
+    ("personalization.fine_tune_steps", "x", None,
+     "personalization.fine_tune_steps must be an integer, got 'x'"),
+    ("model.block_channels", [4, 6], (4, 6), None),
+    ("model.block_channels", [8], None, "model.block_channels must be a list of two integers"),
+    ("model.block_channels", [8, "x"], None, "model.block_channels must be an integer, got 'x'"),
+    ("training.modalities", ["dft"], ("dft",), None),
+    ("training.modalities", [], None, "training.modalities must be a non-empty list"),
+    ("training.modalities", ["iq", 1], None, "training.modalities must be a string, got 1"),
+    ("training.seeds", [3], (3,), None),
+    ("training.seeds", 3, None, "training.seeds must be a non-empty list"),
+    ("training.seeds", [1, True], None, "training.seeds must be an integer, got True"),
+    ("training", [], None, "training must be a JSON object"),
+    ("output_dir", "out", "out", None),
+    ("output_dir", None, None, "output_dir must be a string, got None"),
+    ("output_dir", 3, None, "output_dir must be a string, got 3"),
+]
+
+
+@pytest.mark.parametrize("key, value, parsed, error", COERCION_CASES)
+def test_values_coerced_by_declared_type(key, value, parsed, error):
+    section, _, name = key.rpartition(".")
+    raw = {section: {name: value}} if section else {name: value}
+    if error is not None:
+        with pytest.raises(cfg_mod.ConfigError) as exc:
+            cfg_mod.from_dict(raw)
+        assert str(exc.value) == error
+        return
+    cfg = cfg_mod.from_dict(raw)
+    got = getattr(getattr(cfg, section) if section else cfg, name)
+    assert got == parsed and type(got) is type(parsed)
+
+
+def test_dataset_path_replaces_generation_keys():
+    # the file's label count and window length apply, not the generation keys
+    cfg_mod.from_dict({"dataset": {"path": "data.rfds", "window_len": 30},
+                       "model": {"kind": "mini_resnet"}})
+    cfg_mod.from_dict({"dataset": {"path": "data.rfds", "num_transmitters": 40}})
+    with pytest.raises(cfg_mod.ConfigError, match="dataset.window_len"):
+        cfg_mod.from_dict({"dataset": {"window_len": 30}, "model": {"kind": "mini_resnet"}})
+    with pytest.raises(cfg_mod.ConfigError, match="too small to cover every transmitter"):
+        cfg_mod.from_dict({"dataset": {"num_transmitters": 40}})
 
 
 def test_shipped_configs_parse():
@@ -180,8 +229,9 @@ def test_run_model_loadable_and_seed_override(tmp_path):
     out = tmp_path / "r"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--seed-override", "9"]) == 0
-    params, spec, seed = cli.load_model(out / "model_seed9.npz")
+    params, spec, seed, modalities = cli.load_model(out / "model_seed9.npz")
     assert seed == 9
+    assert modalities == ("iq",)
     assert spec.kind == "softmax_linear"
     assert params.shape[0] == 16 * 2 * 1 * 4 + 4
 
@@ -250,11 +300,67 @@ def test_personalize_pipeline_error_prints_one_line(tmp_path):
     assert proc.stderr == "error: label 0 has fewer than 2 examples to split\n"
 
 
-def test_personalize_missing_model(tmp_path):
+def test_personalize_missing_model(tmp_path, capsys):
     cfg_path = small_desk(tmp_path)
     rc = cli.main(["personalize", "--config", str(cfg_path),
                    "--out", str(tmp_path / "p"), "--model", str(tmp_path / "no.npz")])
     assert rc == 1
+    assert capsys.readouterr().err == f"error: model file not found: {tmp_path / 'no.npz'}\n"
+
+
+def _without(entries, key):
+    return {k: v for k, v in entries.items() if k != key}
+
+
+# each case rewrites the entries of a valid model file (None: 300 random bytes)
+BAD_MODELS = {
+    "not_npz": (None, "not an .npz archive"),
+    "pickled": (lambda e: {**e, "spec": np.array([{"kind": "softmax_linear"}], dtype=object)},
+                "Object arrays cannot be loaded when allow_pickle=False"),
+    "no_spec": (lambda e: _without(e, "spec"), "no 'spec' entry"),
+    "no_modalities": (lambda e: _without(e, "modalities"), "no 'modalities' entry"),
+    "spec_rejected": (lambda e: {**e, "spec": str(e["spec"]).replace("softmax_linear", "bogus")},
+                      "unknown model kind 'bogus'"),
+    "params_length": (lambda e: {**e, "params": e["params"][:-1]},
+                      "params has shape (131,), but the spec needs (132,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MODELS))
+def test_personalize_rejects_malformed_model(tmp_path, capsys, case):
+    cfg_path = small_desk(tmp_path, training={"seeds": [1]})
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rewrite, reason = BAD_MODELS[case]
+    bad = tmp_path / "bad.npz"
+    if rewrite is None:
+        bad.write_bytes(np.random.default_rng(0).bytes(300))
+    else:
+        with np.load(out / "model_seed1.npz") as data:
+            entries = {key: data[key] for key in data.files}
+        np.savez(bad, **rewrite(entries))
+    capsys.readouterr()
+    rc = cli.main(["personalize", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
+                   "--model", str(bad)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: model {bad}: {reason}\n"
+
+
+def test_personalize_rejects_reordered_modalities(tmp_path, capsys):
+    trained = small_desk(tmp_path, training={"seeds": [1], "modalities": ["iq", "dft"]})
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(trained), "--out", str(out)]) == 0
+    (tmp_path / "other").mkdir()
+    other = small_desk(tmp_path / "other", training={"modalities": ["dft", "iq"]})
+    capsys.readouterr()
+    model = out / "model_seed1.npz"
+    rc = cli.main(["personalize", "--config", str(other), "--out", str(tmp_path / "p"),
+                   "--model", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: model {model} has modalities ('iq', 'dft'), "
+        "but the config gives ('dft', 'iq')\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +399,25 @@ def test_verify_bound_divergence_prints_one_line(tmp_path):
     assert proc.stderr == (
         "error: bound check diverged at round 25: empirical gap is not finite\n"
     )
+
+
+def test_noniid_run_on_dataset_file_uses_its_label_count(tmp_path):
+    # an 8-transmitter file; the config keeps the 16-transmitter generation default
+    gen = small_desk(tmp_path, dataset={"num_transmitters": 8})
+    assert cli.main(["gen-data", "--config", str(gen), "--out", str(tmp_path / "d")]) == 0
+    raw = json.loads(gen.read_text())
+    raw["dataset"] = {"path": str(tmp_path / "d" / cli.DATASET_FILENAME),
+                      "test_fraction": 0.25}
+    raw["partition"] = {"mode": "noniid", "num_aps": 4, "labels_per_ap": 3}
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 0
+    assert json.loads((out / cli.MANIFEST_FILENAME).read_text())["status"] == "complete"
+    # 4 APs x 5 labels needs 12 shared labels, more than the file's 8
+    raw["partition"]["labels_per_ap"] = 5
+    out = tmp_path / "r5"
+    assert cli.main(["run", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 1
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["error"] == "more overlap slots than labels (a label would need >2 APs)"
 
 
 def test_run_failure_writes_manifest(tmp_path):

@@ -67,7 +67,7 @@ def test_iid_partition_too_few_examples():
 
 def test_noniid_exact_cover():
     split = make_split(num_tx=4, per_tx=10)
-    part = federation.partition_noniid(split, 2, 2, 0, seed=1, selection=("iq",))
+    part = federation.partition_noniid(split, 2, 2, seed=1, selection=("iq",))
     labels = [set(s.tolist()) for s in part.label_sets]
     assert labels[0] | labels[1] == {0, 1, 2, 3}
     assert labels[0] & labels[1] == set()
@@ -76,7 +76,7 @@ def test_noniid_exact_cover():
 
 def test_noniid_overlap_accounting():
     split = make_split(num_tx=16, per_tx=8)
-    part = federation.partition_noniid(split, 4, 5, 4, seed=2, selection=("iq",))
+    part = federation.partition_noniid(split, 4, 5, seed=2, selection=("iq",))
     counts = np.zeros(16, dtype=int)
     for s in part.label_sets:
         assert len(s) == 5
@@ -90,7 +90,7 @@ def test_noniid_overlap_accounting():
 
 def test_noniid_full_scale_assignment():
     split = make_split(num_tx=163, per_tx=4, window=8, test_fraction=0.25)
-    part = federation.partition_noniid(split, 4, 41, 1, seed=7, selection=("iq",))
+    part = federation.partition_noniid(split, 4, 41, seed=7, selection=("iq",))
     counts = np.zeros(163, dtype=int)
     for s in part.label_sets:
         assert len(s) == 41
@@ -103,27 +103,40 @@ def test_noniid_full_scale_assignment():
 def test_noniid_infeasible_counts():
     split = make_split(num_tx=4, per_tx=10)
     with pytest.raises(ValueError):
-        federation.partition_noniid(split, 2, 1, 0, seed=0, selection=("iq",))  # cannot cover
-    with pytest.raises(ValueError):
-        federation.partition_noniid(split, 2, 2, 1, seed=0, selection=("iq",))  # wrong overlap
+        federation.partition_noniid(split, 2, 1, seed=0, selection=("iq",))  # cannot cover
 
 
 def test_noniid_assignment_fuzz():
-    for num_tx, aps, lpa in ((8, 4, 3), (16, 4, 5), (12, 3, 5), (10, 5, 2)):
+    # every count on the grid: a ValueError exactly when no label-skewed
+    # partition exists, otherwise the shared-label contracts hold
+    feasible = 0
+    for num_tx in range(2, 13):
         split = make_split(num_tx=num_tx, per_tx=6)
-        overlap = aps * lpa - num_tx
-        for seed in range(5):
-            part = federation.partition_noniid(split, aps, lpa, overlap, seed=seed, selection=("iq",))
-            counts = np.zeros(num_tx, dtype=int)
-            for s in part.label_sets:
-                counts[s] += 1
-            assert np.all(counts >= 1) and np.all(counts <= 2)
-            assert np.sum(counts == 2) == overlap
+        for aps in range(1, 7):
+            for lpa in range(1, num_tx + 1):
+                shared = aps * lpa - num_tx
+                possible = 0 <= shared <= num_tx and (shared == 0 or aps >= 2)
+                for seed in range(3):
+                    if not possible:
+                        with pytest.raises(ValueError):
+                            federation.partition_noniid(split, aps, lpa, seed=seed,
+                                                        selection=("iq",))
+                        continue
+                    part = federation.partition_noniid(split, aps, lpa, seed=seed,
+                                                       selection=("iq",))
+                    counts = np.zeros(num_tx, dtype=int)
+                    for s in part.label_sets:
+                        assert len(s) == lpa
+                        counts[s] += 1
+                    assert np.all(counts >= 1) and np.all(counts <= 2)
+                    assert np.sum(counts == 2) == shared
+                    feasible += 1
+    assert feasible == 435
 
 
 def test_shared_label_examples_split_evenly():
     split = make_split(num_tx=16, per_tx=8)
-    part = federation.partition_noniid(split, 4, 5, 4, seed=2, selection=("iq",))
+    part = federation.partition_noniid(split, 4, 5, seed=2, selection=("iq",))
     counts = np.zeros(16, dtype=int)
     for s in part.label_sets:
         counts[s] += 1
@@ -362,7 +375,7 @@ def test_personalize_iid_before_identical():
 
 def test_personalize_noniid_subset_labels():
     split = make_split(num_tx=4, per_tx=20)
-    part = federation.partition_noniid(split, 2, 2, 0, seed=1, selection=("iq",))
+    part = federation.partition_noniid(split, 2, 2, seed=1, selection=("iq",))
     cfg = small_cfg(split, rounds=1)
     _, w = federation.run_training(split, part, cfg)
     results = federation.personalize(split, part, w, 5, cfg)
