@@ -256,28 +256,23 @@ def cmd_verify_bound(args) -> int:
     return 0
 
 
-def _check_model_fits(spec: models.ModelSpec, modalities, cfg, ds, model_path) -> None:
-    """Reject a saved model whose inputs or outputs the config cannot feed."""
-    fields = {
-        "num_modalities": (spec.num_modalities, len(cfg.training.modalities)),
-        "window_len": (spec.window_len, ds.window_len),
-        "num_classes": (spec.num_classes, ds.num_transmitters),
-        "modalities": (modalities, cfg.training.modalities),
-    }
-    for field, (got, want) in fields.items():
-        if got != want:
-            raise cfg_mod.ConfigError(
-                f"model {model_path} has {field} {got}, but the config gives {want}"
-            )
-
-
 def cmd_personalize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     try:
         params, spec, seed, modalities = load_model(Path(args.model))
         ds = experiment.load_dataset(cfg)
-        _check_model_fits(spec, modalities, cfg, ds, args.model)
+        saved = dict(asdict(spec), modalities=modalities)
+        wanted = dict(
+            asdict(experiment.build_spec(cfg, ds.num_transmitters, ds.window_len)),
+            modalities=cfg.training.modalities,
+        )
+        if saved != wanted:
+            field = next(key for key in saved if saved[key] != wanted[key])
+            raise ValueError(
+                f"model {args.model}: {field} is {saved[field]}, "
+                f"but the config gives {wanted[field]}"
+            )
         split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
         partition = experiment.build_partition(split, cfg, seed)
         train_cfg = experiment.training_config(cfg, spec, seed)

@@ -160,14 +160,16 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         cfg.analysis,
         cfg.personalization,
     )
-    if d.num_transmitters < 2:
-        raise ConfigError("dataset.num_transmitters must be >= 2")
-    if d.per_tx_count < 1:
-        raise ConfigError("dataset.per_tx_count must be >= 1")
-    if d.window_len < 2:
-        raise ConfigError("dataset.window_len must be >= 2")
-    if d.seed < 0:
-        raise ConfigError("dataset.seed must be >= 0")
+    # a dataset file replaces the generation keys, so only generation checks them
+    if d.path is None:
+        if d.num_transmitters < 2:
+            raise ConfigError("dataset.num_transmitters must be >= 2")
+        if d.per_tx_count < 1:
+            raise ConfigError("dataset.per_tx_count must be >= 1")
+        if d.window_len < 2:
+            raise ConfigError("dataset.window_len must be >= 2")
+        if d.seed < 0:
+            raise ConfigError("dataset.seed must be >= 0")
     if not 0.0 < d.test_fraction < 1.0:
         raise ConfigError("dataset.test_fraction must be in (0, 1)")
 

@@ -46,16 +46,14 @@ class Partition:
     ``indices[n]`` are row indices into the training arrays (pairwise
     disjoint across APs), ``label_sets[n]`` the labels actually present in
     shard n, and ``stats[n]`` normalization statistics fit on shard n only,
-    for the modalities selected when the partition was built. ``pool`` holds
-    the training-pool statistics once ``pool_stats`` has fit them; a
-    partition belongs to the split it was built from.
+    for the modalities selected when the partition was built. A partition
+    belongs to the split it was built from.
     """
 
     num_aps: int
     indices: List[np.ndarray]
     label_sets: List[np.ndarray]
     stats: List[modality.NormStats]
-    pool: Optional[modality.NormStats] = None
 
 
 @dataclass
@@ -316,21 +314,6 @@ def build_ap_batches(
     return batches
 
 
-def pool_stats(data: SplitDataset, partition: Partition) -> modality.NormStats:
-    """Statistics over the whole training pool (union of the AP shards).
-
-    They cover the modalities the shard statistics were fit for. The first
-    call fits them and keeps them on the partition; later calls return the
-    kept statistics.
-    """
-    if partition.pool is None:
-        all_ix = np.sort(np.concatenate(partition.indices))
-        partition.pool = modality.fit_normalization(
-            data.train_iq[all_ix], tuple(partition.stats[0].means)
-        )
-    return partition.pool
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run_training(
     data: SplitDataset, partition: Partition, cfg: TrainingConfig
@@ -344,7 +327,7 @@ def run_training(
     leads there is not reported as NumPy warnings.
     """
     ap_batches = build_ap_batches(data, partition, cfg.modalities)
-    stats = pool_stats(data, partition)
+    stats = modality.pool_normalization(partition.stats)
     test_batch = models.Batch(
         modality.stack_batch(data.test_iq, cfg.modalities, stats), data.test_labels
     )
@@ -396,7 +379,7 @@ def personalize(
     """
     if fine_tune_steps < 0:
         raise ValueError("fine_tune_steps must be >= 0")
-    stats = pool_stats(data, partition)
+    stats = modality.pool_normalization(partition.stats)
     test_x = modality.stack_batch(data.test_iq, cfg.modalities, stats)
     test_subsets, states = [], []
     for n in range(partition.num_aps):

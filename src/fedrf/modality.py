@@ -4,14 +4,19 @@ A complex waveform of length L maps to an L x 2 real matrix in three ways:
 raw I/Q time samples, real/imaginary parts of the unnormalized DFT, and
 per-sample amplitude/phase. Selected representations are standardized per
 (modality, column) and stacked into an L x 2 x M tensor for the classifiers.
+
+Normalization statistics come from exact sums: every fitted value and its
+square is accumulated as an integer, so the totals of disjoint sets add, and
+the statistics of a union (the training pool of the AP shards) are derived
+from the shards' totals without transforming the union again. Each sum is
+rounded to float64 once, so it equals ``math.fsum`` over the same values.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,9 +27,12 @@ ALL_MODALITIES = (MODALITY_IQ, MODALITY_DFT, MODALITY_AMP_PHASE)
 
 STD_FLOOR = 1e-8
 
-# values per tolist() chunk fed to math.fsum: converting a whole column to a
-# list at once costs its full size in Python floats
-FSUM_CHUNK = 4096
+# an exact total counts units of 2**-_TOTAL_SHIFT: np.frexp exponents reach
+# -1073, and a mantissa is scaled to a 53-bit integer
+_TOTAL_SHIFT = 1126
+# values per np.bincount pass: fewer than 2**26 mantissa halves below 2**27
+# keep every bin's float sum below 2**53, where it is exact
+_BIN_VALUES = (1 << 26) - 1
 
 
 def transform(iq: np.ndarray, modality: str) -> np.ndarray:
@@ -56,11 +64,18 @@ class NormStats:
     """Per-(modality, column) standardization statistics.
 
     ``means[m]`` and ``stds[m]`` are length-2 arrays for modality ``m``.
-    Identity stats (mean 0, std 1) leave inputs unchanged.
+    Identity stats (mean 0, std 1) leave inputs unchanged. Stats from
+    ``fit_normalization`` also keep the fitted value count and, per modality
+    and column, the exact totals of the values and of their squares (None
+    where a value was not finite), which ``pool_normalization`` adds.
     """
 
     means: Dict[str, np.ndarray]
     stds: Dict[str, np.ndarray]
+    count: int = 0
+    totals: Dict[str, Tuple[Tuple[Optional[int], Optional[int]], ...]] = field(
+        default_factory=dict
+    )
 
     @classmethod
     def identity(cls, selection: Sequence[str]) -> "NormStats":
@@ -83,36 +98,91 @@ def fit_normalization(iq: np.ndarray, selection: Sequence[str]) -> NormStats:
         raise ValueError("waveforms must be a (n, L) array")
     if len(stacked) < 2:
         raise ValueError("need at least 2 examples to fit normalization stats")
-    means: Dict[str, np.ndarray] = {}
-    stds: Dict[str, np.ndarray] = {}
     count = stacked.shape[0] * stacked.shape[1]
+    stats = NormStats(means={}, stds={}, count=count)
     for m in selection:
         mats = transform(stacked, m)  # (n, L, 2)
-        mean = np.empty(2)
-        std = np.empty(2)
+        totals, sums = [], []
         for col in range(2):
             vals = mats[:, :, col].ravel()
-            s = exact_sum(vals)
-            s2 = exact_sum(vals, squared=True)
-            mu = s / count
-            var = max(s2 / count - mu * mu, 0.0)
-            mean[col] = mu
-            std[col] = math.sqrt(var)
-        means[m] = mean
-        stds[m] = std
-    return NormStats(means=means, stds=stds)
+            pair = (vals, vals * vals)
+            col_totals = tuple(exact_total(v) for v in pair)
+            totals.append(col_totals)
+            sums.append([_rounded(t, v) for t, v in zip(col_totals, pair)])
+        stats.totals[m] = tuple(totals)
+        stats.means[m], stats.stds[m] = _moments(sums, count)
+    return stats
 
 
-def exact_sum(vals: np.ndarray, squared: bool = False) -> float:
-    """Correctly rounded sum of a 1-D float64 array, or of its squares.
+def pool_normalization(parts: Sequence[NormStats]) -> NormStats:
+    """Stats of the union of the sets ``parts`` were fit on, from their exact totals.
 
-    Equals ``math.fsum`` over the values; it feeds fsum ``FSUM_CHUNK``
-    values at a time as Python floats.
+    Bitwise equal to ``fit_normalization`` on the union. A part fit on
+    non-finite values has no exact totals and raises ValueError.
     """
-    chunks = (vals[i : i + FSUM_CHUNK] for i in range(0, len(vals), FSUM_CHUNK))
-    if squared:
-        chunks = (c * c for c in chunks)
-    return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
+    count = sum(p.count for p in parts)
+    stats = NormStats(means={}, stds={}, count=count)
+    for m in parts[0].totals:
+        totals = []
+        for col in range(2):
+            shard_totals = [[p.totals[m][col][k] for p in parts] for k in range(2)]
+            if any(None in t for t in shard_totals):
+                raise ValueError(f"cannot pool {m} statistics: a shard has non-finite values")
+            totals.append(tuple(sum(t) for t in shard_totals))
+        stats.totals[m] = tuple(totals)
+        # a total beyond float64 raises OverflowError, as math.fsum does
+        sums = [[t / (1 << _TOTAL_SHIFT) for t in col] for col in totals]
+        stats.means[m], stats.stds[m] = _moments(sums, count)
+    return stats
+
+
+def _moments(sums, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and std per column from the (sum, sum of squares) of each column."""
+    mean = np.empty(2)
+    std = np.empty(2)
+    for col, (s, s2) in enumerate(sums):
+        mu = s / count
+        mean[col] = mu
+        std[col] = math.sqrt(max(s2 / count - mu * mu, 0.0))
+    return mean, std
+
+
+def exact_total(vals: np.ndarray) -> Optional[int]:
+    """Exact sum of a 1-D float64 array as an integer count of 2**-1126.
+
+    None when a value is not finite. Each value is split by ``np.frexp`` into
+    a 53-bit integer mantissa, cut into two halves below 2**27; ``np.bincount``
+    sums the halves of each exponent exactly in float64, and the bins are
+    combined as Python ints. Totals of disjoint arrays add.
+    """
+    if not np.isfinite(vals).all():
+        return None
+    total = 0
+    for i in range(0, len(vals), _BIN_VALUES):
+        mant, exp = np.frexp(vals[i : i + _BIN_VALUES])
+        mant = np.ldexp(mant, 53)
+        hi = np.trunc(mant * 2.0**-26)
+        lo = mant - hi * 2.0**26
+        exp += 1073  # the exponent of the smallest subnormal goes to bin 0
+        his = np.bincount(exp, weights=hi)
+        los = np.bincount(exp, weights=lo)
+        for e in np.flatnonzero((his != 0) | (los != 0)).tolist():
+            total += (int(his[e]) << (26 + e)) + (int(los[e]) << e)
+    return total
+
+
+def _rounded(total: Optional[int], vals: np.ndarray) -> float:
+    """``total`` (the exact total of ``vals``) correctly rounded to float64.
+
+    A non-finite input or a total beyond float64 gets ``math.fsum``'s own
+    result or error.
+    """
+    if total is not None:
+        try:
+            return total / (1 << _TOTAL_SHIFT)  # int / int rounds correctly
+        except OverflowError:
+            pass
+    return math.fsum(vals.tolist())
 
 
 def _check_selection(selection: Sequence[str]) -> Tuple[str, ...]:

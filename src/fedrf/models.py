@@ -12,7 +12,19 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   and stride 1; the 2-wide column axis is never convolved. Each convolution
   is an im2col GEMM: the K time shifts of the input form a patch matrix whose
   rows are the (example, time, column) positions, so the forward pass, the
-  weight gradient and the input gradient are one matrix product each.
+  weight gradient and the input gradient are one matrix product each. The
+  first convolution's input gradient is never formed: no parameter needs it.
+  Evaluation without gradients runs in near-equal blocks of at most
+  ``EVAL_BLOCK_ROWS`` examples, so its patch matrices stay cache-sized. A
+  batch larger than one block splits into blocks of at least half a block, so
+  every product stays a matrix-matrix product, whose rows do not depend on the
+  other rows: the blocked logits are bit-identical to one pass over the whole
+  batch. (A 1-row block would take a matrix-vector product, which rounds
+  differently.) Each layer's patch matrix, output, pooling result and their
+  gradients are work arrays that the thread keeps from call to call (each up
+  to ``SCRATCH_MAX_BYTES``), so a training step does not allocate, fault in
+  and free them again; the products that fill them are the same, and so are
+  the bits.
 
 Everything is float64 and gradients are computed by hand so they can be
 verified against central finite differences.
@@ -21,6 +33,8 @@ verified against central finite differences.
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +42,14 @@ import numpy as np
 
 KIND_SOFTMAX = "softmax_linear"
 KIND_RESNET = "mini_resnet"
+
+# examples per mini_resnet evaluation block: at 64 samples and the default
+# widths a block's largest patch matrix is 4096 x 24 float64 values (0.8 MB),
+# where a 680-example batch would build 16 MB ones
+EVAL_BLOCK_ROWS = 32
+
+# work arrays above this size are allocated per call instead of kept
+SCRATCH_MAX_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -182,52 +204,94 @@ def _tap_ranges(t: int, k: int):
     return ranges
 
 
-def conv_time(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+_scratch_arrays = threading.local()
+
+
+def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float64 work array of ``shape`` with undefined contents.
+
+    With a ``key`` (and at most ``SCRATCH_MAX_BYTES``) the array is the start
+    of one that this thread keeps for the key, so it holds what the key's
+    previous user left there; every other call gets a new array. Keeping the
+    arrays spares a mini_resnet step from allocating and freeing a few MB of
+    work arrays, which the C allocator may return to the system and fault in
+    again at the next step.
+    """
+    size = math.prod(shape)
+    if key is None or 8 * size > SCRATCH_MAX_BYTES:
+        return np.empty(shape)
+    kept = _scratch_arrays.__dict__
+    buf = kept.get(key)
+    if buf is None or len(buf) < size:
+        buf = kept[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def conv_time(x: np.ndarray, w: np.ndarray, b: np.ndarray, key: Optional[str] = None):
     """Convolve along the time axis with zero padding; columns stay separate.
 
     x: (n, T, 2, Cin), w: (K, Cin, Cout), b: (Cout,). The K zero-padded time
     shifts of x form a (n*T*2, K*Cin) patch matrix (im2col), so the whole
-    convolution is one GEMM. Returns (out, patches).
+    convolution is one GEMM. Returns (out, patches). With a ``key`` both are
+    kept work arrays (see ``_scratch``) that the key's next call overwrites.
     """
     n, t, cols, cin = x.shape
     k, _, cout = w.shape
-    patches = np.zeros((n, t, cols, k, cin))
+    patches = _scratch(key and f"{key}.patches", (n, t, cols, k, cin))
     for j, (lo, hi, s) in enumerate(_tap_ranges(t, k)):
+        patches[:, :lo, :, j] = 0.0
         patches[:, lo:hi, :, j] = x[:, lo + s : hi + s]
+        patches[:, hi:, :, j] = 0.0
     patches = patches.reshape(n * t * cols, k * cin)
-    out = patches @ w.reshape(k * cin, cout)
+    out = np.matmul(patches, w.reshape(k * cin, cout),
+                    out=_scratch(key and f"{key}.out", (n * t * cols, cout)))
     out += b
     return out.reshape(n, t, cols, cout), patches
 
 
-def conv_time_backward(patches: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    """Gradients of conv_time from its patch matrix; returns (dx, dw, db)."""
+def conv_time_backward(patches: np.ndarray, w: np.ndarray, dy: np.ndarray,
+                       input_grad: bool = True, key: Optional[str] = None):
+    """Gradients of conv_time from its patch matrix; returns (dx, dw, db).
+
+    dx is None unless ``input_grad``. With a ``key``, dx is a kept work array
+    (see ``_scratch``) that the key's next call overwrites, and the patch
+    gradient, which does not outlive the call, uses one that all keys share.
+    """
     n, t, cols, cout = dy.shape
     k, cin, _ = w.shape
     dy2 = dy.reshape(-1, cout)
     dw = (patches.T @ dy2).reshape(w.shape)
     db = dy2.sum(axis=0)
-    dpatches = (dy2 @ w.reshape(k * cin, cout).T).reshape(n, t, cols, k, cin)
-    dx = np.zeros((n, t, cols, cin))
+    if not input_grad:
+        return None, dw, db
+    dpatches = _scratch(key and "dpatches", (n * t * cols, k * cin))
+    np.matmul(dy2, w.reshape(k * cin, cout).T, out=dpatches)
+    dpatches = dpatches.reshape(n, t, cols, k, cin)
+    dx = _scratch(key and f"{key}.dx", (n, t, cols, cin))
+    dx.fill(0.0)
     for j, (lo, hi, s) in enumerate(_tap_ranges(t, k)):
         dx[:, lo + s : hi + s] += dpatches[:, lo:hi, :, j]
     return dx, dw, db
 
 
-def maxpool2_time(x: np.ndarray):
+def maxpool2_time(x: np.ndarray, key: Optional[str] = None):
     """Non-overlapping 2x1 max pooling along time; ties take the earlier sample.
 
     Returns (out, idx) with idx True where the later sample of a pair won.
+    With a ``key``, out is a kept work array (see ``_scratch``), and so is the
+    result of ``maxpool2_time_backward`` with the same key.
     """
     n, t, cols, c = x.shape
     xr = x.reshape(n, t // 2, 2, cols, c)
     first, second = xr[:, :, 0], xr[:, :, 1]
-    return np.maximum(first, second), second > first
+    out = _scratch(key and f"{key}.pool", (n, t // 2, cols, c))
+    return np.maximum(first, second, out=out), second > first
 
 
-def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray, t: int) -> np.ndarray:
+def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray, t: int,
+                           key: Optional[str] = None) -> np.ndarray:
     n, th, cols, c = dy.shape
-    dxr = np.empty((n, th, 2, cols, c))
+    dxr = _scratch(key and f"{key}.dpool", (n, th, 2, cols, c))
     np.multiply(dy, ~idx, out=dxr[:, :, 0])
     np.multiply(dy, idx, out=dxr[:, :, 1])
     return dxr.reshape(n, t, cols, c)
@@ -278,18 +342,18 @@ def _check_input(spec: ModelSpec, x: np.ndarray) -> None:
 def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
     """Returns (logits, cache). cache is None unless keep.
 
-    Without keep, every patch matrix is dropped as soon as its convolution
-    returns and no ReLU mask is built, so large eval batches stay small. Each
-    block runs in its own call so its activations are freed when it returns.
+    Without keep no ReLU mask is built. Each layer's patch matrix, output and
+    pooling result is a work array of that layer (see ``_scratch``), so the
+    cache holds views that the next pass overwrites.
     """
     cache: Optional[dict] = {"masks": []} if keep else None
 
     def conv(name, h):
-        z, patches = conv_time(h, views[f"{name}.w"], views[f"{name}.b"])
+        z, patches = conv_time(h, views[f"{name}.w"], views[f"{name}.b"], key=name)
         return z, (patches if keep else None)
 
     def relu(z):
-        # in place: every z here is a fresh array that no one else holds
+        # in place: every z here is its own layer's work array
         mask = z > 0 if keep else None
         return np.maximum(z, 0.0, out=z), mask
 
@@ -300,7 +364,7 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
         pre, p3 = conv(f"{name}.conv3", a2)
         pre += a1
         out, mo = relu(pre)
-        pooled, pidx = maxpool2_time(out)
+        pooled, pidx = maxpool2_time(out, key=name)
         if keep:
             cache[name] = (p1, p2, p3, m2, mo, pidx, out.shape[1])
             cache["masks"].extend([m2, mo, pidx])
@@ -324,7 +388,12 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = Fal
     if spec.kind == KIND_SOFTMAX:
         flat = x.reshape(x.shape[:-3] + (-1,))
         return flat @ views["w"] + views["b"][..., None, :], {"flat": flat} if keep else None
-    return _resnet_forward(spec, views, x, keep)
+    if keep:
+        return _resnet_forward(spec, views, x, keep)
+    # near-equal blocks: a fixed stride would leave a 1-row tail, whose
+    # matrix-vector products round differently from GEMM rows
+    blocks = np.array_split(x, max(1, -(-len(x) // EVAL_BLOCK_ROWS)))
+    return np.concatenate([_resnet_forward(spec, views, b, False)[0] for b in blocks]), None
 
 
 def forward_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -390,22 +459,30 @@ def _loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: n
         dflat = dz1 @ views["fc1.w"].T
         dam = dflat.reshape(am_shape)
         dzm = dam * mm
-        dh, dw, db = conv_time_backward(pm, views["mid_conv.w"], dzm)
+        dh, dw, db = conv_time_backward(pm, views["mid_conv.w"], dzm, key="mid_conv")
         gviews["mid_conv.w"] += dw
         gviews["mid_conv.b"] += db
         for name in ("block2", "block1"):
             p1, p2, p3, m2, mo, pidx, t_out = cache[name]
-            dout = maxpool2_time_backward(pidx, dh, t_out)
-            dpre = dout * mo
-            da2, dw3, db3 = conv_time_backward(p3, views[f"{name}.conv3.w"], dpre)
+            dout = maxpool2_time_backward(pidx, dh, t_out, key=name)
+            dpre = np.multiply(dout, mo, out=dout)
+            da2, dw3, db3 = conv_time_backward(
+                p3, views[f"{name}.conv3.w"], dpre, key=f"{name}.conv3"
+            )
             gviews[f"{name}.conv3.w"] += dw3
             gviews[f"{name}.conv3.b"] += db3
-            dz2 = da2 * m2
-            da1, dw2, db2 = conv_time_backward(p2, views[f"{name}.conv2.w"], dz2)
+            dz2 = np.multiply(da2, m2, out=da2)
+            da1, dw2, db2 = conv_time_backward(
+                p2, views[f"{name}.conv2.w"], dz2, key=f"{name}.conv2"
+            )
             gviews[f"{name}.conv2.w"] += dw2
             gviews[f"{name}.conv2.b"] += db2
             da1 += dpre  # additive skip from the block output
-            dh, dw1, db1 = conv_time_backward(p1, views[f"{name}.conv1.w"], da1)
+            # the input gradient of block1.conv1 would be the data's
+            dh, dw1, db1 = conv_time_backward(
+                p1, views[f"{name}.conv1.w"], da1, input_grad=name != "block1",
+                key=f"{name}.conv1",
+            )
             gviews[f"{name}.conv1.w"] += dw1
             gviews[f"{name}.conv1.b"] += db1
 

@@ -134,6 +134,20 @@ def test_dataset_path_replaces_generation_keys():
         cfg_mod.from_dict({"dataset": {"num_transmitters": 40}})
 
 
+def test_dataset_path_skips_generation_range_checks(tmp_path, monkeypatch, capsys):
+    raw = {"dataset": {"path": "x.rfds", "num_transmitters": 1}}
+    cfg_mod.from_dict(raw)
+    cfg_mod.from_dict({"dataset": {"path": "x.rfds", "per_tx_count": 0, "window_len": 1,
+                                   "seed": -1}})
+    with pytest.raises(cfg_mod.ConfigError, match="dataset.num_transmitters must be >= 2"):
+        cfg_mod.from_dict({"dataset": {"num_transmitters": 1}})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", str(write_cfg(tmp_path, raw)), "--out", "r"]) == 1
+    assert capsys.readouterr().err == (
+        "run failed: [Errno 2] No such file or directory: 'x.rfds'\n"
+    )
+
+
 def test_shipped_configs_parse():
     for name in (
         "desk_noniid.json",
@@ -272,7 +286,9 @@ def test_personalize_zero_steps_noop(tmp_path):
     ("window_len", {"dataset": {"window_len": 32}}),
     ("num_classes", {"dataset": {"num_transmitters": 6},
                      "partition": {"mode": "iid", "num_aps": 2}}),
-], ids=["num_modalities", "window_len", "num_classes"])
+    ("kind", {"model": {"kind": "mini_resnet"}}),
+    ("l2_coeff", {"model": {"l2_coeff": 0.5}}),
+], ids=["num_modalities", "window_len", "num_classes", "kind", "l2_coeff"])
 def test_personalize_rejects_model_config_mismatch(tmp_path, capsys, field, overrides):
     out = tmp_path / "r"
     assert cli.main(["run", "--config", str(small_desk(tmp_path, training={"seeds": [1]})),
@@ -280,12 +296,12 @@ def test_personalize_rejects_model_config_mismatch(tmp_path, capsys, field, over
     (tmp_path / "other").mkdir()
     other = small_desk(tmp_path / "other", **overrides)
     capsys.readouterr()
+    model = out / "model_seed1.npz"
     rc = cli.main(["personalize", "--config", str(other), "--out", str(tmp_path / "p"),
-                   "--model", str(out / "model_seed1.npz")])
+                   "--model", str(model)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: model ")
-    assert field in err
+    assert err.count("\n") == 1 and err.startswith(f"error: model {model}: {field} is ")
 
 
 def test_personalize_pipeline_error_prints_one_line(tmp_path):
@@ -358,7 +374,7 @@ def test_personalize_rejects_reordered_modalities(tmp_path, capsys):
                    "--model", str(model)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: model {model} has modalities ('iq', 'dft'), "
+        f"error: model {model}: modalities is ('iq', 'dft'), "
         "but the config gives ('dft', 'iq')\n"
     )
 
@@ -481,7 +497,7 @@ def test_run_divergence_prints_one_line(tmp_path):
     assert manifest["error"] == error
 
 
-def test_run_fits_normalization_once_per_shard_and_once_for_pool(tmp_path, monkeypatch):
+def test_run_fits_normalization_once_per_shard(tmp_path, monkeypatch):
     selections = []
     fit = modality.fit_normalization
 
@@ -494,5 +510,5 @@ def test_run_fits_normalization_once_per_shard_and_once_for_pool(tmp_path, monke
     cfg = cfg_mod.parse_config(cfg_path)
     assert cfg.personalization.enabled and cfg.training.modalities == ("iq",)
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
-    assert len(selections) == 2 + 1  # two AP shards, then the training pool
-    assert selections == [("iq",)] * 3  # only the selected modality is fit
+    # two AP shards; the training pool's stats are added up from theirs
+    assert selections == [("iq",)] * 2  # only the selected modality is fit

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fedrf import datafile, experiment, federation, models
+from fedrf import datafile, experiment, federation, modality, models
 
 
 def make_split(num_tx=4, per_tx=16, window=8, seed=0, test_fraction=0.25):
@@ -190,6 +192,32 @@ def test_local_train_deterministic():
     assert np.array_equal(outs[0], outs[1])
 
 
+@pytest.mark.parametrize("mode", ["iid", "noniid"])
+def test_pool_stats_from_shard_totals_equal_pool_fit(mode):
+    split = make_split(num_tx=6, per_tx=20, window=16, seed=4)
+    sel = modality.ALL_MODALITIES
+    if mode == "noniid":
+        part = federation.partition_noniid(split, 3, 3, seed=5, selection=sel)
+    else:
+        part = federation.partition_iid(split, 3, seed=5, selection=sel)
+    derived = modality.pool_normalization(part.stats)
+    fit = modality.fit_normalization(split.train_iq[np.sort(np.concatenate(part.indices))], sel)
+    assert list(derived.means) == list(sel)
+    for m in sel:
+        assert np.array_equal(derived.means[m], fit.means[m])
+        assert np.array_equal(derived.stds[m], fit.stds[m])
+    assert derived.totals == fit.totals and derived.count == fit.count
+
+
+def test_pool_stats_reject_non_finite_shard():
+    split = make_split()
+    split.train_iq[3] = complex(np.inf, 0.0)
+    with np.errstate(invalid="ignore"):
+        part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
+    with pytest.raises(ValueError, match="cannot pool iq statistics"):
+        modality.pool_normalization(part.stats)
+
+
 def test_batch_sampler_without_replacement():
     rng = np.random.default_rng(0)
     sampler = federation._BatchSampler(10, 4, rng)
@@ -217,6 +245,18 @@ def test_aggregate_permutation_invariant_exactly():
     c = federation.aggregate([vs[2], vs[0], vs[3], vs[1]])
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
+
+
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), dim=st.integers(1, 8))
+def test_aggregate_invariant_to_any_permutation(data, n, dim):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    vs = list(data.draw(arrays(np.float64, (n, dim), elements=finite)))
+    order = data.draw(st.permutations(range(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = federation.aggregate(vs)
+        b = federation.aggregate([vs[i] for i in order])
+    assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_aggregate_matches_fsum_oracle():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedrf import modality
 
@@ -185,10 +187,15 @@ def test_selection_validation():
         )
 
 
+def _exact_sum(vals):
+    """The correctly rounded sum that fit_normalization takes of each column."""
+    return modality._rounded(modality.exact_total(vals), vals)
+
+
 @pytest.mark.parametrize("squared", [False, True])
 def test_exact_sum_matches_fsum_on_adversarial_arrays(squared):
     rng = np.random.default_rng(8)
-    chunk = modality.FSUM_CHUNK
+    chunk = 4096
     # squares of the widest values would overflow, so they span half the exponents
     top = 150 if squared else 300
     wide = rng.choice([-1.0, 1.0], 2 * chunk + 17) * 10.0 ** rng.uniform(-top, top, 2 * chunk + 17)
@@ -196,7 +203,32 @@ def test_exact_sum_matches_fsum_on_adversarial_arrays(squared):
     cancel[[5, 2999, chunk]] = [1e100, -1e100, 2.0 ** -60]
     for vals in (wide, cancel, wide[:chunk], wide[: chunk + 1], wide[:1], wide[:0]):
         ref = math.fsum(v * v for v in vals) if squared else math.fsum(vals)
-        assert modality.exact_sum(vals, squared=squared) == ref
+        summed = vals * vals if squared else vals
+        assert _exact_sum(summed) == ref
+
+
+@settings(deadline=None)
+@given(
+    vals=arrays(np.float64, st.integers(0, 300), elements=st.floats(-1e300, 1e300)),
+    cuts=st.lists(st.integers(0, 300), max_size=6),
+)
+def test_exact_totals_add_across_splits(vals, cuts):
+    # squares of values up to 1e150 stay finite
+    for whole in (vals, vals[np.abs(vals) < 1e150] ** 2):
+        parts = np.split(whole, sorted(c for c in cuts if c <= len(whole)))
+        totals = [modality.exact_total(p) for p in parts]
+        assert all(type(t) is int for t in totals)
+        assert sum(totals) == modality.exact_total(whole)
+        assert modality._rounded(sum(totals), whole) == math.fsum(whole.tolist())
+
+
+def test_exact_total_not_finite_falls_back_to_fsum():
+    assert modality.exact_total(np.array([1.0, np.inf])) is None
+    assert _exact_sum(np.array([1.0, np.inf, 2.0])) == math.inf
+    assert math.isnan(_exact_sum(np.array([np.nan, 1.0])))
+    # a finite total beyond float64 raises as math.fsum does
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1.7e308, 1.7e308]))
 
 
 @pytest.mark.parametrize("ell", [4, 33, 256])

@@ -319,6 +319,10 @@ def test_conv_time_matches_naive_loop(kernel_len):
                         naive_conv_time_backward(x, w, dy)):
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=0, atol=1e-12)
+    dx, dw, db = models.conv_time_backward(patches, w, dy, input_grad=False)
+    assert dx is None
+    _, dw_ref, db_ref = models.conv_time_backward(patches, w, dy)
+    assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref)
 
 
 def test_maxpool2_time_tie_takes_earlier_sample():
@@ -338,6 +342,65 @@ def test_eval_logits_equal_training_logits():
     train_logits, _ = models._logits(spec, params, batch.inputs, keep=True)
     assert cache is None
     assert np.array_equal(eval_logits, train_logits)
+
+
+@pytest.mark.parametrize("sizes", [range(1, 140), range(679, 682)], ids=["1-139", "679-681"])
+def test_blocked_eval_logits_equal_one_pass(sizes):
+    # the desk profile's shapes: 64 samples, three modalities, 16 classes
+    spec = models.ModelSpec("mini_resnet", 64, 3, 16)
+    rng = np.random.default_rng(21)
+    params = 0.3 * rng.standard_normal(models.num_params(spec))
+    x = rng.standard_normal((sizes[-1],) + spec.input_shape)
+    views = models.param_views(spec, params)
+    for n in sizes:
+        blocked, _ = models._logits(spec, params, x[:n])
+        one_pass, _ = models._resnet_forward(spec, views, x[:n], keep=False)
+        assert blocked.shape == (n, 16)
+        assert np.array_equal(blocked, one_pass), n
+
+
+def test_keyed_conv_work_arrays_match_fresh_ones():
+    # a key hands the next call its previous memory, here first filled with nan
+    models._scratch("test.conv.patches", (9 * 8 * 2 * 3 * 2,))[:] = np.nan
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((3, 2, 4))
+    b = rng.standard_normal(4)
+    for n in (6, 3, 9):
+        x = rng.standard_normal((n, 8, 2, 2))
+        dy = rng.standard_normal((n, 8, 2, 4))
+        out, patches = models.conv_time(x, w, b, key="test.conv")
+        ref_out, ref_patches = models.conv_time(x, w, b)
+        assert np.array_equal(out, ref_out) and np.array_equal(patches, ref_patches)
+        got = models.conv_time_backward(patches, w, dy, key="test.conv")
+        for g, r in zip(got, models.conv_time_backward(ref_patches, w, dy)):
+            assert np.array_equal(g, r)
+        pooled, idx = models.maxpool2_time(x, key="test.pool")
+        ref_pooled, ref_idx = models.maxpool2_time(x)
+        assert np.array_equal(pooled, ref_pooled) and np.array_equal(idx, ref_idx)
+        dpool = models.maxpool2_time_backward(idx, x[:, ::2], 8, key="test.pool")
+        assert np.array_equal(dpool, models.maxpool2_time_backward(idx, x[:, ::2], 8))
+
+
+def test_scratch_keeps_only_small_keyed_arrays():
+    kept = models._scratch("test.small", (2, 3))
+    kept[:] = 7.0
+    # the same memory comes back under the key, in any shape that fits
+    assert np.array_equal(models._scratch("test.small", (5,)), [7.0] * 5)
+    assert not np.shares_memory(models._scratch(None, (2, 3)), kept)
+    rows = models.SCRATCH_MAX_BYTES // 8 + 1
+    big = models._scratch("test.big", (rows,))
+    assert not np.shares_memory(models._scratch("test.big", (rows,)), big)
+
+
+def test_resnet_steps_repeat_exactly_between_other_batches():
+    spec = small_resnet_spec(l2=1e-3)
+    params = models.init_params(spec, 4)
+    batch = random_batch(spec, 8, seed=1)
+    loss, grad = models.loss_and_grad(spec, params, batch)
+    models.batch_loss(spec, params, random_batch(spec, 50, seed=2))
+    models.loss_and_grad(spec, params, random_batch(spec, 3, seed=3))
+    again, grad_again = models.loss_and_grad(spec, params, batch)
+    assert again == loss and np.array_equal(grad_again, grad)
 
 
 def test_resnet_kernel5_gradient_finite_difference():
