@@ -134,7 +134,12 @@ def _write_metrics(out: Path, results, num_aps: int) -> str:
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    ds = experiment.load_dataset(cfg)
+    try:
+        ds = experiment.load_dataset(cfg)
+    except ValueError as exc:
+        _write_manifest(out, cfg, "failed", [], error=str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     datafile.write_dataset(ds, out / DATASET_FILENAME)
     _write_manifest(out, cfg, "complete", [DATASET_FILENAME])
     print(f"wrote {out / DATASET_FILENAME} ({len(ds)} records)")

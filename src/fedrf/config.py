@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from . import modality
+from . import modality, waveforms
 
 
 class ConfigError(ValueError):
@@ -170,6 +170,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("dataset.window_len must be >= 2")
         if d.seed < 0:
             raise ConfigError("dataset.seed must be >= 0")
+        try:
+            waveforms.snr_ratio(d.snr_db)
+        except ValueError as exc:
+            raise ConfigError(f"dataset.{exc}") from None
     if not 0.0 < d.test_fraction < 1.0:
         raise ConfigError("dataset.test_fraction must be in (0, 1)")
 

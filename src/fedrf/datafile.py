@@ -83,31 +83,35 @@ def generate_dataset(
 
     Records are fully deterministic given ``master_seed``: each record draws
     from its own stream keyed by (seed, transmitter, record index), so
-    generation order does not matter.
+    generation order does not matter. Each transmitter's records go through
+    the impairment chain and the channel as one batch.
     """
-    if num_transmitters < 2:
-        raise ValueError("need at least 2 transmitters")
+    if not 2 <= num_transmitters <= 1 << 16:
+        raise ValueError("need 2 to 65536 transmitters (labels are u16)")
     if per_tx_count < 1:
         raise ValueError("per_tx_count must be >= 1")
     if window_len < 2:
         raise ValueError("window_len must be >= 2")
+    waveforms.snr_ratio(snr_db)
 
-    n = num_transmitters * per_tx_count
-    labels = np.empty(n, dtype=np.uint16)
-    iq = np.empty((n, window_len), dtype=np.complex64)
-    row = 0
+    iq = np.empty((num_transmitters, per_tx_count, window_len), dtype=np.complex64)
     for tx in range(num_transmitters):
         profile = waveforms.synth_transmitter_profile(master_seed, tx)
-        for rec in range(per_tx_count):
-            rng = waveforms.record_stream(master_seed, tx, rec)
-            syms = waveforms.qpsk_symbols(window_len, rng)
-            wf = waveforms.apply_fingerprint(profile, syms, rng)
-            wf = waveforms.add_awgn(wf, snr_db, rng)
-            labels[row] = tx
-            iq[row] = wf.astype(np.complex64)
-            row += 1
+        symbols, normals = waveforms.record_draws(master_seed, tx, per_tx_count, window_len)
+        wf = waveforms.apply_fingerprint(profile, symbols, normals[0])
+        # a float32 overflow would write inf samples that read_dataset rejects
+        with np.errstate(over="raise"):
+            try:
+                iq[tx] = waveforms.add_awgn(wf, snr_db, normals[1:])
+            except FloatingPointError:
+                raise ValueError(
+                    f"snr_db {snr_db} puts samples beyond the float32 range"
+                ) from None
     return DatasetFile(
-        num_transmitters=num_transmitters, window_len=window_len, labels=labels, iq=iq
+        num_transmitters=num_transmitters,
+        window_len=window_len,
+        labels=np.repeat(np.arange(num_transmitters), per_tx_count),
+        iq=iq.reshape(-1, window_len),
     )
 
 

@@ -396,12 +396,6 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = Fal
     return np.concatenate([_resnet_forward(spec, views, b, False)[0] for b in blocks]), None
 
 
-def forward_batch(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, shape (n, num_classes)."""
-    logits, _ = _logits(spec, params, np.asarray(x, dtype=np.float64))
-    return _softmax(logits)
-
-
 def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Mean cross-entropy plus (l2/2)*||params||^2, without the gradient."""
     logits, _ = _logits(spec, params, batch.inputs)
@@ -583,20 +577,3 @@ def finite_diff_check(
         lambda p: _activation_signature(spec, p, batch), params, grad, coords, step, limit
     )
 
-
-def describe_layers(spec: ModelSpec) -> List[Tuple[str, Tuple[int, ...]]]:
-    """Layer names and output shapes (single example), for structural checks."""
-    t = spec.window_len
-    if spec.kind == KIND_SOFTMAX:
-        return [("linear", (spec.num_classes,))]
-    c1, c2 = spec.block_channels
-    layers = [
-        ("block1", (t, 2, c1)),
-        ("pool1", (t // 2, 2, c1)),
-        ("block2", (t // 2, 2, c2)),
-        ("pool2", (t // 4, 2, c2)),
-        ("mid_conv", (t // 4, 2, c1)),
-        ("fc1", (spec.hidden,)),
-        ("fc2", (spec.num_classes,)),
-    ]
-    return layers

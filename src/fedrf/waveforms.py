@@ -12,7 +12,7 @@ All generation is float64 and fully deterministic given the seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +48,6 @@ class TransmitterProfile:
     phase_noise_std: float
     pa_cubic_coeff: float
 
-    def impairment_tuple(self) -> tuple:
-        """All impairment fields (everything except the id)."""
-        return tuple(
-            getattr(self, f.name) for f in fields(self) if f.name != "transmitter_id"
-        )
-
-
-def identity_profile(transmitter_id: int = 0) -> TransmitterProfile:
-    """Profile whose impairment chain is the exact identity map."""
-    return TransmitterProfile(
-        transmitter_id=transmitter_id,
-        iq_gain_imbalance=1.0,
-        iq_phase_imbalance=0.0,
-        dc_offset_i=0.0,
-        dc_offset_q=0.0,
-        cfo_norm=0.0,
-        phase_noise_std=0.0,
-        pa_cubic_coeff=0.0,
-    )
-
 
 def record_stream(master_seed: int, transmitter_id: int, record_index: int) -> np.random.Generator:
     """Independent RNG stream for one dataset record.
@@ -101,26 +81,42 @@ def synth_transmitter_profile(master_seed: int, transmitter_id: int) -> Transmit
     )
 
 
-def qpsk_symbols(length: int, rng: np.random.Generator) -> np.ndarray:
-    """Random unit-power QPSK symbols, one symbol per sample."""
+def record_draws(master_seed: int, transmitter_id: int, count: int, length: int):
+    """QPSK symbols and standard normals for one transmitter's first ``count`` records.
+
+    Each record draws from its own ``record_stream``: ``length`` symbol
+    indices, then one ``(3, length)`` block of standard normals whose rows
+    are the phase-noise steps and the real and imaginary channel noise.
+    Returns the unit-power symbols, shape ``(count, length)``, and the
+    normals, shape ``(3, count, length)``.
+    """
     if length < 2:
         raise ValueError("waveform length must be >= 2")
-    return _QPSK_POINTS[rng.integers(0, 4, size=length)]
+    indices = np.empty((count, length), dtype=np.int64)
+    normals = np.empty((3, count, length))
+    for rec in range(count):
+        rng = record_stream(master_seed, transmitter_id, rec)
+        indices[rec] = rng.integers(0, 4, size=length)
+        normals[:, rec] = rng.standard_normal((3, length))
+    return _QPSK_POINTS[indices], normals
 
 
 def apply_fingerprint(
-    profile: TransmitterProfile, symbols: np.ndarray, rng: np.random.Generator
+    profile: TransmitterProfile, symbols: np.ndarray, phase_steps: np.ndarray
 ) -> np.ndarray:
     """Pass symbols through the transmitter impairment chain.
 
-    Stages, in order: IQ imbalance, DC offset, cubic PA nonlinearity, CFO
-    rotation exp(j*2*pi*cfo_norm*k), cumulative phase-noise random walk.
-    The identity profile reproduces the input exactly.
+    ``symbols`` has any leading shape with samples along the last axis;
+    ``phase_steps`` holds one standard normal per sample. Stages, in order:
+    IQ imbalance, DC offset, cubic PA nonlinearity, CFO rotation
+    exp(j*2*pi*cfo_norm*k), cumulative phase-noise random walk whose steps
+    are ``phase_noise_std * phase_steps``. An ideal profile (unit gain, all
+    other impairments zero) reproduces the input exactly.
     """
     x = np.asarray(symbols, dtype=np.complex128)
     if not np.all(np.isfinite(x)):
         raise ValueError("input symbols must be finite")
-    n = x.shape[0]
+    n = x.shape[-1]
 
     i = x.real
     q = profile.iq_gain_imbalance * (
@@ -131,34 +127,48 @@ def apply_fingerprint(
     x = x + (profile.dc_offset_i + 1j * profile.dc_offset_q)
     x = x + profile.pa_cubic_coeff * (np.abs(x) ** 2) * x
     x = x * np.exp(2j * np.pi * profile.cfo_norm * np.arange(n))
-    walk = np.cumsum(rng.normal(0.0, profile.phase_noise_std, size=n))
+    # 0.0 + s*z is Generator.normal(0.0, s)'s arithmetic: it turns -0.0 steps into 0.0
+    walk = np.cumsum(0.0 + profile.phase_noise_std * phase_steps, axis=-1)
     x = x * np.exp(1j * walk)
     return x
 
 
-def add_awgn(waveform: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+def snr_ratio(snr_db: float) -> float:
+    """The linear power ratio 10^(snr_db/10); ``inf`` for ``snr_db = inf``.
+
+    Any other ``snr_db`` whose ratio is not a positive finite float (NaN,
+    -inf, or so large or small that the power overflows or underflows)
+    raises ValueError.
+    """
+    if snr_db == math.inf:
+        return math.inf
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"snr_db must be Infinity or give a positive finite 10**(snr_db/10), got {snr_db}"
+        )
+    return ratio
+
+
+def add_awgn(waveform: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndarray:
     """Add complex white Gaussian noise at the requested SNR.
 
-    Noise power is set so signal_power / noise_power = 10^(snr_db/10), with
-    independent real and imaginary components carrying half the noise
-    variance each. ``snr_db = inf`` returns the input unchanged.
+    ``waveform`` has any leading shape with samples along the last axis, and
+    ``noise`` holds standard normals of shape ``(2,) + waveform.shape``: the
+    real and the imaginary parts. Each row's noise power is set so its
+    signal_power / noise_power = 10^(snr_db/10), with the real and imaginary
+    components carrying half the noise variance each. ``snr_db = inf``
+    returns the input unchanged.
     """
     x = np.asarray(waveform, dtype=np.complex128)
-    if math.isinf(snr_db) and snr_db > 0:
+    ratio = snr_ratio(snr_db)
+    if ratio == math.inf:
         return x.copy()
-    signal_power = float(np.mean(np.abs(x) ** 2))
-    if signal_power == 0.0:
+    signal_power = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
+    if np.any(signal_power == 0.0):
         raise ValueError("zero-power signal: SNR scaling undefined for finite snr_db")
-    noise_power = signal_power / (10.0 ** (snr_db / 10.0))
-    s = math.sqrt(noise_power / 2.0)
-    noise = rng.normal(0.0, s, size=x.shape[0]) + 1j * rng.normal(0.0, s, size=x.shape[0])
-    return x + noise
-
-
-def check_waveform(w: np.ndarray) -> None:
-    """Validate the basic waveform contract (length >= 2, finite, 1-D complex)."""
-    w = np.asarray(w)
-    if w.ndim != 1 or w.shape[0] < 2:
-        raise ValueError("waveform must be 1-D with length >= 2")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("waveform contains non-finite samples")
+    s = np.sqrt(signal_power / ratio / 2.0)
+    return x + ((0.0 + s * noise[0]) + 1j * (0.0 + s * noise[1]))

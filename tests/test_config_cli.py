@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,8 @@ def test_invalid_values_named(tmp_path):
             cfg_mod.parse_config(write_cfg(tmp_path, raw))
 
 
+SNR_ERROR = "dataset.snr_db must be Infinity or give a positive finite 10**(snr_db/10), got "
+
 # key, JSON value, parsed value (when accepted), error message (when rejected)
 COERCION_CASES = [
     ("dataset.seed", 3, 3, None),
@@ -106,6 +109,12 @@ COERCION_CASES = [
     ("output_dir", "out", "out", None),
     ("output_dir", None, None, "output_dir must be a string, got None"),
     ("output_dir", 3, None, "output_dir must be a string, got 3"),
+    ("dataset.snr_db", math.inf, math.inf, None),
+    ("dataset.snr_db", -300, -300.0, None),
+    ("dataset.snr_db", math.nan, None, SNR_ERROR + "nan"),
+    ("dataset.snr_db", -math.inf, None, SNR_ERROR + "-inf"),
+    ("dataset.snr_db", 4000, None, SNR_ERROR + "4000.0"),
+    ("dataset.snr_db", -4000, None, SNR_ERROR + "-4000.0"),
 ]
 
 
@@ -205,8 +214,36 @@ def test_gen_data_invalid_config(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("snr_db, shown", [(math.nan, "nan"), (-math.inf, "-inf"),
+                                            (4000.0, "4000.0")])
+def test_gen_data_rejects_unusable_snr(tmp_path, capsys, snr_db, shown):
+    cfg_path = small_desk(tmp_path, dataset={"snr_db": snr_db})
+    out = tmp_path / "o"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {SNR_ERROR}{shown}\n"
+    assert not (out / cli.DATASET_FILENAME).exists()
+
+
+def test_gen_data_rejects_snr_beyond_float32_range(tmp_path, capsys):
+    # 10**(-100) is a usable ratio, but the noise it asks for overflows float32
+    out = tmp_path / "o"
+    cfg_path = small_desk(tmp_path, dataset={"snr_db": -1000.0})
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 1
+    error = "snr_db -1000.0 puts samples beyond the float32 range"
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (out / cli.DATASET_FILENAME).exists()
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == error
+
+
 # ---------------------------------------------------------------------------
 # CLI: run
+
+def test_run_rejects_negative_infinite_snr(tmp_path, capsys):
+    cfg_path = small_desk(tmp_path, dataset={"snr_db": -math.inf})
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {SNR_ERROR}-inf\n"
+
 
 def test_run_outputs_and_determinism(tmp_path):
     cfg_path = small_desk(tmp_path)

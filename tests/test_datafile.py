@@ -1,3 +1,5 @@
+import hashlib
+import math
 import struct
 
 import numpy as np
@@ -36,6 +38,39 @@ def test_generate_validation():
         datafile.generate_dataset(2, 0, 16, 10.0, 0)
     with pytest.raises(ValueError):
         datafile.generate_dataset(2, 3, 1, 10.0, 0)
+    # labels are u16, so the check comes before any record is generated
+    with pytest.raises(ValueError, match="need 2 to 65536 transmitters"):
+        datafile.generate_dataset((1 << 16) + 1, 1, 2, 10.0, 0)
+
+
+# sha256 of write_dataset(generate_dataset(*args)): records are generated
+# from per-record streams, so these bytes must not change
+GOLDEN_DIGESTS = [
+    # the shipped desk_noniid dataset
+    ((16, 200, 64, 10.0, 7), "4d61a331df27e0ba1ff49485d7cbe0c2e06ef1e6f856974a0512557a33db7f79"),
+    ((4, 20, 33, 0.0, 1), "0847bef63579d7f8488da9ce78cbbb893b1934ea4c73c6704ab7f3e5c0ce6b5e"),
+    ((3, 5, 16, math.inf, 2), "e593a9cc451e0f8c57615cfd20cd68fbcd709579a2af6110ed654085c4133c6b"),
+    ((5, 1, 64, 10.0, 3), "9ea1978ae73fcb193d4d7f92a93ca8da031919d6c528c40c35ef4a250f84b69e"),
+    ((3, 5, 33, -3.0, 9), "7a15e1630871397b16ef0bbb6f84944af32a464873428b9f8de8d31ddd8d2452"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_DIGESTS)
+def test_generated_file_bytes_are_pinned(tmp_path, args, digest):
+    path = tmp_path / "d.rfds"
+    datafile.write_dataset(datafile.generate_dataset(*args), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 4000.0, -4000.0])
+def test_generate_rejects_unusable_snr(snr_db):
+    with pytest.raises(ValueError, match="snr_db must be Infinity"):
+        datafile.generate_dataset(2, 3, 16, snr_db, 0)
+
+
+def test_generate_rejects_snr_beyond_float32_range():
+    with pytest.raises(ValueError, match="beyond the float32 range"):
+        datafile.generate_dataset(2, 3, 16, -1000.0, 0)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -86,6 +121,16 @@ def test_truncated(tmp_path):
     path.write_bytes(raw[:10])  # cut into the header
     with pytest.raises(datafile.TruncatedFileError):
         datafile.read_dataset(path)
+
+
+def test_truncated_at_every_offset(tmp_path):
+    path = tmp_path / "d.rfds"
+    datafile.write_dataset(datafile.generate_dataset(2, 2, 8, 10.0, 0), path)
+    raw = path.read_bytes()
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(datafile.TruncatedFileError):
+            datafile.read_dataset(path)
 
 
 def test_trailing_bytes(tmp_path):

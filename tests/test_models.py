@@ -23,6 +23,11 @@ def random_batch(spec, n, seed=0):
     return models.Batch(x, y)
 
 
+def probabilities(spec, params, x):
+    """Class probabilities, shape (n, num_classes)."""
+    return models._softmax(models._logits(spec, params, x)[0])
+
+
 def test_param_count_softmax():
     spec = small_softmax_spec()
     assert models.num_params(spec) == 4 * 2 * 1 * 3 + 3
@@ -45,7 +50,7 @@ def test_init_deterministic_and_biases_zero():
 def test_forward_zero_params_uniform():
     spec = small_softmax_spec()
     batch = random_batch(spec, 3)
-    probs = models.forward_batch(spec, np.zeros(models.num_params(spec)), batch.inputs[:1])[0]
+    probs = probabilities(spec, np.zeros(models.num_params(spec)), batch.inputs[:1])[0]
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
 
 
@@ -54,7 +59,7 @@ def test_forward_probability_vector(make_spec):
     spec = make_spec()
     params = models.init_params(spec, 2)
     batch = random_batch(spec, 6, seed=3)
-    probs = models.forward_batch(spec, params, batch.inputs)
+    probs = probabilities(spec, params, batch.inputs)
     assert probs.shape == (6, spec.num_classes)
     assert np.all(probs > 0)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
@@ -64,7 +69,7 @@ def test_forward_shape_mismatch():
     spec = small_softmax_spec()
     params = models.init_params(spec, 0)
     with pytest.raises(ValueError):
-        models.forward_batch(spec, params, np.zeros((2, 5, 2, 1)))
+        probabilities(spec, params, np.zeros((2, 5, 2, 1)))
     with pytest.raises(ValueError):
         models.param_views(spec, np.zeros(10))
 
@@ -154,14 +159,28 @@ def test_resnet_structure():
     spec = models.ModelSpec(
         "mini_resnet", 256, 1, 163, block_channels=(16, 32), hidden=80
     )
-    layers = dict(models.describe_layers(spec))
-    assert layers["block1"] == (256, 2, 16)
-    assert layers["pool1"] == (128, 2, 16)
-    assert layers["block2"] == (128, 2, 32)
-    assert layers["pool2"] == (64, 2, 32)
-    assert layers["mid_conv"] == (64, 2, 16)
-    assert layers["fc1"] == (80,)
-    assert layers["fc2"] == (163,)
+    params = models.init_params(spec, 0)
+    views = models.param_views(spec, params)
+    x = np.zeros((1,) + spec.input_shape)
+    shapes = {}
+    h = x
+    for block, pool in (("block1", "pool1"), ("block2", "pool2")):
+        for conv in ("conv1", "conv2", "conv3"):
+            h, _ = models.conv_time(h, views[f"{block}.{conv}.w"], views[f"{block}.{conv}.b"])
+        shapes[block] = h.shape[1:]
+        h, _ = models.maxpool2_time(h)
+        shapes[pool] = h.shape[1:]
+    h, _ = models.conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
+    shapes["mid_conv"] = h.shape[1:]
+    h = h.reshape(1, -1) @ views["fc1.w"]
+    shapes["fc1"] = h.shape[1:]
+    shapes["fc2"] = (h @ views["fc2.w"]).shape[1:]
+    assert shapes == {
+        "block1": (256, 2, 16), "pool1": (128, 2, 16),
+        "block2": (128, 2, 32), "pool2": (64, 2, 32),
+        "mid_conv": (64, 2, 16), "fc1": (80,), "fc2": (163,),
+    }
+    assert models._logits(spec, params, x)[0].shape == (1, 163)
     # each residual block carries exactly three convolutions
     names = [n for n, _ in models.param_layout(spec)]
     for block in ("block1", "block2"):
@@ -179,7 +198,7 @@ def test_resnet_skip_isolation():
             views[f"{block}.{conv}.w"][:] = 0.0
             views[f"{block}.{conv}.b"][:] = 0.0
     batch = random_batch(spec, 3, seed=11)
-    got = models.forward_batch(spec, params, batch.inputs)
+    got = probabilities(spec, params, batch.inputs)
 
     h = batch.inputs
     for block in ("block1", "block2"):
