@@ -132,15 +132,16 @@ def convergence_step_bound(
 class QuadraticProblem:
     """Federated quadratic objective with exactly known constants.
 
-    AP n minimizes f_n(w) = 0.5 w^T A w - b_n^T w; the curvature matrix is
-    shared across APs so the AP-drift gradients (b_mean - b_n) are constant
-    in w and the drift variance zeta^2 is a finite exact number. Stochastic
-    gradients add the mean of ``batch_size`` fresh per-example Gaussian
-    noise vectors, each with total variance noise_scale^2, giving a
-    per-step variance of exactly noise_scale^2 / batch_size.
+    AP n minimizes f_n(w) = 0.5 w^T A w - b_n^T w; the one curvature matrix
+    A is shared by every AP, so the AP-drift gradients (b_mean - b_n) are
+    constant in w and the drift variance zeta^2 is a finite exact number.
+    A stochastic gradient adds the mean of ``batch_size`` per-example
+    Gaussian noise vectors, each with total variance noise_scale^2, giving a
+    per-step variance of exactly noise_scale^2 / batch_size; the Monte Carlo
+    draws that mean directly, one normal per coordinate per AP-step.
     """
 
-    a_matrices: np.ndarray  # (N, d, d), all equal by construction
+    a_matrix: np.ndarray  # (d, d)
     b_vectors: np.ndarray  # (N, d)
     noise_scale: float
     w_init: np.ndarray
@@ -153,9 +154,8 @@ class QuadraticProblem:
     zeta2: float = field(init=False)
 
     def __post_init__(self):
-        self.a_matrices = np.asarray(self.a_matrices, dtype=np.float64)
+        self.a_matrix = a = np.asarray(self.a_matrix, dtype=np.float64)
         self.b_vectors = np.asarray(self.b_vectors, dtype=np.float64)
-        a = self.a_matrices[0]
         if not np.allclose(a, a.T, atol=1e-12):
             raise ValueError("curvature matrix must be symmetric")
         eigs = np.linalg.eigvalsh(a)
@@ -171,21 +171,20 @@ class QuadraticProblem:
 
     @property
     def dim(self) -> int:
-        return self.a_matrices.shape[1]
+        return self.a_matrix.shape[0]
 
     @property
     def num_aps(self) -> int:
-        return self.a_matrices.shape[0]
+        return self.b_vectors.shape[0]
 
     def f_global(self, w: np.ndarray) -> float:
-        a = self.a_matrices[0]
-        return float(0.5 * w @ a @ w - self.b_mean @ w)
+        return float(0.5 * w @ self.a_matrix @ w - self.b_mean @ w)
 
     def grad_local(self, ap: int, w: np.ndarray) -> np.ndarray:
-        return self.a_matrices[ap] @ w - self.b_vectors[ap]
+        return self.a_matrix @ w - self.b_vectors[ap]
 
     def grad_global(self, w: np.ndarray) -> np.ndarray:
-        return self.a_matrices[0] @ w - self.b_mean
+        return self.a_matrix @ w - self.b_mean
 
     def gap(self, w: np.ndarray) -> float:
         return self.f_global(w) - self.f_star
@@ -231,9 +230,8 @@ def make_quadratic_problem(
     b_vectors = b_mean + delta
     direction = rng.standard_normal(dim)
     direction /= np.linalg.norm(direction)
-    a_stack = np.repeat(a[None], num_aps, axis=0)
     problem = QuadraticProblem(
-        a_matrices=a_stack,
+        a_matrix=a,
         b_vectors=b_vectors,
         noise_scale=noise_scale,
         w_init=np.zeros(dim),
@@ -247,42 +245,41 @@ def simulate_quadratic_runs(
 ) -> np.ndarray:
     """Federated local-SGD trajectories on the quadratic, vectorized over runs.
 
-    With M modalities the injected per-example noise and the AP drift are
-    both scaled by 1/sqrt(M), matching the assumption that their variances
-    shrink proportionally to the modality count. Returns the global gap per
-    run and round, shape (num_runs, rounds + 1).
+    The APs take each local step together, on parameters stacked as
+    (num_aps, num_runs, dim), and the new model is their mean. A step's
+    stochastic gradient adds one normal per coordinate per AP and run: the
+    mean of ``batch_size`` per-example noise vectors, drawn directly, since
+    the mean of b iid N(0, s^2) draws is N(0, s^2 / b). With M modalities the
+    per-example noise and the AP drift are both scaled by 1/sqrt(M), matching
+    the assumption that their variances shrink proportionally to the modality
+    count. Returns the global gap per run and round, shape
+    (num_runs, rounds + 1).
     """
     m = cfg.modality_count
     rng = np.random.default_rng(np.random.SeedSequence((_DOMAIN_VERIFY, cfg.seed)))
-    a = problem.a_matrices[0]
-    scale = problem.noise_scale / np.sqrt(m) / np.sqrt(problem.dim)
+    a = problem.a_matrix
+    scale = problem.noise_scale / np.sqrt(m * problem.dim * cfg.batch_size)
     drift = (problem.b_vectors - problem.b_mean) / np.sqrt(m)
-    b_eff = problem.b_mean + drift
+    b_eff = (problem.b_mean + drift)[:, None, :]
+    shape = (problem.num_aps, num_runs, problem.dim)
 
     w = np.repeat(problem.w_init[None], num_runs, axis=0)  # (R, d)
     gaps = np.empty((num_runs, cfg.rounds + 1))
     gaps[:, 0] = _gap_rows(problem, w)
     for t in range(cfg.rounds):
-        acc = np.zeros_like(w)
-        for n in range(problem.num_aps):
-            wn = w.copy()
-            for _ in range(cfg.local_steps):
-                if problem.noise_scale > 0:
-                    eps = rng.standard_normal((num_runs, cfg.batch_size, problem.dim))
-                    noise = eps.mean(axis=1) * scale
-                else:
-                    noise = 0.0
-                g = wn @ a - b_eff[n] + noise
-                wn = wn - cfg.eta * g
-            acc += wn
-        w = acc / problem.num_aps
+        wn = np.broadcast_to(w, shape)  # every AP starts from the global model
+        for _ in range(cfg.local_steps):
+            g = wn @ a - b_eff
+            if problem.noise_scale > 0:
+                g += scale * rng.standard_normal(shape)
+            wn = wn - cfg.eta * g
+        w = wn.mean(axis=0)
         gaps[:, t + 1] = _gap_rows(problem, w)
     return gaps
 
 
 def _gap_rows(problem: QuadraticProblem, w: np.ndarray) -> np.ndarray:
-    a = problem.a_matrices[0]
-    vals = 0.5 * np.einsum("rd,de,re->r", w, a, w) - w @ problem.b_mean
+    vals = 0.5 * np.einsum("rd,de,re->r", w, problem.a_matrix, w) - w @ problem.b_mean
     return vals - problem.f_star
 
 

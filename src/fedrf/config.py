@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -223,6 +224,11 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if any(s < 0 for s in t.seeds):
         raise ConfigError("training.seeds must be >= 0")
 
+    # NaN passes every comparison below, and an infinity overflows the runs
+    for key in ("noise_scale", "drift_scale", "mu_target", "smoothness_target",
+                "init_radius", "eta"):
+        if not math.isfinite(getattr(a, key)):
+            raise ConfigError(f"analysis.{key} must be finite, got {getattr(a, key)!r}")
     if a.dim < 1 or a.num_aps < 1:
         raise ConfigError("analysis.dim and analysis.num_aps must be >= 1")
     if a.noise_scale < 0 or a.drift_scale < 0:

@@ -61,12 +61,19 @@ class DatasetFile:
     iq: np.ndarray  # (n, window_len) complex64
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.uint16)
+        if self.num_transmitters > 1 << 16:
+            raise ValueError("at most 65536 transmitters (labels are u16)")
+        # checked before the u16 cast, which would wrap them silently
+        labels = np.asarray(self.labels)
+        if labels.size:
+            if labels.dtype.kind not in "iu":
+                raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+            if labels.min() < 0 or labels.max() >= self.num_transmitters:
+                raise ValueError("label outside [0, declared transmitter count)")
+        self.labels = labels.astype(np.uint16, copy=False)
         self.iq = np.asarray(self.iq, dtype=np.complex64)
         if self.iq.ndim != 2 or self.iq.shape != (len(self.labels), self.window_len):
             raise ValueError("iq array shape must be (record count, window_len)")
-        if len(self.labels) and int(self.labels.max()) >= self.num_transmitters:
-            raise ValueError("label exceeds declared transmitter count")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -143,6 +150,10 @@ def read_dataset(path) -> DatasetFile:
         raise UnsupportedVersionError(f"unsupported version {version}")
     if num_tx < 2:
         raise BadHeaderError(f"header declares {num_tx} transmitters, need at least 2")
+    if num_tx > 1 << 16:
+        raise BadHeaderError(
+            f"header declares {num_tx} transmitters, at most 65536 (labels are u16)"
+        )
     if window_len < 2:
         raise BadHeaderError(f"header declares window_len {window_len}, need at least 2")
     rec_dtype = _record_dtype(window_len)

@@ -128,7 +128,7 @@ def test_criterion_3_gradient_correctness():
         # quadratic surrogate
         prob = analysis.make_quadratic_problem(seed=9, dim=8, num_aps=1,
                                                noise_scale=0.0)
-        a, b = prob.a_matrices[0], prob.b_vectors[0]
+        a, b = prob.a_matrix, prob.b_vectors[0]
         loss_fn = lambda w: 0.5 * w @ a @ w - b @ w
         w0 = np.random.default_rng(11).standard_normal(8)
         qerr, _ = models.central_diff_max_error(
@@ -197,7 +197,7 @@ def test_criterion_6_noiseless_sanity():
             rounds=raw["rounds"], local_steps=1, batch_size=1, eta=raw["eta"]
         )
         trace = analysis.verify_bound(prob, cfg, seeds=1)
-        a = prob.a_matrices[0]
+        a = prob.a_matrix
         eigs, q = np.linalg.eigh(a)
         e0 = q.T @ (prob.w_init - prob.w_star)
         for t in range(raw["rounds"] + 1):

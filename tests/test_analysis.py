@@ -1,7 +1,13 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedrf import analysis, datafile, experiment, federation, modality, models
+from fedrf import analysis, cli, datafile, experiment, federation, modality, models
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +111,7 @@ def test_step_bound_m_monotone_in_rising_regime():
 
 def test_scalar_quadratic_exact_values():
     prob = analysis.QuadraticProblem(
-        a_matrices=np.array([[[2.0]]]),
+        a_matrix=np.array([[2.0]]),
         b_vectors=np.array([[2.0]]),
         noise_scale=0.0,
         w_init=np.array([0.0]),
@@ -120,7 +126,7 @@ def test_scalar_quadratic_exact_values():
 def test_quadratic_minimizer_and_spectrum():
     prob = analysis.make_quadratic_problem(seed=4, dim=8, num_aps=4, noise_scale=0.5)
     assert np.linalg.norm(prob.grad_global(prob.w_star)) <= 1e-10
-    eigs = np.linalg.eigvalsh(prob.a_matrices[0])
+    eigs = np.linalg.eigvalsh(prob.a_matrix)
     assert prob.mu <= eigs[0] + 1e-9
     assert eigs[-1] <= prob.smoothness + 1e-9
     assert prob.mu == pytest.approx(1.0, rel=1e-9)
@@ -131,7 +137,7 @@ def test_quadratic_drift_closed_form():
     a = np.array([[3.0, 0.0], [0.0, 1.0]])
     b = np.array([[1.0, 0.0], [0.0, 1.0]])  # b_mean = (0.5, 0.5)
     prob = analysis.QuadraticProblem(
-        a_matrices=np.stack([a, a]), b_vectors=b, noise_scale=0.0, w_init=np.zeros(2)
+        a_matrix=a, b_vectors=b, noise_scale=0.0, w_init=np.zeros(2)
     )
     # drift gradients are b_mean - b_n = (+-0.5, -+0.5): squared norm 0.5 each
     assert prob.zeta2 == pytest.approx(0.5, abs=1e-15)
@@ -218,7 +224,7 @@ def test_zeta2_iid_below_noniid():
 
 def test_smoothness_quadratic_bounded_by_top_eigenvalue():
     prob = analysis.make_quadratic_problem(seed=2, dim=4, num_aps=1, noise_scale=0.0)
-    a = prob.a_matrices[0]
+    a = prob.a_matrix
     grad_fn = lambda w: a @ w - prob.b_vectors[0]
     lo = analysis.smoothness_lower_bound(grad_fn, 4, 50, np.random.default_rng(5))
     hi = analysis.smoothness_lower_bound(grad_fn, 4, 2000, np.random.default_rng(5))
@@ -228,7 +234,7 @@ def test_smoothness_quadratic_bounded_by_top_eigenvalue():
 
 def test_smoothness_scales_linearly():
     prob = analysis.make_quadratic_problem(seed=3, dim=4, num_aps=1, noise_scale=0.0)
-    a = prob.a_matrices[0]
+    a = prob.a_matrix
     c = 3.5
     f1 = analysis.smoothness_lower_bound(
         lambda w: a @ w, 4, 200, np.random.default_rng(7)
@@ -255,7 +261,7 @@ def test_verify_bound_noiseless_matches_closed_form():
     cfg = analysis.QuadRunConfig(rounds=50, local_steps=1, batch_size=1, eta=0.05)
     trace = analysis.verify_bound(prob, cfg, seeds=1)
     # closed form via eigendecomposition of the exact gradient-descent map
-    a = prob.a_matrices[0]
+    a = prob.a_matrix
     eigs, q = np.linalg.eigh(a)
     e0 = q.T @ (prob.w_init - prob.w_star)
     for t in range(51):
@@ -280,6 +286,63 @@ def test_verify_bound_monte_carlo_and_m_ordering():
     assert t1.bound[0] == t3.bound[0]
     assert np.all(t3.bound[1:] < t1.bound[1:])
     assert np.all(t1.bound >= 0)
+
+
+@pytest.mark.parametrize("modality_count, batch_size", [(1, 1), (1, 8), (3, 8)])
+def test_one_step_noise_law_closed_form(modality_count, batch_size):
+    # one AP, one local step, one round: w1 - w* = (I - eta A)(w0 - w*) - eta xi,
+    # with xi ~ N(0, s^2 / (M d B) I), so E[gap1] adds eta^2 s^2 tr(A) / (2 M d B)
+    prob = analysis.make_quadratic_problem(
+        seed=12, dim=8, num_aps=1, noise_scale=1.0, init_radius=0.1
+    )
+    cfg = analysis.QuadRunConfig(rounds=1, local_steps=1, batch_size=batch_size,
+                                 eta=0.05, modality_count=modality_count, seed=4)
+    runs = 20_000
+    gap1 = analysis.simulate_quadratic_runs(prob, cfg, runs)[:, 1]
+    a = prob.a_matrix
+    e1 = (np.eye(prob.dim) - cfg.eta * a) @ (prob.w_init - prob.w_star)
+    noiseless = 0.5 * e1 @ a @ e1
+    noise = 0.5 * cfg.eta**2 * prob.noise_scale**2 * np.trace(a) / (
+        modality_count * prob.dim * batch_size
+    )
+    stderr = gap1.std(ddof=1) / np.sqrt(runs)
+    assert abs(gap1.mean() - (noiseless + noise)) <= 5 * stderr
+
+
+# sha256 of verify-bound's outputs. The quad_bound traces come from the
+# stream that draws each AP-step's batch-mean noise directly. The summaries
+# hold nothing that depends on the stream, and the noiseless run draws no
+# noise, so those bytes equal the ones the per-example stream wrote.
+BOUND_DIGESTS = [
+    ("quad_bound.json", 1,
+     "44be041d60ea4e5ee6162b1f3043591656e289a4e0c896c8d1fa71f21f39fce2",
+     "d59db9c494ad02f50b121307694de502c3c3fac93a9c7e9ce383bf5a588af575"),
+    ("quad_bound.json", 2,
+     "97212150f89b05e19fd8a57c4ae1d232cacfd7f2f97d1c39ff3fa9feb864f174",
+     "66efd8a7b530d09d4bae0a692447a340e913840d9e799a872291c4fd07635530"),
+    ("quad_bound.json", 3,
+     "dbce9dfe06fc17ab351aee12ae89f69d116b4264f7a36b6377448b6ad1c1b1c8",
+     "3b5d14c2884b84af6141beef43594fcc098117180fe84e6889aa36aa7fd7f39d"),
+    ("quad_noiseless.json", 1,
+     "7f2230ffcefa91ffd1ed21d4fe56cd26de16d79e99aafd5cda0fabd3695088dc",
+     "8b500b20d25cc4d4a518ddba03d8c08bd4703100e3a3f2639e1ac35c368ecb51"),
+]
+
+
+@pytest.mark.parametrize("name, modality_count, trace_digest, summary_digest",
+                         BOUND_DIGESTS)
+def test_verify_bound_output_bytes_are_pinned(
+    tmp_path, name, modality_count, trace_digest, summary_digest
+):
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw["analysis"]["modality_count"] = modality_count
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["verify-bound", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for filename, digest in ((cli.BOUND_TRACE_FILENAME, trace_digest),
+                             (cli.BOUND_SUMMARY_FILENAME, summary_digest)):
+        assert hashlib.sha256((out / filename).read_bytes()).hexdigest() == digest
 
 
 def test_verify_bound_deterministic():

@@ -454,6 +454,24 @@ def test_verify_bound_divergence_prints_one_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize("key, value", [
+    ("noise_scale", math.nan),
+    ("drift_scale", math.inf),
+    ("smoothness_target", math.inf),
+    ("mu_target", math.nan),
+    ("init_radius", -math.inf),
+    ("eta", math.nan),
+])
+def test_verify_bound_non_finite_analysis_value_prints_one_line(tmp_path, key, value):
+    # json.dumps writes NaN and Infinity, which Python's parser reads back
+    raw = json.loads((CONFIG_DIR / "quad_bound.json").read_text())
+    raw["analysis"][key] = value
+    proc = run_fedrf("verify-bound", "--config", str(write_cfg(tmp_path, raw)),
+                     "--out", str(tmp_path / "b"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: analysis.{key} must be finite, got {value!r}\n"
+
+
 def test_noniid_run_on_dataset_file_uses_its_label_count(tmp_path):
     # an 8-transmitter file; the config keeps the 16-transmitter generation default
     gen = small_desk(tmp_path, dataset={"num_transmitters": 8})

@@ -152,6 +152,32 @@ def test_label_bound_enforced():
         )
 
 
+@pytest.mark.parametrize("num_transmitters, labels", [
+    (1 << 16, np.array([0, 65537])),  # would wrap to 1 as u16
+    (1 << 16, np.array([0, -65535])),  # would wrap to 1 as u16
+    (4, np.array([0, -1])),
+    (4, np.array([0, 1.7])),  # would truncate to 1
+])
+def test_labels_checked_before_u16_cast(num_transmitters, labels):
+    with pytest.raises(ValueError, match="label"):
+        datafile.DatasetFile(
+            num_transmitters=num_transmitters,
+            window_len=2,
+            labels=labels,
+            iq=np.zeros((2, 2), dtype=np.complex64),
+        )
+
+
+def test_more_transmitters_than_u16_labels_rejected():
+    with pytest.raises(ValueError, match="at most 65536 transmitters"):
+        datafile.DatasetFile(
+            num_transmitters=70_000,
+            window_len=2,
+            labels=np.array([0, 1]),
+            iq=np.zeros((2, 2), dtype=np.complex64),
+        )
+
+
 def patched_dataset(tmp_path, offset, fmt, value):
     """A valid 2-transmitter file with one field overwritten in place."""
     path = tmp_path / "d.rfds"
@@ -165,6 +191,12 @@ def patched_dataset(tmp_path, offset, fmt, value):
 def test_header_with_one_transmitter_rejected(tmp_path):
     path = patched_dataset(tmp_path, 8, "<I", 1)
     with pytest.raises(datafile.BadHeaderError, match="1 transmitters, need at least 2"):
+        datafile.read_dataset(path)
+
+
+def test_header_with_too_many_transmitters_rejected(tmp_path):
+    path = patched_dataset(tmp_path, 8, "<I", 70_000)
+    with pytest.raises(datafile.BadHeaderError, match="70000 transmitters, at most 65536"):
         datafile.read_dataset(path)
 
 
