@@ -194,6 +194,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
 
     if m.kind not in ("softmax_linear", "mini_resnet"):
         raise ConfigError(f"model.kind must be softmax_linear or mini_resnet")
+    if not math.isfinite(m.l2_coeff):
+        raise ConfigError(f"model.l2_coeff must be finite, got {m.l2_coeff!r}")
     if m.l2_coeff < 0:
         raise ConfigError("model.l2_coeff must be >= 0")
     if min(m.block_channels) < 1 or m.hidden < 1:
@@ -209,6 +211,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("training.local_steps must be >= 1")
     if t.batch_size < 1:
         raise ConfigError("training.batch_size must be >= 1")
+    if not math.isfinite(t.eta):
+        raise ConfigError(f"training.eta must be finite, got {t.eta!r}")
     if t.eta <= 0:
         raise ConfigError("training.eta must be > 0")
     for mod in t.modalities:

@@ -70,8 +70,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.rounds < 0 or self.local_steps < 1 or self.batch_size < 1:
             raise ValueError("rounds must be >= 0; local_steps and batch_size >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
+        # false for NaN too
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
         if self.eval_stride < 1:
             raise ValueError("eval_stride must be >= 1")
 

@@ -9,11 +9,16 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   convolutions plus an additive skip each) separated by 2x1 max pooling
   along time, a trailing convolution, then two fully connected layers.
   Convolutions use odd-length kernels along the time axis with zero padding
-  and stride 1; the 2-wide column axis is never convolved. Each convolution
-  is an im2col GEMM: the K time shifts of the input form a patch matrix whose
-  rows are the (example, time, column) positions, so the forward pass, the
-  weight gradient and the input gradient are one matrix product each. The
-  first convolution's input gradient is never formed: no parameter needs it.
+  and stride 1; the 2-wide column axis is never convolved, so activations are
+  kept sequence-major, (n, cols, T, C), one time sequence per (example,
+  column). The input is transposed once at entry and back before fc1, whose
+  rows keep their (time, column, channel) meaning. Each convolution is an
+  im2col GEMM: a row's K*Cin patch is one contiguous window of the
+  zero-padded sequence, and a ones column carries the bias, so the forward
+  pass is ``patches @ [w; b]`` and the weight and bias gradients are
+  ``patches.T @ dy``. The input gradient is the windows of zero-padded dy
+  times the time-flipped kernel. The first convolution's input gradient is
+  never formed: no parameter needs it.
   Evaluation without gradients runs in near-equal blocks of at most
   ``EVAL_BLOCK_ROWS`` examples, so its patch matrices stay cache-sized. A
   batch larger than one block splits into blocks of at least half a block, so
@@ -24,7 +29,9 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   gradients are work arrays that the thread keeps from call to call (each up
   to ``SCRATCH_MAX_BYTES``), so a training step does not allocate, fault in
   and free them again; the products that fill them are the same, and so are
-  the bits.
+  the bits. All layers share one padded input or dy, one dy windows array
+  and one input gradient: the first two live for one call, and each input
+  gradient is used up by the next backward call.
 
 Everything is float64 and gradients are computed by hand so they can be
 verified against central finite differences.
@@ -39,12 +46,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 KIND_SOFTMAX = "softmax_linear"
 KIND_RESNET = "mini_resnet"
 
 # examples per mini_resnet evaluation block: at 64 samples and the default
-# widths a block's largest patch matrix is 4096 x 24 float64 values (0.8 MB),
+# widths a block's largest patch matrix is 4096 x 25 float64 values (0.8 MB),
 # where a 680-example batch would build 16 MB ones
 EVAL_BLOCK_ROWS = 32
 
@@ -68,8 +76,9 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.l2_coeff < 0:
-            raise ValueError("l2_coeff must be >= 0")
+        # false for NaN too
+        if not 0.0 <= self.l2_coeff < math.inf:
+            raise ValueError(f"l2_coeff must be finite and >= 0, got {self.l2_coeff!r}")
         if self.num_modalities < 1 or self.window_len < 2:
             raise ValueError("invalid input shape")
         if self.kind == KIND_RESNET:
@@ -194,16 +203,6 @@ class Batch:
 # ---------------------------------------------------------------------------
 # primitive ops
 
-def _tap_ranges(t: int, k: int):
-    """Per tap j: output times [lo, hi) read input time + s, s = j - k // 2."""
-    ranges = []
-    for j in range(k):
-        s = j - k // 2
-        lo = min(max(-s, 0), t)
-        ranges.append((lo, max(min(t, t - s), lo), s))
-    return ranges
-
-
 _scratch_arrays = threading.local()
 
 
@@ -227,74 +226,91 @@ def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def conv_time(x: np.ndarray, w: np.ndarray, b: np.ndarray, key: Optional[str] = None):
-    """Convolve along the time axis with zero padding; columns stay separate.
+def _windows(a: np.ndarray, k: int, key: Optional[str]) -> np.ndarray:
+    """Read-only (S, T, k*C) view: row (s, t) holds the k time steps of ``a``
+    (..., T, C) centred on t, zero-padded, with the leading axes merged into S.
 
-    x: (n, T, 2, Cin), w: (K, Cin, Cout), b: (Cout,). The K zero-padded time
-    shifts of x form a (n*T*2, K*Cin) patch matrix (im2col), so the whole
-    convolution is one GEMM. Returns (out, patches). With a ``key`` both are
-    kept work arrays (see ``_scratch``) that the key's next call overwrites.
+    ``a`` is copied into a padded work array under ``key``, in which each
+    window is one contiguous run of k*C values.
     """
-    n, t, cols, cin = x.shape
+    *lead, t, c = a.shape
+    p = k // 2
+    padded = _scratch(key, (*lead, t + 2 * p, c))
+    padded[..., :p, :] = 0.0
+    padded[..., p : p + t, :] = a
+    padded[..., p + t :, :] = 0.0
+    flat = padded.reshape(-1, (t + 2 * p) * c)
+    step = flat.itemsize
+    return as_strided(flat, (len(flat), t, k * c), (flat.strides[0], c * step, step),
+                      writeable=False)
+
+
+def conv_time(x: np.ndarray, w: np.ndarray, b: np.ndarray, key: Optional[str] = None):
+    """Convolve along the time axis with zero padding; sequences stay separate.
+
+    x: (n, cols, T, Cin), w: (K, Cin, Cout), b: (Cout,). Each row of the
+    (n*cols*T, K*Cin + 1) patch matrix is one window of x and a 1 that carries
+    the bias, so the convolution is one GEMM with ``[w; b]``. Returns (out,
+    patches). With a ``key`` both are kept work arrays (see ``_scratch``)
+    that the key's next call overwrites.
+    """
+    n, cols, t, cin = x.shape
     k, _, cout = w.shape
-    patches = _scratch(key and f"{key}.patches", (n, t, cols, k, cin))
-    for j, (lo, hi, s) in enumerate(_tap_ranges(t, k)):
-        patches[:, :lo, :, j] = 0.0
-        patches[:, lo:hi, :, j] = x[:, lo + s : hi + s]
-        patches[:, hi:, :, j] = 0.0
-    patches = patches.reshape(n * t * cols, k * cin)
-    out = np.matmul(patches, w.reshape(k * cin, cout),
-                    out=_scratch(key and f"{key}.out", (n * t * cols, cout)))
-    out += b
-    return out.reshape(n, t, cols, cout), patches
+    patches = _scratch(key and f"{key}.patches", (n * cols, t, k * cin + 1))
+    np.copyto(patches[..., :-1], _windows(x, k, key and "pad"))
+    patches[..., -1] = 1.0
+    patches = patches.reshape(n * cols * t, k * cin + 1)
+    wb = np.concatenate((w.reshape(k * cin, cout), b[None]))
+    out = np.matmul(patches, wb, out=_scratch(key and f"{key}.out", (n * cols * t, cout)))
+    return out.reshape(n, cols, t, cout), patches
 
 
 def conv_time_backward(patches: np.ndarray, w: np.ndarray, dy: np.ndarray,
                        input_grad: bool = True, key: Optional[str] = None):
     """Gradients of conv_time from its patch matrix; returns (dx, dw, db).
 
-    dx is None unless ``input_grad``. With a ``key``, dx is a kept work array
-    (see ``_scratch``) that the key's next call overwrites, and the patch
-    gradient, which does not outlive the call, uses one that all keys share.
+    dw and db are one ``patches.T @ dy`` product. dx is None unless
+    ``input_grad``; it is the windows of dy times the time-flipped kernel.
+    With a ``key``, dx, the padded dy and its windows are kept work arrays
+    (see ``_scratch``) that all keys share: the next keyed call overwrites dx,
+    and its dy may be that dx, as dy is read in full before dx is written.
     """
-    n, t, cols, cout = dy.shape
+    n, cols, t, cout = dy.shape
     k, cin, _ = w.shape
-    dy2 = dy.reshape(-1, cout)
-    dw = (patches.T @ dy2).reshape(w.shape)
-    db = dy2.sum(axis=0)
+    dwb = patches.T @ dy.reshape(-1, cout)
+    dw, db = dwb[:-1].reshape(w.shape), dwb[-1]
     if not input_grad:
         return None, dw, db
-    dpatches = _scratch(key and "dpatches", (n * t * cols, k * cin))
-    np.matmul(dy2, w.reshape(k * cin, cout).T, out=dpatches)
-    dpatches = dpatches.reshape(n, t, cols, k, cin)
-    dx = _scratch(key and f"{key}.dx", (n, t, cols, cin))
-    dx.fill(0.0)
-    for j, (lo, hi, s) in enumerate(_tap_ranges(t, k)):
-        dx[:, lo + s : hi + s] += dpatches[:, lo:hi, :, j]
-    return dx, dw, db
+    windows = _scratch(key and "dywindows", (n * cols, t, k * cout))
+    np.copyto(windows, _windows(dy, k, key and "pad"))
+    # dx[t] = sum over taps j of dy[t + p - j] @ w[j].T: the windows run j backwards
+    flipped = w[::-1].transpose(0, 2, 1).reshape(k * cout, cin)
+    dx = np.matmul(windows.reshape(-1, k * cout), flipped,
+                   out=_scratch(key and "dx", (n * cols * t, cin)))
+    return dx.reshape(n, cols, t, cin), dw, db
 
 
 def maxpool2_time(x: np.ndarray, key: Optional[str] = None):
     """Non-overlapping 2x1 max pooling along time; ties take the earlier sample.
 
-    Returns (out, idx) with idx True where the later sample of a pair won.
-    With a ``key``, out is a kept work array (see ``_scratch``), and so is the
-    result of ``maxpool2_time_backward`` with the same key.
+    x: (n, cols, T, C). Returns (out, idx) with idx True where the later sample
+    of a pair won. With a ``key``, out is a kept work array (see ``_scratch``),
+    and so is the result of ``maxpool2_time_backward`` with the same key.
     """
-    n, t, cols, c = x.shape
-    xr = x.reshape(n, t // 2, 2, cols, c)
-    first, second = xr[:, :, 0], xr[:, :, 1]
-    out = _scratch(key and f"{key}.pool", (n, t // 2, cols, c))
+    n, cols, t, c = x.shape
+    xr = x.reshape(n, cols, t // 2, 2, c)
+    first, second = xr[..., 0, :], xr[..., 1, :]
+    out = _scratch(key and f"{key}.pool", (n, cols, t // 2, c))
     return np.maximum(first, second, out=out), second > first
 
 
 def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray, t: int,
                            key: Optional[str] = None) -> np.ndarray:
-    n, th, cols, c = dy.shape
-    dxr = _scratch(key and f"{key}.dpool", (n, th, 2, cols, c))
-    np.multiply(dy, ~idx, out=dxr[:, :, 0])
-    np.multiply(dy, idx, out=dxr[:, :, 1])
-    return dxr.reshape(n, t, cols, c)
+    n, cols, th, c = dy.shape
+    dxr = _scratch(key and f"{key}.dpool", (n, cols, th, 2, c))
+    np.multiply(dy, ~idx, out=dxr[..., 0, :])
+    np.multiply(dy, idx, out=dxr[..., 1, :])
+    return dxr.reshape(n, cols, t, c)
 
 
 def _shifted_exp(logits: np.ndarray):
@@ -353,7 +369,7 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
         return z, (patches if keep else None)
 
     def relu(z):
-        # in place: every z here is its own layer's work array
+        # in place: every z here is its own layer's work array or a fresh copy
         mask = z > 0 if keep else None
         return np.maximum(z, 0.0, out=z), mask
 
@@ -366,14 +382,16 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
         out, mo = relu(pre)
         pooled, pidx = maxpool2_time(out, key=name)
         if keep:
-            cache[name] = (p1, p2, p3, m2, mo, pidx, out.shape[1])
+            cache[name] = (p1, p2, p3, m2, mo, pidx, out.shape[2])
             cache["masks"].extend([m2, mo, pidx])
         return pooled
 
-    h = block("block2", block("block1", x))
+    # sequence-major inside: (n, cols, T, C), one time sequence per (example, column)
+    h = block("block2", block("block1", x.transpose(0, 2, 1, 3)))
     am, pm = conv("mid_conv", h)
-    am, mm = relu(am)
-    flat = am.reshape(am.shape[0], -1)
+    # fc1 rows are in (time, column, channel) order
+    flat = am.transpose(0, 2, 1, 3).reshape(len(am), -1)
+    flat, mm = relu(flat)
     a1f, m1 = relu(flat @ views["fc1.w"] + views["fc1.b"])
     logits = a1f @ views["fc2.w"] + views["fc2.b"]
     if keep:
@@ -451,8 +469,8 @@ def _loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: n
         gviews["fc1.w"] += flat.T @ dz1
         gviews["fc1.b"] += dz1.sum(axis=0)
         dflat = dz1 @ views["fc1.w"].T
-        dam = dflat.reshape(am_shape)
-        dzm = dam * mm
+        n, cols, tq, c = am_shape
+        dzm = (dflat * mm).reshape(n, tq, cols, c).transpose(0, 2, 1, 3).copy()
         dh, dw, db = conv_time_backward(pm, views["mid_conv.w"], dzm, key="mid_conv")
         gviews["mid_conv.w"] += dw
         gviews["mid_conv.b"] += db

@@ -236,6 +236,21 @@ def test_gen_data_rejects_snr_beyond_float32_range(tmp_path, capsys):
     assert manifest["status"] == "failed" and manifest["error"] == error
 
 
+@pytest.mark.parametrize("command", ["gen-data", "run"])
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "eta", math.nan),
+    ("training", "eta", math.inf),
+    ("model", "l2_coeff", math.nan),
+    ("model", "l2_coeff", math.inf),
+])
+def test_non_finite_eta_and_l2_rejected_in_one_line(tmp_path, capsys, command, section, key, value):
+    cfg_path = small_desk(tmp_path, **{section: {key: value}})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {section}.{key} must be finite, got {value!r}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: run
 
@@ -376,6 +391,9 @@ BAD_MODELS = {
                       "unknown model kind 'bogus'"),
     "params_length": (lambda e: {**e, "params": e["params"][:-1]},
                       "params has shape (131,), but the spec needs (132,)"),
+    # json writes NaN, and reads it back
+    "l2_nan": (lambda e: {**e, "spec": str(e["spec"]).replace('"l2_coeff": 0.001', '"l2_coeff": NaN')},
+               "l2_coeff must be finite and >= 0, got nan"),
 }
 
 

@@ -154,6 +154,14 @@ def test_shared_label_examples_split_evenly():
 # ---------------------------------------------------------------------------
 # local training and aggregation
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_training_config_rejects_non_finite_eta(eta):
+    split = federation.SplitDataset(2, 8, np.zeros((2, 8), np.complex64), np.arange(2),
+                                    np.zeros((2, 8), np.complex64), np.arange(2))
+    with pytest.raises(ValueError, match=f"eta must be finite and > 0, got {eta!r}"):
+        small_cfg(split, eta=eta)
+
+
 def test_local_train_zero_eta_is_identity():
     split = make_split()
     part = federation.partition_iid(split, 2, seed=1, selection=("iq",))

@@ -23,6 +23,11 @@ def random_batch(spec, n, seed=0):
     return models.Batch(x, y)
 
 
+def seq(a):
+    """(n, T, cols, C) <-> (n, cols, T, C): the kernels' sequence-major layout."""
+    return np.ascontiguousarray(np.swapaxes(a, 1, 2))
+
+
 def probabilities(spec, params, x):
     """Class probabilities, shape (n, num_classes)."""
     return models._softmax(models._logits(spec, params, x)[0])
@@ -163,7 +168,7 @@ def test_resnet_structure():
     views = models.param_views(spec, params)
     x = np.zeros((1,) + spec.input_shape)
     shapes = {}
-    h = x
+    h = seq(x)
     for block, pool in (("block1", "pool1"), ("block2", "pool2")):
         for conv in ("conv1", "conv2", "conv3"):
             h, _ = models.conv_time(h, views[f"{block}.{conv}.w"], views[f"{block}.{conv}.b"])
@@ -172,13 +177,13 @@ def test_resnet_structure():
         shapes[pool] = h.shape[1:]
     h, _ = models.conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
     shapes["mid_conv"] = h.shape[1:]
-    h = h.reshape(1, -1) @ views["fc1.w"]
+    h = seq(h).reshape(1, -1) @ views["fc1.w"]
     shapes["fc1"] = h.shape[1:]
     shapes["fc2"] = (h @ views["fc2.w"]).shape[1:]
     assert shapes == {
-        "block1": (256, 2, 16), "pool1": (128, 2, 16),
-        "block2": (128, 2, 32), "pool2": (64, 2, 32),
-        "mid_conv": (64, 2, 16), "fc1": (80,), "fc2": (163,),
+        "block1": (2, 256, 16), "pool1": (2, 128, 16),
+        "block2": (2, 128, 32), "pool2": (2, 64, 32),
+        "mid_conv": (2, 64, 16), "fc1": (80,), "fc2": (163,),
     }
     assert models._logits(spec, params, x)[0].shape == (1, 163)
     # each residual block carries exactly three convolutions
@@ -200,12 +205,12 @@ def test_resnet_skip_isolation():
     batch = random_batch(spec, 3, seed=11)
     got = probabilities(spec, params, batch.inputs)
 
-    h = batch.inputs
+    h = seq(batch.inputs)
     for block in ("block1", "block2"):
         h1, _ = models.conv_time(h, views[f"{block}.conv1.w"], views[f"{block}.conv1.b"])
         h, _ = models.maxpool2_time(np.maximum(h1, 0.0))
     zm, _ = models.conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
-    flat = np.maximum(zm, 0.0).reshape(len(batch), -1)
+    flat = seq(np.maximum(zm, 0.0)).reshape(len(batch), -1)
     a1 = np.maximum(flat @ views["fc1.w"] + views["fc1.b"], 0.0)
     logits = a1 @ views["fc2.w"] + views["fc2.b"]
     ref = models._softmax(logits)
@@ -284,6 +289,12 @@ def test_spec_validation():
         models.ModelSpec("mini_resnet", 16, 1, 3, kernel_len=2)
 
 
+@pytest.mark.parametrize("l2", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_l2(l2):
+    with pytest.raises(ValueError, match=f"l2_coeff must be finite and >= 0, got {l2!r}"):
+        models.ModelSpec("mini_resnet", 16, 1, 3, l2_coeff=l2)
+
+
 # ---------------------------------------------------------------------------
 # mini_resnet kernels against naive references
 
@@ -325,31 +336,115 @@ def naive_conv_time_backward(x, w, dy):
 def test_conv_time_matches_naive_loop(kernel_len):
     rng = np.random.default_rng(kernel_len)
     n, cin, cout = (int(v) for v in rng.integers(1, 6, size=3))
-    t = int(rng.integers(2, 9))
-    x = rng.standard_normal((n, t, 2, cin))
-    w = rng.standard_normal((kernel_len, cin, cout))
-    b = rng.standard_normal(cout)
-    dy = rng.standard_normal((n, t, 2, cout))
+    # a drawn length, and lengths below the kernel (mid_conv runs at T=1 when window_len is 4)
+    for t in (int(rng.integers(2, 9)), 1, 2):
+        x = rng.standard_normal((n, t, 2, cin))
+        w = rng.standard_normal((kernel_len, cin, cout))
+        b = rng.standard_normal(cout)
+        dy = rng.standard_normal((n, t, 2, cout))
 
-    out, patches = models.conv_time(x, w, b)
-    assert patches.shape == (n * t * 2, kernel_len * cin)
-    assert np.allclose(out, naive_conv_time(x, w, b), rtol=0, atol=1e-12)
-    for got, ref in zip(models.conv_time_backward(patches, w, dy),
-                        naive_conv_time_backward(x, w, dy)):
-        assert got.shape == ref.shape
-        assert np.allclose(got, ref, rtol=0, atol=1e-12)
-    dx, dw, db = models.conv_time_backward(patches, w, dy, input_grad=False)
-    assert dx is None
-    _, dw_ref, db_ref = models.conv_time_backward(patches, w, dy)
-    assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref)
+        out, patches = models.conv_time(seq(x), w, b)
+        assert patches.shape == (n * 2 * t, kernel_len * cin + 1)
+        assert np.allclose(seq(out), naive_conv_time(x, w, b), rtol=0, atol=1e-12)
+        dx, dw, db = models.conv_time_backward(patches, w, seq(dy))
+        for got, ref in zip((seq(dx), dw, db), naive_conv_time_backward(x, w, dy)):
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
+        no_dx, dw_only, db_only = models.conv_time_backward(patches, w, seq(dy), input_grad=False)
+        assert no_dx is None
+        assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
+
+
+def naive_resnet_loss_and_grad(spec, params, x, labels):
+    """(logits, loss, grad) of mini_resnet from the loop kernels, in (n, T, cols, C) layout.
+
+    Pooling takes explicit 2x1 pairs along time, and fc1's input is flattened
+    in (time, column, channel) order: together with ``param_layout`` this is
+    what a saved parameter vector means.
+    """
+    v = models.param_views(spec, params)
+    g = {name: np.zeros_like(a) for name, a in v.items()}
+    relu = lambda a: np.maximum(a, 0.0)
+    conv = lambda name, h: naive_conv_time(h, v[f"{name}.w"], v[f"{name}.b"])
+
+    def conv_back(name, h, dy):
+        dx, dw, db = naive_conv_time_backward(h, v[f"{name}.w"], dy)
+        g[f"{name}.w"] += dw
+        g[f"{name}.b"] += db
+        return dx
+
+    n, cols = len(x), x.shape[2]
+    trace, h = [], x
+    for block in ("block1", "block2"):
+        a1 = conv(f"{block}.conv1", h)
+        z2 = conv(f"{block}.conv2", a1)
+        pre = conv(f"{block}.conv3", relu(z2)) + a1
+        out = relu(pre)
+        pooled = np.empty((n, out.shape[1] // 2) + out.shape[2:])
+        for i in range(pooled.shape[1]):
+            pooled[:, i] = np.where(out[:, 2 * i + 1] > out[:, 2 * i], out[:, 2 * i + 1], out[:, 2 * i])
+        trace.append((block, h, a1, z2, pre, out))
+        h = pooled
+    zm = conv("mid_conv", h)
+    tq, c = zm.shape[1], zm.shape[3]
+    flat = np.empty((n, tq * cols * c))
+    for t in range(tq):
+        for col in range(cols):
+            flat[:, (t * cols + col) * c : (t * cols + col + 1) * c] = relu(zm[:, t, col])
+    z1 = flat @ v["fc1.w"] + v["fc1.b"]
+    logits = relu(z1) @ v["fc2.w"] + v["fc2.b"]
+
+    probs = models._softmax(logits)
+    loss = np.mean(-np.log(probs[np.arange(n), labels])) + 0.5 * spec.l2_coeff * params @ params
+    dlogits = (probs - np.eye(spec.num_classes)[labels]) / n
+    g["fc2.w"] += relu(z1).T @ dlogits
+    g["fc2.b"] += dlogits.sum(axis=0)
+    dz1 = (dlogits @ v["fc2.w"].T) * (z1 > 0)
+    g["fc1.w"] += flat.T @ dz1
+    g["fc1.b"] += dz1.sum(axis=0)
+    dflat = dz1 @ v["fc1.w"].T
+    dzm = np.empty_like(zm)
+    for t in range(tq):
+        for col in range(cols):
+            dzm[:, t, col] = dflat[:, (t * cols + col) * c : (t * cols + col + 1) * c]
+    dh = conv_back("mid_conv", h, dzm * (zm > 0))
+    for block, h, a1, z2, pre, out in reversed(trace):
+        dout = np.zeros_like(out)
+        for i in range(dh.shape[1]):
+            later = out[:, 2 * i + 1] > out[:, 2 * i]
+            dout[:, 2 * i] = np.where(later, 0.0, dh[:, i])
+            dout[:, 2 * i + 1] = np.where(later, dh[:, i], 0.0)
+        dpre = dout * (pre > 0)
+        dz2 = conv_back(f"{block}.conv3", relu(z2), dpre) * (z2 > 0)
+        da1 = conv_back(f"{block}.conv2", a1, dz2) + dpre
+        dh = conv_back(f"{block}.conv1", h, da1)
+    grad = np.concatenate([g[name].ravel() for name, _ in models.param_layout(spec)])
+    return logits, loss, grad + spec.l2_coeff * params
+
+
+@pytest.mark.parametrize("kernel_len", [1, 3, 5])
+def test_resnet_matches_naive_network(kernel_len):
+    # window_len 8: mid_conv runs at T=2, below kernel_len 5
+    spec = models.ModelSpec("mini_resnet", 8, 2, 5, l2_coeff=1e-3, block_channels=(3, 4),
+                            kernel_len=kernel_len, hidden=6)
+    rng = np.random.default_rng(30 + kernel_len)
+    params = 0.5 * rng.standard_normal(models.num_params(spec))
+    batch = random_batch(spec, 4, seed=kernel_len)
+    logits, loss, grad = naive_resnet_loss_and_grad(spec, params, batch.inputs, batch.labels)
+    for keep in (False, True):
+        got, _ = models._logits(spec, params, batch.inputs, keep=keep)
+        assert np.allclose(got, logits, rtol=0, atol=1e-10)
+    got_loss, got_grad = models.loss_and_grad(spec, params, batch)
+    assert abs(got_loss - loss) <= 1e-10
+    assert np.allclose(got_grad, grad, rtol=0, atol=1e-10)
 
 
 def test_maxpool2_time_tie_takes_earlier_sample():
-    x = np.array([3.0, 3.0, 1.0, 2.0, 5.0, 4.0]).reshape(1, 6, 1, 1)
+    x = np.array([3.0, 3.0, 1.0, 2.0, 5.0, 4.0]).reshape(1, 1, 6, 1)
     out, idx = models.maxpool2_time(x)
     assert out.ravel().tolist() == [3.0, 2.0, 5.0]
     assert idx.ravel().tolist() == [False, True, False]
-    dx = models.maxpool2_time_backward(idx, np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1), 6)
+    dx = models.maxpool2_time_backward(idx, np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1), 6)
     assert dx.ravel().tolist() == [1.0, 0.0, 0.0, 2.0, 3.0, 0.0]
 
 
@@ -379,14 +474,16 @@ def test_blocked_eval_logits_equal_one_pass(sizes):
 
 
 def test_keyed_conv_work_arrays_match_fresh_ones():
-    # a key hands the next call its previous memory, here first filled with nan
-    models._scratch("test.conv.patches", (9 * 8 * 2 * 3 * 2,))[:] = np.nan
+    # a key hands the next call its previous memory, here first filled with nan;
+    # the padded input or dy, the dy windows and dx are shared by all keys
+    for key in ("test.conv.patches", "pad", "dywindows", "dx"):
+        models._scratch(key, (9 * 2 * 8 * (3 * 4 + 1),))[:] = np.nan
     rng = np.random.default_rng(5)
     w = rng.standard_normal((3, 2, 4))
     b = rng.standard_normal(4)
     for n in (6, 3, 9):
-        x = rng.standard_normal((n, 8, 2, 2))
-        dy = rng.standard_normal((n, 8, 2, 4))
+        x = rng.standard_normal((n, 2, 8, 2))
+        dy = rng.standard_normal((n, 2, 8, 4))
         out, patches = models.conv_time(x, w, b, key="test.conv")
         ref_out, ref_patches = models.conv_time(x, w, b)
         assert np.array_equal(out, ref_out) and np.array_equal(patches, ref_patches)
@@ -396,8 +493,8 @@ def test_keyed_conv_work_arrays_match_fresh_ones():
         pooled, idx = models.maxpool2_time(x, key="test.pool")
         ref_pooled, ref_idx = models.maxpool2_time(x)
         assert np.array_equal(pooled, ref_pooled) and np.array_equal(idx, ref_idx)
-        dpool = models.maxpool2_time_backward(idx, x[:, ::2], 8, key="test.pool")
-        assert np.array_equal(dpool, models.maxpool2_time_backward(idx, x[:, ::2], 8))
+        dpool = models.maxpool2_time_backward(idx, x[:, :, ::2], 8, key="test.pool")
+        assert np.array_equal(dpool, models.maxpool2_time_backward(idx, x[:, :, ::2], 8))
 
 
 def test_scratch_keeps_only_small_keyed_arrays():
