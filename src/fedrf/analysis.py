@@ -180,15 +180,6 @@ class QuadraticProblem:
     def f_global(self, w: np.ndarray) -> float:
         return float(0.5 * w @ self.a_matrix @ w - self.b_mean @ w)
 
-    def grad_local(self, ap: int, w: np.ndarray) -> np.ndarray:
-        return self.a_matrix @ w - self.b_vectors[ap]
-
-    def grad_global(self, w: np.ndarray) -> np.ndarray:
-        return self.a_matrix @ w - self.b_mean
-
-    def gap(self, w: np.ndarray) -> float:
-        return self.f_global(w) - self.f_star
-
     def sigma2(self, batch_size: int) -> float:
         """Exact per-step stochastic gradient variance at this batch size."""
         return self.noise_scale**2 / batch_size

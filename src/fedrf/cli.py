@@ -10,6 +10,13 @@ Subcommands:
 
 All outputs are deterministic functions of the config file, so repeated
 invocations produce byte-identical artifacts.
+
+``main`` owns every failure: it reads the config and creates the output
+directory, then calls the subcommand, which lists each file it writes and
+raises on failure. Every subcommand leaves a ``manifest.json`` whose status
+is ``"complete"`` or ``"failed"``; every failure is one ``error:`` line on
+stderr and exit status 1. A failure before the output directory exists
+writes no manifest.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ def _load_config(args) -> cfg_mod.ExperimentConfig:
     cfg = cfg_mod.parse_config(args.config)
     if args.seed_override is not None:
         cfg.training.seeds = (args.seed_override,)
+        cfg_mod.validate(cfg)
     return cfg
 
 
@@ -131,60 +139,42 @@ def _write_metrics(out: Path, results, num_aps: int) -> str:
     return METRICS_FILENAME
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    try:
-        ds = experiment.load_dataset(cfg)
-    except ValueError as exc:
-        _write_manifest(out, cfg, "failed", [], error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_gen_data(args, cfg, out: Path, outputs: List[str]) -> None:
+    ds = experiment.load_dataset(cfg)
     datafile.write_dataset(ds, out / DATASET_FILENAME)
-    _write_manifest(out, cfg, "complete", [DATASET_FILENAME])
+    outputs.append(DATASET_FILENAME)
     print(f"wrote {out / DATASET_FILENAME} ({len(ds)} records)")
-    return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    outputs: List[str] = []
-    try:
-        ds = experiment.load_dataset(cfg)
-        results = []
-        for seed in cfg.training.seeds:
-            result = experiment.run_single(cfg, seed, ds=ds)
-            results.append(result)
-            model_name = f"model_seed{seed}.npz"
-            save_model(out / model_name, result)
-            outputs.append(model_name)
-        outputs.append(_write_metrics(out, results, cfg.partition.num_aps))
-        if cfg.analysis.enabled:
-            _run_bound_check(cfg, out)
-            outputs.extend([BOUND_TRACE_FILENAME, BOUND_SUMMARY_FILENAME])
-            estimates = {
-                f"seed{r.seed}": asdict(experiment.assumptions_for_run(cfg, r))
-                for r in results
-            }
-            (out / ASSUMPTIONS_FILENAME).write_text(
-                json.dumps(estimates, indent=2, sort_keys=True) + "\n"
-            )
-            outputs.append(ASSUMPTIONS_FILENAME)
-        if cfg.personalization.enabled:
-            lines = ["run_id,ap,before_acc,after_acc"]
-            for result in results:
-                for r in experiment.personalize_run(cfg, result):
-                    lines.append(
-                        f"seed{result.seed},{r.ap},{_fmt(r.before_acc)},{_fmt(r.after_acc)}"
-                    )
-            (out / PERSONALIZE_FILENAME).write_text("\n".join(lines) + "\n")
-            outputs.append(PERSONALIZE_FILENAME)
-    except Exception as exc:  # noqa: BLE001 - manifest must record the failure
-        _write_manifest(out, cfg, "failed", outputs, error=str(exc))
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
-    _write_manifest(out, cfg, "complete", outputs)
+def cmd_run(args, cfg, out: Path, outputs: List[str]) -> None:
+    ds = experiment.load_dataset(cfg)
+    results = []
+    for seed in cfg.training.seeds:
+        result = experiment.run_single(cfg, seed, ds)
+        results.append(result)
+        model_name = f"model_seed{seed}.npz"
+        save_model(out / model_name, result)
+        outputs.append(model_name)
+    outputs.append(_write_metrics(out, results, cfg.partition.num_aps))
+    if cfg.analysis.enabled:
+        _run_bound_check(cfg, out, outputs)
+        estimates = {
+            f"seed{r.seed}": asdict(experiment.assumptions_for_run(cfg, r))
+            for r in results
+        }
+        (out / ASSUMPTIONS_FILENAME).write_text(
+            json.dumps(estimates, indent=2, sort_keys=True) + "\n"
+        )
+        outputs.append(ASSUMPTIONS_FILENAME)
+    if cfg.personalization.enabled:
+        lines = ["run_id,ap,before_acc,after_acc"]
+        for result in results:
+            for r in experiment.personalize_run(cfg, result):
+                lines.append(
+                    f"seed{result.seed},{r.ap},{_fmt(r.before_acc)},{_fmt(r.after_acc)}"
+                )
+        (out / PERSONALIZE_FILENAME).write_text("\n".join(lines) + "\n")
+        outputs.append(PERSONALIZE_FILENAME)
     for result in results:
         final = result.metrics[-1] if result.metrics else None
         if final is not None:
@@ -192,11 +182,13 @@ def cmd_run(args) -> int:
                 f"seed{result.seed}: round {final.round} "
                 f"loss {final.global_loss:.4f} acc {final.global_acc:.4f}"
             )
-    return 0
 
 
-def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path) -> dict:
-    """Write the bound trace and summary files; returns the summary."""
+def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path, outputs: List[str]) -> dict:
+    """Write the bound trace and summary files, listing each in ``outputs``.
+
+    Returns the summary.
+    """
     a = cfg.analysis
     problem = analysis.make_quadratic_problem(
         seed=a.seed,
@@ -224,6 +216,7 @@ def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path) -> dict:
             f"{_fmt(trace.stderr[i])},{_fmt(trace.bound[i])}"
         )
     (out / BOUND_TRACE_FILENAME).write_text("\n".join(lines) + "\n")
+    outputs.append(BOUND_TRACE_FILENAME)
     summary = {
         "rounds": int(qcfg.rounds),
         "mc_seeds": int(a.mc_seeds),
@@ -240,59 +233,44 @@ def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path) -> dict:
     (out / BOUND_SUMMARY_FILENAME).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
+    outputs.append(BOUND_SUMMARY_FILENAME)
     return summary
 
 
-def cmd_verify_bound(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    try:
-        summary = _run_bound_check(cfg, out)
-    except analysis.BoundInapplicableError as exc:
-        print(f"bound inapplicable: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
+    summary = _run_bound_check(cfg, out, outputs)
     print(
         f"bound check: {summary['violation_count']} violation(s) "
         f"over {summary['rounds']} rounds"
     )
-    return 0
 
 
-def cmd_personalize(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    try:
-        params, spec, seed, modalities = load_model(Path(args.model))
-        ds = experiment.load_dataset(cfg)
-        saved = dict(asdict(spec), modalities=modalities)
-        wanted = dict(
-            asdict(experiment.build_spec(cfg, ds.num_transmitters, ds.window_len)),
-            modalities=cfg.training.modalities,
+def cmd_personalize(args, cfg, out: Path, outputs: List[str]) -> None:
+    params, spec, seed, modalities = load_model(Path(args.model))
+    ds = experiment.load_dataset(cfg)
+    saved = dict(asdict(spec), modalities=modalities)
+    wanted = dict(
+        asdict(experiment.build_spec(cfg, ds.num_transmitters, ds.window_len)),
+        modalities=cfg.training.modalities,
+    )
+    if saved != wanted:
+        field = next(key for key in saved if saved[key] != wanted[key])
+        raise ValueError(
+            f"model {args.model}: {field} is {saved[field]}, "
+            f"but the config gives {wanted[field]}"
         )
-        if saved != wanted:
-            field = next(key for key in saved if saved[key] != wanted[key])
-            raise ValueError(
-                f"model {args.model}: {field} is {saved[field]}, "
-                f"but the config gives {wanted[field]}"
-            )
-        split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
-        partition = experiment.build_partition(split, cfg, seed)
-        train_cfg = experiment.training_config(cfg, spec, seed)
-        steps = experiment.resolve_fine_tune_steps(cfg, partition)
-        results = federation.personalize(split, partition, params, steps, train_cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
+    partition = experiment.build_partition(split, cfg, seed)
+    train_cfg = experiment.training_config(cfg, spec, seed)
+    steps = experiment.resolve_fine_tune_steps(cfg, partition)
+    results = federation.personalize(split, partition, params, steps, train_cfg)
     lines = ["ap,before_acc,after_acc"]
     for r in results:
         lines.append(f"{r.ap},{_fmt(r.before_acc)},{_fmt(r.after_acc)}")
     (out / PERSONALIZE_FILENAME).write_text("\n".join(lines) + "\n")
+    outputs.append(PERSONALIZE_FILENAME)
     for r in results:
         print(f"ap{r.ap}: before {r.before_acc:.4f} after {r.after_acc:.4f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,11 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    out = None
+    outputs: List[str] = []
     try:
-        return args.fn(args)
-    except (cfg_mod.ConfigError, FileNotFoundError, datafile.DatasetFormatError) as exc:
+        cfg = _load_config(args)
+        out = _out_dir(args, cfg)
+        args.fn(args, cfg, out, outputs)
+    except Exception as exc:  # noqa: BLE001 - every failure ends in one line and exit 1
+        if out is not None:
+            _write_manifest(out, cfg, "failed", outputs, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _write_manifest(out, cfg, "complete", outputs)
+    return 0
 
 
 if __name__ == "__main__":

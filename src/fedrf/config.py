@@ -267,7 +267,11 @@ def parse_config(path) -> ExperimentConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     return from_dict(raw)

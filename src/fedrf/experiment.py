@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -103,13 +104,9 @@ def training_config(
 
 
 def run_single(
-    cfg: cfg_mod.ExperimentConfig,
-    seed: int,
-    ds: Optional[datafile.DatasetFile] = None,
+    cfg: cfg_mod.ExperimentConfig, seed: int, ds: datafile.DatasetFile
 ) -> RunResult:
     """One complete federated run for one seed."""
-    if ds is None:
-        ds = load_dataset(cfg)
     split = split_train_test(ds, cfg.dataset.test_fraction, seed)
     partition = build_partition(split, cfg, seed)
     spec = build_spec(cfg, ds.num_transmitters, ds.window_len)
@@ -134,7 +131,7 @@ def resolve_fine_tune_steps(
     if steps is not None:
         return steps
     largest = max(len(ix) for ix in partition.indices)
-    return federation.default_fine_tune_steps(largest, cfg.training.batch_size)
+    return 5 * math.ceil(largest / min(cfg.training.batch_size, largest))
 
 
 def personalize_run(

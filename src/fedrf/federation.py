@@ -415,8 +415,3 @@ def personalize(
             PersonalizationResult(ap=n, before_acc=before, after_acc=after, params=tuned[n])
         )
     return results
-
-
-def default_fine_tune_steps(shard_size: int, batch_size: int, epochs: int = 5) -> int:
-    """SGD step count equal to ``epochs`` passes over a shard."""
-    return epochs * math.ceil(shard_size / min(batch_size, shard_size))

@@ -125,7 +125,7 @@ def test_scalar_quadratic_exact_values():
 
 def test_quadratic_minimizer_and_spectrum():
     prob = analysis.make_quadratic_problem(seed=4, dim=8, num_aps=4, noise_scale=0.5)
-    assert np.linalg.norm(prob.grad_global(prob.w_star)) <= 1e-10
+    assert np.linalg.norm(prob.a_matrix @ prob.w_star - prob.b_mean) <= 1e-10
     eigs = np.linalg.eigvalsh(prob.a_matrix)
     assert prob.mu <= eigs[0] + 1e-9
     assert eigs[-1] <= prob.smoothness + 1e-9
@@ -143,8 +143,9 @@ def test_quadratic_drift_closed_form():
     assert prob.zeta2 == pytest.approx(0.5, abs=1e-15)
     rng = np.random.default_rng(0)
     w = rng.standard_normal(2)
+    global_grad = prob.a_matrix @ w - prob.b_mean
     drift = np.mean(
-        [np.sum((prob.grad_local(n, w) - prob.grad_global(w)) ** 2) for n in range(2)]
+        [np.sum((prob.a_matrix @ w - prob.b_vectors[n] - global_grad) ** 2) for n in range(2)]
     )
     assert drift == pytest.approx(prob.zeta2, abs=1e-12)
 

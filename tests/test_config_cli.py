@@ -153,7 +153,7 @@ def test_dataset_path_skips_generation_range_checks(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     assert cli.main(["run", "--config", str(write_cfg(tmp_path, raw)), "--out", "r"]) == 1
     assert capsys.readouterr().err == (
-        "run failed: [Errno 2] No such file or directory: 'x.rfds'\n"
+        "error: [Errno 2] No such file or directory: 'x.rfds'\n"
     )
 
 
@@ -302,6 +302,14 @@ def test_run_model_loadable_and_seed_override(tmp_path):
     assert params.shape[0] == 16 * 2 * 1 * 4 + 4
 
 
+def test_seed_override_validated_like_training_seeds(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(small_desk(tmp_path)), "--out", str(out),
+                     "--seed-override", "-1"]) == 1
+    assert capsys.readouterr().err == "error: training.seeds must be >= 0\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI: personalize
 
@@ -315,6 +323,9 @@ def test_personalize_cmd(tmp_path):
     assert rc == 0
     lines = (pout / cli.PERSONALIZE_FILENAME).read_text().splitlines()
     assert lines[0] == "ap,before_acc,after_acc"
+    manifest = json.loads((pout / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["outputs"] == [cli.PERSONALIZE_FILENAME]
     assert len(lines) == 3  # one row per AP
     # i.i.d.: identical before accuracy at every AP
     befores = {line.split(",")[1] for line in lines[1:]}
@@ -446,6 +457,9 @@ def test_verify_bound_cmd(tmp_path):
     assert cli.main(["verify-bound", "--config", str(cfg_path), "--out", str(out)]) == 0
     summary = json.loads((out / cli.BOUND_SUMMARY_FILENAME).read_text())
     assert summary["violation_count"] == 0
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["outputs"] == [cli.BOUND_SUMMARY_FILENAME, cli.BOUND_TRACE_FILENAME]
     lines = (out / cli.BOUND_TRACE_FILENAME).read_text().splitlines()
     assert lines[0] == "round,empirical_gap,stderr,bound"
     assert len(lines) == 22  # header + rounds 0..20
@@ -547,7 +561,7 @@ def test_run_fine_tuning_divergence_fails(tmp_path, capsys):
     assert manifest["status"] == "failed"
     error = "fine-tuning diverged at AP 0: parameters are not finite"
     assert manifest["error"] == error
-    assert capsys.readouterr().err == f"run failed: {error}\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
     rc = cli.main(["personalize", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
                    "--model", str(out / "model_seed1.npz")])
     assert rc == 1
@@ -564,7 +578,7 @@ def test_run_divergence_prints_one_line(tmp_path):
     proc = run_fedrf("run", "--config", str(cfg_path), "--out", str(out))
     error = "training diverged at round 8: parameters are not finite"
     assert proc.returncode == 1
-    assert proc.stderr == f"run failed: {error}\n"
+    assert proc.stderr == f"error: {error}\n"
     manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"] == error
@@ -585,3 +599,70 @@ def test_run_fits_normalization_once_per_shard(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
     # two AP shards; the training pool's stats are added up from theirs
     assert selections == [("iq",)] * 2  # only the selected modality is fit
+
+
+# ---------------------------------------------------------------------------
+# CLI: every failure is one error line, exit 1 and, once the out dir exists,
+# a "failed" manifest
+
+NO_OUT_DIR = ("out_is_file", "config_is_directory", "config_not_utf8")
+FAILURE_CASES = [
+    *(("run", what) for what in NO_OUT_DIR),
+    *((command, f"dataset_{state}") for command in ("gen-data", "run")
+      for state in ("missing", "directory", "bad_magic")),
+    ("verify-bound", "inapplicable"),
+    ("personalize", "missing_model"),
+]
+
+
+def failure_case(tmp_path, command, what):
+    """``(argv, error message)`` of one failing call."""
+    out, data = tmp_path / "o", tmp_path / "data.rfds"
+    cfg_path = small_desk(tmp_path, dataset={"path": str(data)})
+    extra = []
+    if what == "out_is_file":
+        out.write_text("")
+        message = f"[Errno 17] File exists: '{out}'"
+    elif what == "config_is_directory":
+        cfg_path = tmp_path / "cfg_dir"
+        cfg_path.mkdir()
+        message = f"cannot read config {cfg_path}: [Errno 21] Is a directory: '{cfg_path}'"
+    elif what == "config_not_utf8":
+        cfg_path.write_bytes(b'{"output_dir": "\xff"}')
+        message = (f"cannot read config {cfg_path}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 16: invalid start byte")
+    elif what == "dataset_missing":
+        message = f"[Errno 2] No such file or directory: '{data}'"
+    elif what == "dataset_directory":
+        data.mkdir()
+        message = f"[Errno 21] Is a directory: '{data}'"
+    elif what == "dataset_bad_magic":
+        data.write_bytes(b"NOPE" + bytes(20))
+        message = "bad magic b'NOPE'"
+    elif what == "inapplicable":
+        raw = json.loads((CONFIG_DIR / "quad_bound.json").read_text())
+        raw["analysis"]["eta"] = 0.5  # eta*J*mu/M = 2.5 >= 1
+        cfg_path = write_cfg(tmp_path, raw)
+        message = "eta*J*mu/M = 2.5 >= 1: bound inapplicable"
+    else:
+        model = tmp_path / "no.npz"
+        cfg_path = small_desk(tmp_path)
+        extra = ["--model", str(model)]
+        message = f"model file not found: {model}"
+    return [command, "--config", str(cfg_path), "--out", str(out), *extra], message
+
+
+@pytest.mark.parametrize("command, what", FAILURE_CASES)
+def test_failure_is_one_error_line(tmp_path, command, what):
+    argv, message = failure_case(tmp_path, command, what)
+    proc = run_fedrf(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    manifest_path = tmp_path / "o" / cli.MANIFEST_FILENAME
+    if what in NO_OUT_DIR:
+        assert not manifest_path.exists()
+        return
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == message
+    assert manifest["outputs"] == []
