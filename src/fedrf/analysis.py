@@ -6,10 +6,11 @@ The federated round-gap recursion
 
 is checked on synthetic quadratic problems where every constant (smoothness
 L, strong convexity mu, stochastic-gradient variance sigma^2, AP drift
-zeta^2, minimizer and optimal value) is known exactly. The module also
-provides estimators for those constants on real model/dataset pairs, and a
-numerical check of the gradient decomposition identity underlying the bound
-(both the corrected form and the literally printed one, which differ).
+zeta^2, minimizer and optimal value) is known exactly; ``fedrf verify-bound``
+is its one command-line caller. The module also provides estimators of
+sigma^2 and zeta^2 on real model/dataset pairs, and a numerical check of the
+gradient decomposition identity underlying the bound (both the corrected
+form and the literally printed one, which differ).
 """
 
 from __future__ import annotations
@@ -28,27 +29,6 @@ _DOMAIN_ESTIMATE = 0xB23
 
 class BoundInapplicableError(ValueError):
     """Raised when eta*J*mu/M >= 1 and the contraction factor is invalid."""
-
-
-@dataclass
-class AssumptionEstimates:
-    """Measured stand-ins for the analysis constants.
-
-    ``smoothness_lb`` is a lower bound on the true Lipschitz constant of the
-    gradient (an empirical max over sampled pairs can never exceed it).
-    ``strong_convexity`` is exact for quadratics and the l2 coefficient for
-    softmax regression.
-    """
-
-    smoothness_lb: float
-    strong_convexity: float
-    sigma2: float
-    zeta2: float
-    modality_count: int
-
-    def __post_init__(self):
-        if min(self.smoothness_lb, self.sigma2, self.zeta2) < 0:
-            raise ValueError("estimates must be nonnegative")
 
 
 @dataclass
@@ -99,6 +79,16 @@ def grad_decomposition_residuals(
     return corrected, literal
 
 
+def _contraction(eta: float, local_steps: int, mu: float, modality_count: int) -> float:
+    """eta*J*mu/M; raises BoundInapplicableError when it is >= 1."""
+    contraction = eta * local_steps * mu / modality_count
+    if contraction >= 1.0:
+        raise BoundInapplicableError(
+            f"eta*J*mu/M = {contraction:.6g} >= 1: bound inapplicable"
+        )
+    return contraction
+
+
 def convergence_step_bound(
     gap: float,
     eta: float,
@@ -113,11 +103,7 @@ def convergence_step_bound(
     """One application of the round-gap recursion."""
     if min(gap, mu, smoothness, sigma2, zeta2) < 0:
         raise ValueError("constants must be nonnegative")
-    contraction = eta * local_steps * mu / modality_count
-    if contraction >= 1.0:
-        raise BoundInapplicableError(
-            f"eta*J*mu/M = {contraction:.6g} >= 1: bound inapplicable"
-        )
+    contraction = _contraction(eta, local_steps, mu, modality_count)
     noise = (
         eta**2
         * smoothness
@@ -288,11 +274,7 @@ def verify_bound(
     the bound can flag it; the overflow that leads there is not reported as
     NumPy warnings.
     """
-    contraction = cfg.eta * cfg.local_steps * problem.mu / cfg.modality_count
-    if contraction >= 1.0:
-        raise BoundInapplicableError(
-            f"eta*J*mu/M = {contraction:.6g} >= 1: bound inapplicable"
-        )
+    _contraction(cfg.eta, cfg.local_steps, problem.mu, cfg.modality_count)
     gaps = simulate_quadratic_runs(problem, cfg, seeds)
     empirical = gaps.mean(axis=0)
     diverged = np.flatnonzero(~np.isfinite(empirical))
@@ -363,73 +345,3 @@ def estimate_zeta2(
     grads = [models.loss_and_grad(spec, params, b)[1] for b in ap_batches]
     mean = np.mean(grads, axis=0)
     return float(np.mean([np.sum((g - mean) ** 2) for g in grads]))
-
-
-def smoothness_lower_bound(
-    grad_fn, dim: int, pair_trials: int, rng: np.random.Generator, radius: float = 1.0
-) -> float:
-    """Max gradient-difference ratio over random parameter pairs.
-
-    Always a lower bound on the true Lipschitz constant; approaches it from
-    below as the number of sampled pairs grows.
-    """
-    if pair_trials < 1:
-        raise ValueError("pair_trials must be >= 1")
-    best = 0.0
-    for _ in range(pair_trials):
-        w1 = rng.standard_normal(dim) * radius
-        w2 = rng.standard_normal(dim) * radius
-        denom = np.linalg.norm(w1 - w2)
-        if denom == 0.0:
-            continue
-        num = np.linalg.norm(grad_fn(w1) - grad_fn(w2))
-        best = max(best, float(num / denom))
-    return best
-
-
-def estimate_smoothness(
-    spec: models.ModelSpec,
-    data: models.Batch,
-    pair_trials: int,
-    seed: int,
-    radius: float = 1.0,
-) -> float:
-    """Smoothness lower bound of the model loss on the given dataset."""
-    rng = np.random.default_rng(np.random.SeedSequence((_DOMAIN_ESTIMATE, seed, 1)))
-    dim = models.num_params(spec)
-    grad_fn = lambda w: models.loss_and_grad(spec, w, data)[1]
-    return smoothness_lower_bound(grad_fn, dim, pair_trials, rng, radius)
-
-
-def estimate_assumptions(
-    spec: models.ModelSpec,
-    params: np.ndarray,
-    ap_batches: Sequence[models.Batch],
-    batch_size: int,
-    trials: int,
-    seed: int,
-    modality_count: int,
-) -> AssumptionEstimates:
-    """Bundle the measured constants for one model/partition state."""
-    pooled = models.Batch(
-        np.concatenate([b.inputs for b in ap_batches]),
-        np.concatenate([b.labels for b in ap_batches]),
-    )
-    sigma2 = float(
-        np.mean(
-            [
-                estimate_sigma2(spec, params, b, min(batch_size, len(b)), trials, seed + i)
-                for i, b in enumerate(ap_batches)
-            ]
-        )
-    )
-    zeta2 = estimate_zeta2(spec, params, ap_batches)
-    smooth = estimate_smoothness(spec, pooled, max(trials, 8), seed)
-    mu = spec.l2_coeff if spec.kind == models.KIND_SOFTMAX else 0.0
-    return AssumptionEstimates(
-        smoothness_lb=max(smooth, mu),
-        strong_convexity=mu,
-        sigma2=sigma2,
-        zeta2=zeta2,
-        modality_count=modality_count,
-    )

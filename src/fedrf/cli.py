@@ -3,9 +3,10 @@
 Subcommands:
 
     gen-data     write the configured dataset to disk (a copy of dataset.path if set)
-    run          full pipeline: data, partition, federated training,
-                 optional quadratic bound check and personalization
-    verify-bound Monte Carlo check of the convergence bound on quadratics
+    run          full pipeline: data, partition, federated training and
+                 optional personalization
+    verify-bound Monte Carlo check of the convergence bound on quadratics,
+                 the one place the bound is checked
     personalize  fine-tune a saved global model at each AP
 
 All outputs are deterministic functions of the config file, so repeated
@@ -17,6 +18,10 @@ raises on failure. Every subcommand leaves a ``manifest.json`` whose status
 is ``"complete"`` or ``"failed"``; every failure is one ``error:`` line on
 stderr and exit status 1. A failure before the output directory exists
 writes no manifest.
+
+The manifest records the subcommand that wrote it, and an output directory
+belongs to that subcommand: another subcommand refuses it before writing
+anything, so one directory never mixes the files of two commands.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ MANIFEST_FILENAME = "manifest.json"
 PERSONALIZE_FILENAME = "personalize.csv"
 BOUND_TRACE_FILENAME = "bound_trace.csv"
 BOUND_SUMMARY_FILENAME = "bound_summary.json"
-ASSUMPTIONS_FILENAME = "assumptions.json"
 MODEL_ENTRIES = ("params", "spec", "seed", "modalities")
 
 
@@ -60,14 +64,26 @@ def _out_dir(args, cfg: cfg_mod.ExperimentConfig) -> Path:
     if out is None:
         raise cfg_mod.ConfigError("no output directory: pass --out or set output_dir")
     path = Path(out)
+    manifest = path / MANIFEST_FILENAME
+    if manifest.exists():
+        try:
+            owner = json.loads(manifest.read_text()).get("command")
+        except (OSError, ValueError, AttributeError):
+            owner = None
+        if owner != args.command:
+            whose = f"fedrf {owner} output" if isinstance(owner, str) else (
+                "a manifest.json that names no command")
+            raise ValueError(f"out dir {path} holds {whose}; pass another --out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_manifest(out: Path, cfg, status: str, outputs: List[str], error: str = ""):
+def _write_manifest(out: Path, command: str, cfg, status: str, outputs: List[str],
+                    error: str = ""):
     manifest = {
         "tool": "fedrf",
         "version": __version__,
+        "command": command,
         "status": status,
         "error": error,
         "seeds": list(cfg.training.seeds),
@@ -122,7 +138,7 @@ def _metrics_rows(result: experiment.RunResult) -> List[str]:
     for m in result.metrics:
         cells = [run_id, str(m.round), _fmt(m.global_loss), _fmt(m.global_acc)]
         cells.extend(_fmt(v) for v in m.ap_losses)
-        cells.append("")  # bound column: only defined for quadratic verification
+        cells.append("")  # bound column: always empty, kept so the header stays fixed
         rows.append(",".join(cells))
     return rows
 
@@ -156,16 +172,6 @@ def cmd_run(args, cfg, out: Path, outputs: List[str]) -> None:
         save_model(out / model_name, result)
         outputs.append(model_name)
     outputs.append(_write_metrics(out, results, cfg.partition.num_aps))
-    if cfg.analysis.enabled:
-        _run_bound_check(cfg, out, outputs)
-        estimates = {
-            f"seed{r.seed}": asdict(experiment.assumptions_for_run(cfg, r))
-            for r in results
-        }
-        (out / ASSUMPTIONS_FILENAME).write_text(
-            json.dumps(estimates, indent=2, sort_keys=True) + "\n"
-        )
-        outputs.append(ASSUMPTIONS_FILENAME)
     if cfg.personalization.enabled:
         lines = ["run_id,ap,before_acc,after_acc"]
         for result in results:
@@ -184,11 +190,7 @@ def cmd_run(args, cfg, out: Path, outputs: List[str]) -> None:
             )
 
 
-def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path, outputs: List[str]) -> dict:
-    """Write the bound trace and summary files, listing each in ``outputs``.
-
-    Returns the summary.
-    """
+def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
     a = cfg.analysis
     problem = analysis.make_quadratic_problem(
         seed=a.seed,
@@ -234,11 +236,6 @@ def _run_bound_check(cfg: cfg_mod.ExperimentConfig, out: Path, outputs: List[str
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     outputs.append(BOUND_SUMMARY_FILENAME)
-    return summary
-
-
-def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
-    summary = _run_bound_check(cfg, out, outputs)
     print(
         f"bound check: {summary['violation_count']} violation(s) "
         f"over {summary['rounds']} rounds"
@@ -311,10 +308,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.fn(args, cfg, out, outputs)
     except Exception as exc:  # noqa: BLE001 - every failure ends in one line and exit 1
         if out is not None:
-            _write_manifest(out, cfg, "failed", outputs, error=str(exc))
+            _write_manifest(out, args.command, cfg, "failed", outputs, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(out, cfg, "complete", outputs)
+    _write_manifest(out, args.command, cfg, "complete", outputs)
     return 0
 
 

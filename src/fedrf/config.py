@@ -63,7 +63,6 @@ class TrainingConfigSection:
 
 @dataclass
 class AnalysisConfig:
-    enabled: bool = False
     dim: int = 8
     num_aps: int = 4
     noise_scale: float = 1.0
@@ -227,6 +226,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("training.eval_stride must be >= 1")
     if any(s < 0 for s in t.seeds):
         raise ConfigError("training.seeds must be >= 0")
+    # a model file stores its seed as one 64-bit integer
+    if any(s >= 2**64 for s in t.seeds):
+        raise ConfigError("training.seeds must be < 2**64")
 
     # NaN passes every comparison below, and an infinity overflows the runs
     for key in ("noise_scale", "drift_scale", "mu_target", "smoothness_target",

@@ -142,20 +142,3 @@ def personalize_run(
         result.split, result.partition, result.params, steps, result.train_cfg
     )
 
-
-def assumptions_for_run(cfg: cfg_mod.ExperimentConfig, result: RunResult):
-    """Measured analysis constants at the run's final parameters."""
-    from . import analysis
-
-    batches = federation.build_ap_batches(
-        result.split, result.partition, result.train_cfg.modalities
-    )
-    return analysis.estimate_assumptions(
-        result.spec,
-        result.params,
-        batches,
-        batch_size=cfg.training.batch_size,
-        trials=8,
-        seed=result.seed,
-        modality_count=len(result.train_cfg.modalities),
-    )

@@ -223,35 +223,6 @@ def test_zeta2_iid_below_noniid():
     assert np.median(diffs) > 0
 
 
-def test_smoothness_quadratic_bounded_by_top_eigenvalue():
-    prob = analysis.make_quadratic_problem(seed=2, dim=4, num_aps=1, noise_scale=0.0)
-    a = prob.a_matrix
-    grad_fn = lambda w: a @ w - prob.b_vectors[0]
-    lo = analysis.smoothness_lower_bound(grad_fn, 4, 50, np.random.default_rng(5))
-    hi = analysis.smoothness_lower_bound(grad_fn, 4, 2000, np.random.default_rng(5))
-    assert lo <= hi <= prob.smoothness + 1e-9
-    assert hi >= 0.8 * prob.smoothness  # approaches the top eigenvalue from below
-
-
-def test_smoothness_scales_linearly():
-    prob = analysis.make_quadratic_problem(seed=3, dim=4, num_aps=1, noise_scale=0.0)
-    a = prob.a_matrix
-    c = 3.5
-    f1 = analysis.smoothness_lower_bound(
-        lambda w: a @ w, 4, 200, np.random.default_rng(7)
-    )
-    fc = analysis.smoothness_lower_bound(
-        lambda w: c * (a @ w), 4, 200, np.random.default_rng(7)
-    )
-    assert fc == pytest.approx(c * f1, rel=1e-12)
-
-
-def test_estimate_smoothness_on_model():
-    spec, batch, _ = softmax_setup(l2=0.05)
-    lb = analysis.estimate_smoothness(spec, batch, 40, seed=1)
-    assert lb >= 0.05  # at least the l2 curvature
-
-
 # ---------------------------------------------------------------------------
 # bound verification
 
@@ -388,15 +359,3 @@ def test_modality_variance_ratio_reported_not_asserted():
         % (ratios[1][0] / ratios[3][0], ratios[1][1] / ratios[3][1])
     )
 
-
-def test_estimate_assumptions_bundle():
-    ds = datafile.generate_dataset(4, 10, 16, 10.0, 1)
-    split = experiment.split_train_test(ds, 0.25, 1)
-    sel = ("iq",)
-    part = federation.partition_iid(split, 2, 1, sel)
-    spec = models.ModelSpec("softmax_linear", 16, 1, 4, l2_coeff=0.01)
-    params = models.init_params(spec, 0)
-    batches = federation.build_ap_batches(split, part, sel)
-    est = analysis.estimate_assumptions(spec, params, batches, 4, 8, 0, 1)
-    assert est.smoothness_lb >= est.strong_convexity == 0.01
-    assert est.sigma2 >= 0 and est.zeta2 >= 0

@@ -87,8 +87,8 @@ COERCION_CASES = [
     ("dataset.snr_db", 5, 5.0, None),
     ("dataset.snr_db", "x", None, "dataset.snr_db must be a number, got 'x'"),
     ("dataset.snr_db", False, None, "dataset.snr_db must be a number, got False"),
-    ("analysis.enabled", True, True, None),
-    ("analysis.enabled", 1, None, "analysis.enabled must be true or false, got 1"),
+    ("personalization.enabled", False, False, None),
+    ("personalization.enabled", 1, None, "personalization.enabled must be true or false, got 1"),
     ("partition.mode", "iid", "iid", None),
     ("partition.mode", 1, None, "partition.mode must be a string, got 1"),
     ("dataset.path", None, None, None),
@@ -115,6 +115,7 @@ COERCION_CASES = [
     ("dataset.snr_db", -math.inf, None, SNR_ERROR + "-inf"),
     ("dataset.snr_db", 4000, None, SNR_ERROR + "4000.0"),
     ("dataset.snr_db", -4000, None, SNR_ERROR + "-4000.0"),
+    ("analysis.enabled", True, None, "unknown key: analysis.enabled"),
 ]
 
 
@@ -304,10 +305,43 @@ def test_run_model_loadable_and_seed_override(tmp_path):
 
 def test_seed_override_validated_like_training_seeds(tmp_path, capsys):
     out = tmp_path / "r"
-    assert cli.main(["run", "--config", str(small_desk(tmp_path)), "--out", str(out),
-                     "--seed-override", "-1"]) == 1
-    assert capsys.readouterr().err == "error: training.seeds must be >= 0\n"
-    assert not out.exists()
+    for seed, rule in ((-1, ">= 0"), (2**64, "< 2**64")):
+        assert cli.main(["run", "--config", str(small_desk(tmp_path)), "--out", str(out),
+                         "--seed-override", str(seed)]) == 1
+        assert capsys.readouterr().err == f"error: training.seeds must be {rule}\n"
+        assert not out.exists()
+
+
+def test_largest_seed_round_trips(tmp_path):
+    # np.savez stores 2**64 - 1 as uint64, and load_model reads it back exactly
+    cfg_path = small_desk(tmp_path)
+    out = tmp_path / "r"
+    top = 2**64 - 1
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seed-override", str(top)]) == 0
+    model = out / f"model_seed{top}.npz"
+    assert cli.load_model(model)[2] == top
+    assert cli.main(["personalize", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
+                     "--model", str(model)]) == 0
+
+
+def test_out_dir_belongs_to_one_command(tmp_path, capsys):
+    cfg_path = small_desk(tmp_path, training={"seeds": [1]})
+    out = tmp_path / "r"
+    argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+    for _ in range(2):  # a command may rerun into its own out dir
+        assert cli.main(argv) == 0
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert manifest["command"] == "run"
+    # a manifest that names no command belongs to none of them
+    del manifest["command"]
+    (out / cli.MANIFEST_FILENAME).write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: out dir {out} holds a manifest.json that names no command; "
+        "pass another --out\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +639,14 @@ def test_run_fits_normalization_once_per_shard(tmp_path, monkeypatch):
 # CLI: every failure is one error line, exit 1 and, once the out dir exists,
 # a "failed" manifest
 
-NO_OUT_DIR = ("out_is_file", "config_is_directory", "config_not_utf8")
+NO_OUT_DIR = ("out_is_file", "config_is_directory", "config_not_utf8", "seed_2_64")
 FAILURE_CASES = [
     *(("run", what) for what in NO_OUT_DIR),
     *((command, f"dataset_{state}") for command in ("gen-data", "run")
       for state in ("missing", "directory", "bad_magic")),
     ("verify-bound", "inapplicable"),
     ("personalize", "missing_model"),
+    ("personalize", "run_out_dir"),
 ]
 
 
@@ -644,6 +679,14 @@ def failure_case(tmp_path, command, what):
         raw["analysis"]["eta"] = 0.5  # eta*J*mu/M = 2.5 >= 1
         cfg_path = write_cfg(tmp_path, raw)
         message = "eta*J*mu/M = 2.5 >= 1: bound inapplicable"
+    elif what == "seed_2_64":
+        extra = ["--seed-override", str(2**64)]
+        message = "training.seeds must be < 2**64"
+    elif what == "run_out_dir":
+        cfg_path = small_desk(tmp_path, training={"seeds": [1]})
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        extra = ["--model", str(out / "model_seed1.npz")]
+        message = f"out dir {out} holds fedrf run output; pass another --out"
     else:
         model = tmp_path / "no.npz"
         cfg_path = small_desk(tmp_path)
@@ -655,12 +698,20 @@ def failure_case(tmp_path, command, what):
 @pytest.mark.parametrize("command, what", FAILURE_CASES)
 def test_failure_is_one_error_line(tmp_path, command, what):
     argv, message = failure_case(tmp_path, command, what)
+    out = tmp_path / "o"
+    before = {f.name: f.read_bytes() for f in out.iterdir()} if out.is_dir() else None
     proc = run_fedrf(*argv)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message}\n"
-    manifest_path = tmp_path / "o" / cli.MANIFEST_FILENAME
+    manifest_path = out / cli.MANIFEST_FILENAME
     if what in NO_OUT_DIR:
-        assert not manifest_path.exists()
+        assert not out.is_dir()
+        return
+    if before is not None:
+        # another command's out dir: its manifest and files stay as they were
+        assert json.loads(before[cli.MANIFEST_FILENAME])["command"] == "run"
+        assert cli.PERSONALIZE_FILENAME in before
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
         return
     manifest = json.loads(manifest_path.read_text())
     assert manifest["status"] == "failed"
