@@ -3,9 +3,16 @@
 One training round broadcasts the global parameter vector to every AP, runs
 J local SGD steps on each AP's private shard, and averages the returned
 vectors. The APs of a round step in lockstep: every AP draws its mini-batch
-from its own RNG stream keyed by (seed, ap, round), and one stacked gradient
-call serves all APs of equal batch size, so results are bit-identical to
-training the APs one after another.
+from its own RNG stream keyed by (seed, ap, round), and one stacked in-place
+step (``models.train_step``) serves all APs of equal batch size, so results
+are bit-identical to training the APs one after another.
+
+The average sorts each coordinate with an odd-even transposition network of
+``np.minimum``/``np.maximum`` over the AP rows and sums the rows in order,
+bit-identical to summing ``np.sort(axis=0)``. ``run_training`` standardizes
+the test set and every AP shard once, into one array whose row runs are the
+batches, and an evaluated round takes one blocked forward pass over it for
+the test loss and accuracy and every AP's loss.
 """
 
 from __future__ import annotations
@@ -245,12 +252,12 @@ def local_train(
     Returns the local parameters stacked as (N, P) in the order of ``aps``.
     Each AP draws its mini-batches from its own sampler and RNG stream. APs
     with the same effective batch size (``batch_size`` capped at the shard
-    size) step together: each step is one ``grad_fn`` call on their stacked
-    (G, P) parameters and stacked (G, B, ...) batch, returning (G, P)
-    gradients. Overflow is not reported here; callers check for divergence.
+    size) step together on their stacked (G, P) parameters and stacked
+    (G, B, ...) batch: by default each step is one in-place
+    ``models.train_step``, which computes no loss; a ``grad_fn`` returns the
+    (G, P) gradients instead, and they are not modified. Overflow is not
+    reported here; callers check for divergence.
     """
-    if grad_fn is None:
-        grad_fn = lambda w, b: models.loss_and_grad(cfg.spec, w, b)[1]
     w_global = np.asarray(w_global, dtype=np.float64)
     samplers = [_BatchSampler(len(ap.data), cfg.batch_size, ap.rng) for ap in aps]
     groups: Dict[int, List[int]] = {}
@@ -269,9 +276,13 @@ def local_train(
         for _ in range(cfg.local_steps):
             for g, n in enumerate(members):
                 idx = samplers[n].next()
-                batch.inputs[g] = aps[n].data.inputs[idx]
-                batch.labels[g] = aps[n].data.labels[idx]
-            w = models.sgd_step(w, grad_fn(w, batch), cfg.eta)
+                # the sampler's indices are in range; "clip" lets take write out unbuffered
+                np.take(aps[n].data.inputs, idx, axis=0, out=batch.inputs[g], mode="clip")
+                np.take(aps[n].data.labels, idx, out=batch.labels[g], mode="clip")
+            if grad_fn is None:
+                models.train_step(cfg.spec, w, batch, cfg.eta)
+            else:
+                w = models.sgd_step(w, grad_fn(w, batch), cfg.eta)
         out[members] = w
     return out
 
@@ -280,7 +291,12 @@ def aggregate(params_list: Sequence[np.ndarray]) -> np.ndarray:
     """Unweighted elementwise mean of the AP parameter vectors.
 
     Each coordinate is summed in sorted value order, which makes the result
-    exactly invariant to permuting the inputs.
+    exactly invariant to permuting the inputs. An odd-even transposition
+    network of ``np.minimum``/``np.maximum`` sorts the N rows, coordinate by
+    coordinate, in N phases; the rows are then summed in order. The sum equals
+    that of ``np.sort(axis=0)`` bit for bit: the two orders can differ only
+    between -0.0 and +0.0, whose order no sum depends on. A NaN spreads
+    through the network, so the mean stays non-finite.
     """
     if len(params_list) == 0:
         raise ValueError("nothing to aggregate")
@@ -288,8 +304,17 @@ def aggregate(params_list: Sequence[np.ndarray]) -> np.ndarray:
     for p in params_list[1:]:
         if np.asarray(p).shape != first.shape:
             raise ValueError("parameter layouts differ across APs")
-    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in params_list])
-    return np.sort(stacked, axis=0).sum(axis=0) / len(params_list)
+    rows = [np.asarray(p, dtype=np.float64) for p in params_list]
+    n = len(rows)
+    for phase in range(n):
+        for i in range(phase % 2, n - 1, 2):
+            lo, hi = rows[i], rows[i + 1]
+            rows[i], rows[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    # from +0.0, as np.sum starts: a column of -0.0 sums to +0.0
+    total = np.zeros(first.shape)
+    for row in rows:
+        total += row
+    return total / n
 
 
 def evaluate(spec: models.ModelSpec, params: np.ndarray, batch: models.Batch):
@@ -303,16 +328,65 @@ def evaluate(spec: models.ModelSpec, params: np.ndarray, batch: models.Batch):
     return loss, acc
 
 
+def _standardized_rows(
+    data: SplitDataset,
+    partition: Partition,
+    selection: Sequence[str],
+    test_stats: Optional[modality.NormStats] = None,
+) -> Tuple[np.ndarray, List[models.Batch]]:
+    """Every AP's shard, standardized with its own statistics, built in place
+    into one (rows, L, 2, M) array; returns it and the batches, consecutive
+    views of it in AP order. With ``test_stats`` the test set, standardized
+    with them, is the first batch.
+    """
+    parts = [
+        (data.train_iq[ix], data.train_labels[ix], partition.stats[n])
+        for n, ix in enumerate(partition.indices)
+    ]
+    if test_stats is not None:
+        parts.insert(0, (data.test_iq, data.test_labels, test_stats))
+    count = sum(len(labels) for _, labels, _ in parts)
+    rows = np.empty((count, data.window_len, 2, len(selection)))
+    batches, start = [], 0
+    for iq, labels, stats in parts:
+        x = modality.stack_batch(iq, selection, stats, out=rows[start : start + len(labels)])
+        batches.append(models.Batch(x, labels))
+        start += len(labels)
+    return rows, batches
+
+
 def build_ap_batches(
     data: SplitDataset, partition: Partition, selection: Sequence[str]
 ) -> List[models.Batch]:
     """Standardize each shard with its own AP-local statistics."""
-    batches = []
-    for n in range(partition.num_aps):
-        ix = partition.indices[n]
-        x = modality.stack_batch(data.train_iq[ix], selection, partition.stats[n])
-        batches.append(models.Batch(x, data.train_labels[ix]))
-    return batches
+    return _standardized_rows(data, partition, selection)[1]
+
+
+def _round_scores(
+    spec: models.ModelSpec, params: np.ndarray, rows: np.ndarray, batches: List[models.Batch]
+) -> Tuple[float, float, Tuple[float, ...]]:
+    """Test loss and accuracy and the AP losses of one evaluated round.
+
+    ``rows`` and ``batches`` (the test batch, then the AP batches) are those
+    of ``_standardized_rows``. One blocked forward pass over ``rows`` gives
+    every batch's logits. A row's logits do not depend on the other rows of
+    its block, so the scores equal ``evaluate`` on the test batch and
+    ``models.batch_loss`` on each AP batch bit for bit; the l2 term is
+    computed once.
+    """
+    logits, _ = models._logits(spec, params, rows)
+    losses = models._row_losses(logits, np.concatenate([b.labels for b in batches]))
+    test = batches[0]
+    acc = float(np.mean(np.argmax(logits[: len(test)], axis=1) == test.labels))
+    means, start = [], 0
+    for batch in batches:
+        means.append(models._mean(losses[start : start + len(batch)]))
+        start += len(batch)
+    loss, ap_losses = means[0], means[1:]
+    if spec.l2_coeff:
+        l2 = models._l2_term(spec, params)
+        ap_losses = [ap_loss + l2 for ap_loss in ap_losses]
+    return loss, acc, tuple(ap_losses)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -323,15 +397,16 @@ def run_training(
 
     Global metrics are computed on the held-out test set, standardized with
     training-pool statistics, every ``eval_stride`` rounds and always after
-    the final round. A round whose aggregated parameters are not finite
-    fails the run with a ValueError naming that round; the overflow that
-    leads there is not reported as NumPy warnings.
+    the final round, together with each AP's loss (mean cross-entropy plus
+    the l2 term) on its own shard; one forward pass over the test rows and
+    the AP rows, built once into one array, serves them all. A round whose
+    aggregated parameters are not finite fails the run with a ValueError
+    naming that round; the overflow that leads there is not reported as
+    NumPy warnings.
     """
-    ap_batches = build_ap_batches(data, partition, cfg.modalities)
     stats = modality.pool_normalization(partition.stats)
-    test_batch = models.Batch(
-        modality.stack_batch(data.test_iq, cfg.modalities, stats), data.test_labels
-    )
+    rows, batches = _standardized_rows(data, partition, cfg.modalities, test_stats=stats)
+    ap_batches = batches[1:]
     init_seed = int(np.random.SeedSequence((_DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
     w = models.init_params(cfg.spec, init_seed)
 
@@ -346,11 +421,7 @@ def run_training(
         if not np.all(np.isfinite(w)):
             raise ValueError(f"training diverged at round {t+1}: parameters are not finite")
         if (t + 1) % cfg.eval_stride == 0 or t == cfg.rounds - 1:
-            loss, acc = evaluate(cfg.spec, w, test_batch)
-            ap_losses = tuple(
-                models.batch_loss(cfg.spec, w, ap_batches[n])
-                for n in range(partition.num_aps)
-            )
+            loss, acc, ap_losses = _round_scores(cfg.spec, w, rows, batches)
             metrics.append(
                 RoundMetrics(
                     round=t + 1,
@@ -373,21 +444,26 @@ def personalize(
     """Fine-tune the global model on each AP's shard.
 
     Each AP is scored before and after on the subset of the global test set
-    whose labels it holds. Training-pool statistics standardize both the
-    fine-tuning inputs and the test subsets, so in the i.i.d. case every AP
-    starts from an identical "before" accuracy. Fine-tuned parameters that
+    whose labels it holds; every "before" comes from one forward pass of the
+    global model over the test set. Training-pool statistics standardize both
+    the fine-tuning inputs and the test subsets, so in the i.i.d. case every
+    AP starts from an identical "before" accuracy. Fine-tuned parameters that
     are not finite raise a ValueError naming the first such AP.
     """
     if fine_tune_steps < 0:
         raise ValueError("fine_tune_steps must be >= 0")
     stats = modality.pool_normalization(partition.stats)
     test_x = modality.stack_batch(data.test_iq, cfg.modalities, stats)
-    test_subsets, states = [], []
+    # one pass of the global model; each AP's "before" reads its subset's rows
+    global_logits, _ = models._logits(cfg.spec, w_global, test_x)
+    global_hits = np.argmax(global_logits, axis=1) == data.test_labels
+    test_subsets, befores, states = [], [], []
     for n in range(partition.num_aps):
         mask = np.isin(data.test_labels, partition.label_sets[n])
         if not mask.any():
             raise ValueError(f"AP {n}: personalized test subset is empty")
         test_subsets.append(models.Batch(test_x[mask], data.test_labels[mask]))
+        befores.append(float(np.mean(global_hits[mask])))
         ix = partition.indices[n]
         local = models.Batch(
             modality.stack_batch(data.train_iq[ix], cfg.modalities, stats),
@@ -407,11 +483,12 @@ def personalize(
             raise ValueError(
                 f"fine-tuning diverged at AP {diverged[0]}: parameters are not finite"
             )
-    results = []
-    for n, subset in enumerate(test_subsets):
-        before = evaluate(cfg.spec, w_global, subset)[1]
-        after = evaluate(cfg.spec, tuned[n], subset)[1]
-        results.append(
-            PersonalizationResult(ap=n, before_acc=before, after_acc=after, params=tuned[n])
+    return [
+        PersonalizationResult(
+            ap=n,
+            before_acc=befores[n],
+            after_acc=evaluate(cfg.spec, tuned[n], subset)[1],
+            params=tuned[n],
         )
-    return results
+        for n, subset in enumerate(test_subsets)
+    ]

@@ -198,17 +198,22 @@ def _check_selection(selection: Sequence[str]) -> Tuple[str, ...]:
 
 
 def stack_batch(
-    iq: np.ndarray, selection: Sequence[str], stats: NormStats
+    iq: np.ndarray,
+    selection: Sequence[str],
+    stats: NormStats,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Standardize and stack modalities for a (n, L) complex array.
 
-    Returns a float64 tensor of shape (n, L, 2, M).
+    Returns a float64 tensor of shape (n, L, 2, M): ``out`` when given, whose
+    modality channels are written in place.
     """
     selection = _check_selection(selection)
     x = np.asarray(iq, dtype=np.complex128)
-    channels = []
-    for m in selection:
-        mats = transform(x, m)
-        denom = np.maximum(stats.stds[m], STD_FLOOR)
-        channels.append((mats - stats.means[m]) / denom)
-    return np.stack(channels, axis=-1)
+    if out is None:
+        out = np.empty(x.shape + (2, len(selection)))
+    for k, m in enumerate(selection):
+        channel = out[..., k]
+        np.subtract(transform(x, m), stats.means[m], out=channel)
+        channel /= np.maximum(stats.stds[m], STD_FLOOR)
+    return out

@@ -18,20 +18,31 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   pass is ``patches @ [w; b]`` and the weight and bias gradients are
   ``patches.T @ dy``. The input gradient is the windows of zero-padded dy
   times the time-flipped kernel. The first convolution's input gradient is
-  never formed: no parameter needs it.
-  Evaluation without gradients runs in near-equal blocks of at most
-  ``EVAL_BLOCK_ROWS`` examples, so its patch matrices stay cache-sized. A
-  batch larger than one block splits into blocks of at least half a block, so
-  every product stays a matrix-matrix product, whose rows do not depend on the
-  other rows: the blocked logits are bit-identical to one pass over the whole
-  batch. (A 1-row block would take a matrix-vector product, which rounds
-  differently.) Each layer's patch matrix, output, pooling result and their
-  gradients are work arrays that the thread keeps from call to call (each up
-  to ``SCRATCH_MAX_BYTES``), so a training step does not allocate, fault in
-  and free them again; the products that fill them are the same, and so are
-  the bits. All layers share one padded input or dy, one dy windows array
-  and one input gradient: the first two live for one call, and each input
-  gradient is used up by the next backward call.
+  never formed: no parameter needs it. Each layer's patch matrix, output,
+  pooling result and their gradients are work arrays that the thread keeps
+  from call to call (each up to ``SCRATCH_MAX_BYTES``), so a training step
+  does not allocate, fault in and free them again; the products that fill
+  them are the same, and so are the bits. All layers share one padded input
+  or dy, one dy windows array and one input gradient: the first two live for
+  one call, and each input gradient is used up by the next backward call.
+
+Evaluation without gradients runs in near-equal blocks of at most
+``SOFTMAX_BLOCK_ROWS`` or ``EVAL_BLOCK_ROWS`` examples, so the softmax input
+block and the mini_resnet patch matrices stay cache-sized. A batch larger
+than one block splits into blocks of at least half a block, so every product
+stays a matrix-matrix product, whose rows do not depend on the other rows: the
+blocked logits are bit-identical to one pass over the whole batch, or over any
+run of its rows. (A 1-row block would take a matrix-vector product, which
+rounds differently.)
+
+One backward pass (``_backward``) serves both ``loss_and_grad``, which
+returns the loss and a new gradient array, and ``train_step``, the training
+loop's in-place SGD step, which computes no loss. The step's gradient, its
+l2 term and the softmax logits, which turn in place into the probabilities
+and then the logit gradient, are kept work arrays. The l2 term and the update
+run in place in the order of ``sgd_step(params, loss_and_grad(...)[1], eta)``
+(``g += l2*w``, then ``w -= eta*g``), so the bits are those of that
+reference.
 
 Everything is float64 and gradients are computed by hand so they can be
 verified against central finite differences.
@@ -55,6 +66,11 @@ KIND_RESNET = "mini_resnet"
 # widths a block's largest patch matrix is 4096 x 25 float64 values (0.8 MB),
 # where a 680-example batch would build 16 MB ones
 EVAL_BLOCK_ROWS = 32
+
+# examples per softmax_linear evaluation block: on a 2-core Xeon at 1 BLAS
+# thread, 3200 desk rows (384 inputs, 16 classes) take 2.2 ms in one GEMM,
+# 1.2-1.5 ms in blocks of 64-160 rows and 1.8-2.2 ms in blocks of 192-512
+SOFTMAX_BLOCK_ROWS = 128
 
 # work arrays above this size are allocated per call instead of kept
 SCRATCH_MAX_BYTES = 4 << 20
@@ -313,9 +329,22 @@ def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray, t: int,
     return dxr.reshape(n, cols, t, c)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)`` as a loop over the columns: over the
+    3200 desk evaluation rows of 16 logits it takes a quarter of the time of
+    the reduction along the short rows (a 32-row training batch is faster
+    with the reduction). A NaN spreads alike; the two may differ only in the
+    sign of a zero maximum, which no shifted logit's exp or loss depends on.
+    """
+    m = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j : j + 1], out=m)
+    return m
+
+
 def _shifted_exp(logits: np.ndarray):
     """(z, e, s): logits shifted by their row max, exp(z), and the row sums of e."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _row_max(logits)
     e = np.exp(z)
     return z, e, e.sum(axis=-1)
 
@@ -325,16 +354,48 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / s[..., None]
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray, parts=None):
-    """Mean cross-entropy; one value per batch when the logits are stacked.
-
-    ``parts`` reuses a ``_shifted_exp(logits)`` the caller already has.
-    """
-    z, _, s = _shifted_exp(logits) if parts is None else parts
+def _picked(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """z[..., label] of every row, in the shape of ``labels``."""
     rows = z.reshape(-1, z.shape[-1])
-    picked = rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
-    loss = np.mean(np.log(s) - picked, axis=-1)
+    return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+
+
+def _mean(losses: np.ndarray):
+    """Mean over the last axis; a float for one batch."""
+    loss = np.mean(losses, axis=-1)
     return float(loss) if loss.ndim == 0 else loss
+
+
+def _row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Cross-entropy of every row, in the shape of ``labels``."""
+    z, _, s = _shifted_exp(logits)
+    return np.log(s) - _picked(z, labels)
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy; one value per batch when the logits are stacked."""
+    return _mean(_row_losses(logits, labels))
+
+
+def _dlogits(logits: np.ndarray, labels: np.ndarray, want_loss: bool):
+    """Turn C-contiguous ``logits``, in place, into the gradient of the mean
+    cross-entropy with respect to them; return that loss when ``want_loss``.
+
+    The operations are those of ``_cross_entropy`` and ``_softmax``, in the
+    same order, so the bits are too; the row max is the reduction, which
+    ``_row_max`` equals and which is faster on a training batch.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    picked = _picked(logits, labels) if want_loss else None
+    e = np.exp(logits, out=logits)
+    s = e.sum(axis=-1)
+    loss = _mean(np.log(s) - picked) if want_loss else None
+    probs = np.divide(e, s[..., None], out=e)
+    # subtracting 1 at each label leaves every other entry exact
+    rows = probs.reshape(-1, probs.shape[-1])
+    rows[np.arange(len(rows)), labels.ravel()] -= 1.0
+    probs /= labels.shape[-1]
+    return loss
 
 
 def _l2_term(spec: ModelSpec, params: np.ndarray):
@@ -401,17 +462,33 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
 
 
 def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = False):
+    """(logits, cache) of a batch of (n, L, 2, M) inputs.
+
+    With ``keep`` (mini_resnet only) the batch runs in one pass whose cache
+    holds the activation masks. Without it there is no cache, and the batch
+    runs in near-equal blocks of at most ``SOFTMAX_BLOCK_ROWS`` or
+    ``EVAL_BLOCK_ROWS`` examples, written into one logits array.
+    """
     _check_input(spec, x)
     views = param_views(spec, params)
-    if spec.kind == KIND_SOFTMAX:
-        flat = x.reshape(x.shape[:-3] + (-1,))
-        return flat @ views["w"] + views["b"][..., None, :], {"flat": flat} if keep else None
     if keep:
         return _resnet_forward(spec, views, x, keep)
-    # near-equal blocks: a fixed stride would leave a 1-row tail, whose
-    # matrix-vector products round differently from GEMM rows
-    blocks = np.array_split(x, max(1, -(-len(x) // EVAL_BLOCK_ROWS)))
-    return np.concatenate([_resnet_forward(spec, views, b, False)[0] for b in blocks]), None
+    rows = SOFTMAX_BLOCK_ROWS if spec.kind == KIND_SOFTMAX else EVAL_BLOCK_ROWS
+    # near-equal blocks, as np.array_split cuts them: a fixed stride would
+    # leave a 1-row tail, whose matrix-vector products round differently
+    parts = max(1, -(-len(x) // rows))
+    size, longer = divmod(len(x), parts)
+    logits = np.empty((len(x), spec.num_classes))
+    stop = 0
+    for k in range(parts):
+        start, stop = stop, stop + size + (k < longer)
+        xb, out = x[start:stop], logits[start:stop]
+        if spec.kind == KIND_SOFTMAX:
+            np.matmul(xb.reshape(len(xb), -1), views["w"], out=out)
+            out += views["b"]
+        else:
+            out[...] = _resnet_forward(spec, views, xb, False)[0]
+    return logits, None
 
 
 def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
@@ -429,38 +506,77 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
     Stacked parameters (N, P) with a stacked batch (N, n, ...) take N
     independent steps in one call and return N losses and (N, P) gradients,
     each bit-identical to its own unstacked call. softmax_linear runs them as
-    batched matrix products; mini_resnet steps through the rows in turn.
+    batched matrix products; mini_resnet steps through the rows in turn. The
+    gradient is a new array on every call.
     """
     params = np.asarray(params, dtype=np.float64)
+    grad = np.empty_like(params)
+    loss = _gradient(spec, params, batch, grad, want_loss=True)
+    if spec.l2_coeff:
+        loss += _l2_term(spec, params)
+        grad += spec.l2_coeff * params
+    return loss, grad
+
+
+def train_step(spec: ModelSpec, params: np.ndarray, batch: Batch, eta: float) -> None:
+    """One SGD step on the batch loss, in place: ``params -= eta * grad``.
+
+    ``params`` is a float64 array (N, P) for a stacked batch, else (P,).
+
+    Stacks like ``loss_and_grad`` and gives the bits of
+    ``sgd_step(params, loss_and_grad(spec, params, batch)[1], eta)``, but
+    computes no loss. The gradient, its l2 term and the softmax logits are
+    kept work arrays (see ``_scratch``), so a step allocates only small
+    temporaries.
+    """
+    grad = _scratch("step.grad", params.shape)
+    _gradient(spec, params, batch, grad, want_loss=False, key="step")
+    if spec.l2_coeff:
+        grad += np.multiply(params, spec.l2_coeff, out=_scratch("step.l2", params.shape))
+    grad *= eta
+    params -= grad
+
+
+def _gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, grad: np.ndarray,
+              want_loss: bool, key: Optional[str] = None):
+    """Write the gradient of the mean cross-entropy (no l2 term) into ``grad``.
+
+    Returns the loss (one per row when stacked) when ``want_loss``, else None.
+    """
     if params.shape[:-1] != batch.labels.shape[:-1]:
         raise ValueError("stacked parameters and stacked batches differ in count")
     if spec.kind == KIND_RESNET and params.ndim > 1:
-        parts = [
-            _loss_and_grad(spec, p, x, y)
-            for p, x, y in zip(params, batch.inputs, batch.labels)
+        losses = [
+            _backward(spec, p, x, y, g, want_loss)
+            for p, x, y, g in zip(params, batch.inputs, batch.labels, grad)
         ]
-        return np.array([loss for loss, _ in parts]), np.stack([g for _, g in parts])
-    return _loss_and_grad(spec, params, batch.inputs, batch.labels)
+        return np.array(losses) if want_loss else None
+    return _backward(spec, params, batch.inputs, batch.labels, grad, want_loss, key)
 
 
-def _loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray):
-    logits, cache = _logits(spec, params, x, keep=True)
-    parts = _shifted_exp(logits)
-    probs = parts[1] / parts[2][..., None]
-    loss = _cross_entropy(logits, labels, parts)
-    # subtracting the one-hot labels as 0.0/1.0 leaves every other entry exact
-    dlogits = probs - (labels[..., None] == np.arange(spec.num_classes))
-    dlogits /= labels.shape[-1]
+def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
+              grad: np.ndarray, want_loss: bool, key: Optional[str] = None):
+    """The one backward pass of both kinds; see ``_gradient``.
 
-    grad = np.zeros_like(params)
-    gviews = param_views(spec, grad)
+    softmax_linear takes stacked parameters and batches as batched matrix
+    products, and with a ``key`` its logits are a kept work array. mini_resnet
+    takes one parameter vector.
+    """
+    _check_input(spec, x)
     views = param_views(spec, params)
-
+    gviews = param_views(spec, grad)
     if spec.kind == KIND_SOFTMAX:
-        flat = cache["flat"]
-        gviews["w"] += np.swapaxes(flat, -1, -2) @ dlogits
-        gviews["b"] += dlogits.sum(axis=-2)
+        flat = x.reshape(x.shape[:-3] + (-1,))
+        shape = labels.shape + (spec.num_classes,)
+        logits = np.matmul(flat, views["w"], out=_scratch(key and f"{key}.logits", shape))
+        logits += views["b"][..., None, :]
+        loss = _dlogits(logits, labels, want_loss)
+        np.matmul(np.swapaxes(flat, -1, -2), logits, out=gviews["w"])
+        gviews["b"][...] = logits.sum(axis=-2)
     else:
+        dlogits, cache = _resnet_forward(spec, views, x, keep=True)
+        loss = _dlogits(dlogits, labels, want_loss)
+        grad.fill(0.0)
         pm, mm, am_shape, flat, m1, a1f = cache["head"]
         gviews["fc2.w"] += a1f.T @ dlogits
         gviews["fc2.b"] += dlogits.sum(axis=0)
@@ -497,11 +613,7 @@ def _loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: n
             )
             gviews[f"{name}.conv1.w"] += dw1
             gviews[f"{name}.conv1.b"] += db1
-
-    if spec.l2_coeff:
-        loss += _l2_term(spec, params)
-        grad += spec.l2_coeff * params
-    return loss, grad
+    return loss
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -518,12 +630,12 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
 
 def _activation_signature(spec: ModelSpec, params: np.ndarray, batch: Batch):
     """Loss plus a fingerprint of every ReLU mask and pooling argmax."""
+    if spec.kind == KIND_SOFTMAX:
+        return batch_loss(spec, params, batch), None
     logits, cache = _logits(spec, params, batch.inputs, keep=True)
     loss = _cross_entropy(logits, batch.labels)
     if spec.l2_coeff:
         loss += _l2_term(spec, params)
-    if spec.kind == KIND_SOFTMAX:
-        return loss, None
     return loss, [m.copy() for m in cache["masks"]]
 
 

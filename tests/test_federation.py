@@ -187,6 +187,21 @@ def test_local_train_quadratic_closed_form():
         assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_local_train_never_modifies_a_returned_gradient():
+    # a grad_fn may return its own argument: the step must be w - eta*w
+    split = make_split()
+    part = federation.partition_iid(split, 2, seed=1, selection=("iq",))
+    cfg = small_cfg(split, local_steps=4, eta=0.3)
+    batches = federation.build_ap_batches(split, part, cfg.modalities)
+    w0 = models.init_params(cfg.spec, 0)
+    states = [federation.APState(b, federation.ap_stream(0, n, 0)) for n, b in enumerate(batches)]
+    out = federation.local_train(states, w0, cfg, grad_fn=lambda w, b: w)
+    ref = w0.copy()
+    for _ in range(cfg.local_steps):
+        ref = ref - cfg.eta * ref
+    assert np.array_equal(out, np.stack([ref, ref]))
+
+
 def test_local_train_deterministic():
     split = make_split()
     part = federation.partition_iid(split, 2, seed=1, selection=("iq",))
@@ -275,6 +290,38 @@ def test_aggregate_matches_fsum_oracle():
         [math.fsum(v[i] for v in vs) / 4.0 for i in range(64)]
     )
     assert np.max(np.abs(got - oracle)) <= 1e-12
+
+
+# specials and magnitudes from 1e-300 to 1e300 with either sign
+_AGG_SPECIALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                 math.inf, -math.inf])
+_AGG_MAGNITUDES = st.tuples(st.booleans(), st.floats(1e-300, 1e300)).map(
+    lambda t: -t[1] if t[0] else t[1]
+)
+
+
+# at least 2 coordinates: over a single column np.sum adds 8 or more rows
+# pairwise, while over (N, P >= 2) it adds the rows in order, as aggregate does
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 8), dim=st.integers(2, 12))
+def test_aggregate_matches_sorted_sum_bitwise(data, n, dim):
+    values = st.one_of(_AGG_SPECIALS, _AGG_MAGNITUDES)
+    stacked = data.draw(arrays(np.float64, (n, dim), elements=values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = federation.aggregate(list(stacked))
+        ref = np.sort(stacked, axis=0).sum(axis=0) / n
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(data=st.data(), n=st.integers(1, 8), dim=st.integers(1, 6))
+def test_aggregate_nan_gives_non_finite(data, n, dim):
+    values = st.one_of(_AGG_SPECIALS, _AGG_MAGNITUDES, st.just(math.nan))
+    stacked = data.draw(arrays(np.float64, (n, dim), elements=values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = federation.aggregate(list(stacked))
+    has_nan = np.isnan(stacked).any(axis=0)
+    assert not np.isfinite(got[has_nan]).any()
 
 
 def test_aggregate_errors():
@@ -383,6 +430,57 @@ def test_stacked_local_train_matches_per_ap_loop(kind, shard_sizes):
     states = [federation.APState(b, rng) for b, rng in zip(batches, rngs())]
     stacked = federation.local_train(states, w0, cfg)
     assert np.array_equal(stacked, per_ap_local_train(batches, rngs(), w0, cfg))
+
+
+@pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])
+@pytest.mark.parametrize("l2", [0.0, 1e-2])
+def test_round_scores_match_per_batch_reference(kind, l2, monkeypatch):
+    # unequal shards, one shorter than any evaluation block, so the blocks of
+    # the one pass straddle batch boundaries
+    split = make_split(per_tx=100)
+    sel = ("iq", "dft")
+    order = np.random.default_rng(4).permutation(len(split.train_labels))
+    sizes = np.cumsum([3, 41, 90])
+    part = federation._finalize_partition(split, np.split(order, sizes), sel)
+    cfg = small_cfg(split, seed=2, rounds=3, local_steps=2, batch=8, modalities=sel,
+                    l2=l2, kind=kind)
+    cfg.eval_stride = 2
+    aggregated = []  # the global parameters after each round
+    aggregate = federation.aggregate
+
+    def recording_aggregate(params_list):
+        aggregated.append(aggregate(params_list))
+        return aggregated[-1]
+
+    monkeypatch.setattr(federation, "aggregate", recording_aggregate)
+    metrics, _ = federation.run_training(split, part, cfg)
+
+    stats = modality.pool_normalization(part.stats)
+    test = models.Batch(modality.stack_batch(split.test_iq, sel, stats), split.test_labels)
+    aps = [
+        models.Batch(modality.stack_batch(split.train_iq[ix], sel, part.stats[n]),
+                     split.train_labels[ix])
+        for n, ix in enumerate(part.indices)
+    ]
+    assert [m.round for m in metrics] == [2, 3]
+    for m in metrics:
+        w = aggregated[m.round - 1]
+        assert (m.global_loss, m.global_acc) == federation.evaluate(cfg.spec, w, test)
+        assert m.ap_losses == tuple(models.batch_loss(cfg.spec, w, b) for b in aps)
+
+
+@pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])
+def test_personalize_before_matches_evaluate(kind):
+    split = make_split(num_tx=4, per_tx=20)
+    part = federation.partition_noniid(split, 3, 2, seed=2, selection=("iq",))
+    cfg = small_cfg(split, rounds=1, kind=kind)
+    _, w = federation.run_training(split, part, cfg)
+    test_x = modality.stack_batch(split.test_iq, cfg.modalities,
+                                  modality.pool_normalization(part.stats))
+    for n, r in enumerate(federation.personalize(split, part, w, 2, cfg)):
+        mask = np.isin(split.test_labels, part.label_sets[n])
+        subset = models.Batch(test_x[mask], split.test_labels[mask])
+        assert r.before_acc == federation.evaluate(cfg.spec, w, subset)[1]
 
 
 def test_metric_rounds_and_stride():

@@ -264,6 +264,40 @@ def test_stacked_loss_and_grad_matches_rows(make_spec):
         models.loss_and_grad(spec, params[:2], models.Batch(x, y))
 
 
+@pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_train_step_matches_sgd_step_of_loss_and_grad(make_spec, l2, stacked):
+    spec = make_spec(l2=l2)
+    rng = np.random.default_rng(6)
+    lead = (3,) if stacked else ()
+    params = (np.stack([models.init_params(spec, s) for s in range(3)]) if stacked
+              else models.init_params(spec, 0))
+    batch = models.Batch(rng.standard_normal(lead + (5,) + spec.input_shape),
+                         rng.integers(0, spec.num_classes, lead + (5,)))
+    # the kept work arrays start from whatever the previous step left there
+    for key in ("step.grad", "step.l2", "step.logits"):
+        models._scratch(key, (params.size,))[:] = np.nan
+    expected = models.sgd_step(params, models.loss_and_grad(spec, params, batch)[1], 0.1)
+    got = params.copy()
+    models.train_step(spec, got, batch, 0.1)
+    assert np.array_equal(got, expected)
+    one_stack = batch if stacked else models.Batch(batch.inputs[None], batch.labels[None])
+    with pytest.raises(ValueError, match="differ in count"):
+        models.train_step(spec, np.zeros((2,) + params.shape[-1:]), one_stack, 0.1)
+
+
+@pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
+def test_loss_and_grad_returns_new_arrays(make_spec):
+    spec = make_spec(l2=0.05)
+    params = models.init_params(spec, 1)
+    loss, grad = models.loss_and_grad(spec, params, random_batch(spec, 6, seed=1))
+    kept = grad.copy()
+    models.loss_and_grad(spec, params, random_batch(spec, 6, seed=2))
+    models.train_step(spec, params.copy(), random_batch(spec, 6, seed=3), 0.1)
+    assert np.array_equal(grad, kept)
+
+
 def test_batch_validation():
     with pytest.raises(ValueError):
         models.Batch(np.zeros((0, 4, 2, 1)), np.zeros(0, dtype=int))
@@ -471,6 +505,33 @@ def test_blocked_eval_logits_equal_one_pass(sizes):
         one_pass, _ = models._resnet_forward(spec, views, x[:n], keep=False)
         assert blocked.shape == (n, 16)
         assert np.array_equal(blocked, one_pass), n
+
+
+@pytest.mark.parametrize("sizes", [range(1, 300), range(3199, 3202)], ids=["1-299", "3199-3201"])
+def test_blocked_softmax_logits_equal_one_pass(sizes):
+    # the desk profile's shapes; 3200 rows is one round's test and AP rows
+    spec = models.ModelSpec("softmax_linear", 64, 3, 16)
+    rng = np.random.default_rng(22)
+    params = 0.3 * rng.standard_normal(models.num_params(spec))
+    x = rng.standard_normal((sizes[-1],) + spec.input_shape)
+    views = models.param_views(spec, params)
+    for n in sizes:
+        blocked, _ = models._logits(spec, params, x[:n])
+        one_pass = x[:n].reshape(n, -1) @ views["w"] + views["b"]
+        assert np.array_equal(blocked, one_pass), n
+
+
+def test_row_max_equals_the_reduction():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 100, 16))
+    a[0, 1] = 3.0  # a tie across the whole row
+    a[0, 2, 5] = np.inf
+    a[0, 3] = -np.inf
+    a[0, 4, 7] = a[1, 5, 0] = a[2, 6, 15] = np.nan
+    a[0, 8] = -1e308
+    for x in (a, a[0]):
+        assert np.array_equal(models._row_max(x), x.max(axis=-1, keepdims=True),
+                              equal_nan=True)
 
 
 def test_keyed_conv_work_arrays_match_fresh_ones():
