@@ -127,6 +127,11 @@ def load_model(path: Path):
         size = models.num_params(spec)
         if params.shape != (size,):
             raise ValueError(f"params has shape {params.shape}, but the spec needs ({size},)")
+        # save_model writes only finite float64 parameters
+        if params.dtype != np.float64:
+            raise ValueError(f"params has dtype {params.dtype}, not float64")
+        if not np.isfinite(params).all():
+            raise ValueError("params are not all finite")
         return params, spec, int(seed), tuple(modalities.tolist())
     except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"model {path}: {exc}") from exc

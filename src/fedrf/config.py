@@ -3,8 +3,12 @@
 Every key is optional; the defaults reproduce the shipped desk-scale
 non-i.i.d. profile. Unknown keys and invalid values are rejected with the
 offending dotted key named in the error message. Each section's dataclass is
-the one place its keys, types and defaults are declared: a value is checked
-against the annotation of its field.
+the one place its keys, types, defaults and bounds are declared: a value is
+checked against the annotation of its field, and a number against the bound
+its field declares with ``_bound`` (each element of a tuple; an unset
+Optional passes), failing as ``<key> must be >= <low>``, ``> <low>`` or
+``finite, got <value>``. ``validate`` keeps the other rules: enumerations,
+odd and divisible sizes, intervals and rules that relate two keys.
 """
 
 from __future__ import annotations
@@ -12,11 +16,17 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from . import modality, waveforms
+
+
+def _bound(default, low=None, *, above=None, bits=None):
+    """A field whose value must be >= ``low``, > ``above`` and < 2**``bits``
+    (each where given); a float must also be finite, all ``_bound(x)`` asks."""
+    return field(default=default, metadata={"bound": (low, above, bits)})
 
 
 class ConfigError(ValueError):
@@ -25,11 +35,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class DatasetConfig:
-    num_transmitters: int = 16
-    per_tx_count: int = 200
-    window_len: int = 64
+    num_transmitters: int = _bound(16, 2)
+    per_tx_count: int = _bound(200, 1)
+    window_len: int = _bound(64, 2)
     snr_db: float = 10.0
-    seed: int = 7
+    seed: int = _bound(7, 0)
     path: Optional[str] = None
     test_fraction: float = 0.15
 
@@ -37,52 +47,53 @@ class DatasetConfig:
 @dataclass
 class PartitionConfig:
     mode: str = "noniid"
-    num_aps: int = 4
-    labels_per_ap: int = 5
+    num_aps: int = _bound(4, 1)
+    labels_per_ap: int = _bound(5, 1)
 
 
 @dataclass
 class ModelConfig:
     kind: str = "softmax_linear"
-    block_channels: Tuple[int, int] = (8, 16)
-    kernel_len: int = 3
-    hidden: int = 32
-    l2_coeff: float = 1e-4
+    block_channels: Tuple[int, int] = _bound((8, 16), 1)
+    kernel_len: int = _bound(3, 1)
+    hidden: int = _bound(32, 1)
+    l2_coeff: float = _bound(1e-4, 0)
 
 
 @dataclass
 class TrainingConfigSection:
-    rounds: int = 100
-    local_steps: int = 20
-    batch_size: int = 32
-    eta: float = 0.01
+    rounds: int = _bound(100, 0)
+    local_steps: int = _bound(20, 1)
+    batch_size: int = _bound(32, 1)
+    eta: float = _bound(0.01, above=0)
     modalities: Tuple[str, ...] = modality.ALL_MODALITIES
-    eval_stride: int = 1
-    seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
+    eval_stride: int = _bound(1, 1)
+    # a model file stores its seed as one 64-bit integer
+    seeds: Tuple[int, ...] = _bound((1, 2, 3, 4, 5), 0, bits=64)
 
 
 @dataclass
 class AnalysisConfig:
-    dim: int = 8
-    num_aps: int = 4
-    noise_scale: float = 1.0
-    drift_scale: float = 1.0
-    mu_target: float = 1.0
-    smoothness_target: float = 10.0
-    init_radius: float = 0.07
-    rounds: int = 40
-    local_steps: int = 5
-    batch_size: int = 8
-    eta: float = 0.035
-    modality_count: int = 1
-    mc_seeds: int = 200
-    seed: int = 11
+    dim: int = _bound(8, 1)
+    num_aps: int = _bound(4, 1)
+    noise_scale: float = _bound(1.0, 0)
+    drift_scale: float = _bound(1.0, 0)
+    mu_target: float = _bound(1.0, above=0)
+    smoothness_target: float = _bound(10.0, above=0)
+    init_radius: float = _bound(0.07)
+    rounds: int = _bound(40, 1)
+    local_steps: int = _bound(5, 1)
+    batch_size: int = _bound(8, 1)
+    eta: float = _bound(0.035, above=0)
+    modality_count: int = _bound(1, 1)
+    mc_seeds: int = _bound(200, 1)
+    seed: int = _bound(11, 0)
 
 
 @dataclass
 class PersonalizationConfig:
     enabled: bool = True
-    fine_tune_steps: Optional[int] = None  # None -> 5 local epochs per AP
+    fine_tune_steps: Optional[int] = _bound(None, 0)  # None -> 5 local epochs per AP
 
 
 @dataclass
@@ -151,69 +162,59 @@ def _fill(cls, raw: dict, prefix: str):
     return obj
 
 
+@functools.lru_cache(maxsize=None)
+def _bounds(cls) -> tuple:
+    """``(name, low, above, bits)`` of every bounded field of ``cls``."""
+    return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
+
+
+def _check_bounds(section, prefix: str) -> None:
+    """Check every bounded value of ``section``; errors name ``prefix + name``."""
+    for name, low, above, bits in _bounds(type(section)):
+        value = getattr(section, name)
+        key = prefix + name
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is None:  # an unset Optional
+                continue
+            # NaN passes every comparison below, and an infinity overflows the runs
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite, got {v!r}")
+            if low is not None and v < low:
+                raise ConfigError(f"{key} must be >= {low}")
+            if above is not None and v <= above:
+                raise ConfigError(f"{key} must be > {above}")
+            if bits is not None and v >= 2**bits:
+                raise ConfigError(f"{key} must be < 2**{bits}")
+
+
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    d, p, m, t, a, pers = (
-        cfg.dataset,
-        cfg.partition,
-        cfg.model,
-        cfg.training,
-        cfg.analysis,
-        cfg.personalization,
-    )
+    d, p, m, t, a = cfg.dataset, cfg.partition, cfg.model, cfg.training, cfg.analysis
     # a dataset file replaces the generation keys, so only generation checks them
     if d.path is None:
-        if d.num_transmitters < 2:
-            raise ConfigError("dataset.num_transmitters must be >= 2")
-        if d.per_tx_count < 1:
-            raise ConfigError("dataset.per_tx_count must be >= 1")
-        if d.window_len < 2:
-            raise ConfigError("dataset.window_len must be >= 2")
-        if d.seed < 0:
-            raise ConfigError("dataset.seed must be >= 0")
+        _check_bounds(d, "dataset.")
         try:
             waveforms.snr_ratio(d.snr_db)
         except ValueError as exc:
             raise ConfigError(f"dataset.{exc}") from None
+    for name in ("partition", "model", "training", "analysis", "personalization"):
+        _check_bounds(getattr(cfg, name), name + ".")
     if not 0.0 < d.test_fraction < 1.0:
         raise ConfigError("dataset.test_fraction must be in (0, 1)")
 
     if p.mode not in ("iid", "noniid"):
         raise ConfigError(f"partition.mode must be 'iid' or 'noniid', got {p.mode!r}")
-    if p.num_aps < 1:
-        raise ConfigError("partition.num_aps must be >= 1")
-    if p.mode == "noniid":
-        if p.labels_per_ap < 1:
-            raise ConfigError("partition.labels_per_ap must be >= 1")
-        # a dataset file brings its own label count and window length, which
-        # partition_noniid and models.ModelSpec check
-        if d.path is None and p.num_aps * p.labels_per_ap < d.num_transmitters:
-            raise ConfigError(
-                "partition.labels_per_ap too small to cover every transmitter"
-            )
+    # a dataset file brings its own label count and window length, which
+    # partition_noniid and models.ModelSpec check
+    if p.mode == "noniid" and d.path is None and p.num_aps * p.labels_per_ap < d.num_transmitters:
+        raise ConfigError("partition.labels_per_ap too small to cover every transmitter")
 
     if m.kind not in ("softmax_linear", "mini_resnet"):
         raise ConfigError(f"model.kind must be softmax_linear or mini_resnet")
-    if not math.isfinite(m.l2_coeff):
-        raise ConfigError(f"model.l2_coeff must be finite, got {m.l2_coeff!r}")
-    if m.l2_coeff < 0:
-        raise ConfigError("model.l2_coeff must be >= 0")
-    if min(m.block_channels) < 1 or m.hidden < 1:
-        raise ConfigError("model widths must be >= 1")
-    if m.kernel_len < 1 or m.kernel_len % 2 == 0:
-        raise ConfigError("model.kernel_len must be odd and >= 1")
+    if m.kernel_len % 2 == 0:
+        raise ConfigError("model.kernel_len must be odd")
     if m.kind == "mini_resnet" and d.path is None and d.window_len % 4 != 0:
         raise ConfigError("dataset.window_len must be divisible by 4 for mini_resnet")
 
-    if t.rounds < 0:
-        raise ConfigError("training.rounds must be >= 0")
-    if t.local_steps < 1:
-        raise ConfigError("training.local_steps must be >= 1")
-    if t.batch_size < 1:
-        raise ConfigError("training.batch_size must be >= 1")
-    if not math.isfinite(t.eta):
-        raise ConfigError(f"training.eta must be finite, got {t.eta!r}")
-    if t.eta <= 0:
-        raise ConfigError("training.eta must be > 0")
     for mod in t.modalities:
         if mod not in modality.ALL_MODALITIES:
             raise ConfigError(
@@ -222,36 +223,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             )
     if len(set(t.modalities)) != len(t.modalities):
         raise ConfigError("training.modalities contains duplicates")
-    if t.eval_stride < 1:
-        raise ConfigError("training.eval_stride must be >= 1")
-    if any(s < 0 for s in t.seeds):
-        raise ConfigError("training.seeds must be >= 0")
-    # a model file stores its seed as one 64-bit integer
-    if any(s >= 2**64 for s in t.seeds):
-        raise ConfigError("training.seeds must be < 2**64")
 
-    # NaN passes every comparison below, and an infinity overflows the runs
-    for key in ("noise_scale", "drift_scale", "mu_target", "smoothness_target",
-                "init_radius", "eta"):
-        if not math.isfinite(getattr(a, key)):
-            raise ConfigError(f"analysis.{key} must be finite, got {getattr(a, key)!r}")
-    if a.dim < 1 or a.num_aps < 1:
-        raise ConfigError("analysis.dim and analysis.num_aps must be >= 1")
-    if a.noise_scale < 0 or a.drift_scale < 0:
-        raise ConfigError("analysis noise/drift scales must be >= 0")
-    if a.mu_target <= 0 or a.smoothness_target < a.mu_target:
-        raise ConfigError(
-            "analysis.mu_target must be > 0 and <= analysis.smoothness_target"
-        )
-    if a.rounds < 1 or a.local_steps < 1 or a.batch_size < 1 or a.mc_seeds < 1:
-        raise ConfigError("analysis loop counts must be >= 1")
-    if a.eta <= 0:
-        raise ConfigError("analysis.eta must be > 0")
-    if a.modality_count < 1:
-        raise ConfigError("analysis.modality_count must be >= 1")
-
-    if pers.fine_tune_steps is not None and pers.fine_tune_steps < 0:
-        raise ConfigError("personalization.fine_tune_steps must be >= 0")
+    if a.smoothness_target < a.mu_target:
+        raise ConfigError("analysis.mu_target must be <= analysis.smoothness_target")
     return cfg
 
 

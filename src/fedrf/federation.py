@@ -332,16 +332,17 @@ def _standardized_rows(
     data: SplitDataset,
     partition: Partition,
     selection: Sequence[str],
-    test_stats: Optional[modality.NormStats] = None,
+    test_stats: Optional[modality.NormStats],
+    shard_stats: Sequence[modality.NormStats],
 ) -> Tuple[np.ndarray, List[models.Batch]]:
-    """Every AP's shard, standardized with its own statistics, built in place
+    """Every AP's shard, standardized with ``shard_stats[n]``, built in place
     into one (rows, L, 2, M) array; returns it and the batches, consecutive
-    views of it in AP order. With ``test_stats`` the test set, standardized
-    with them, is the first batch.
+    views of it in AP order. Unless ``test_stats`` is None the test set,
+    standardized with them, is the first batch.
     """
     parts = [
-        (data.train_iq[ix], data.train_labels[ix], partition.stats[n])
-        for n, ix in enumerate(partition.indices)
+        (data.train_iq[ix], data.train_labels[ix], stats)
+        for ix, stats in zip(partition.indices, shard_stats)
     ]
     if test_stats is not None:
         parts.insert(0, (data.test_iq, data.test_labels, test_stats))
@@ -359,7 +360,7 @@ def build_ap_batches(
     data: SplitDataset, partition: Partition, selection: Sequence[str]
 ) -> List[models.Batch]:
     """Standardize each shard with its own AP-local statistics."""
-    return _standardized_rows(data, partition, selection)[1]
+    return _standardized_rows(data, partition, selection, None, partition.stats)[1]
 
 
 def _round_scores(
@@ -405,7 +406,7 @@ def run_training(
     NumPy warnings.
     """
     stats = modality.pool_normalization(partition.stats)
-    rows, batches = _standardized_rows(data, partition, cfg.modalities, test_stats=stats)
+    rows, batches = _standardized_rows(data, partition, cfg.modalities, stats, partition.stats)
     ap_batches = batches[1:]
     init_seed = int(np.random.SeedSequence((_DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
     w = models.init_params(cfg.spec, init_seed)
@@ -443,32 +444,25 @@ def personalize(
 ) -> List[PersonalizationResult]:
     """Fine-tune the global model on each AP's shard.
 
-    Each AP is scored before and after on the subset of the global test set
-    whose labels it holds; every "before" comes from one forward pass of the
-    global model over the test set. Training-pool statistics standardize both
-    the fine-tuning inputs and the test subsets, so in the i.i.d. case every
-    AP starts from an identical "before" accuracy. Fine-tuned parameters that
-    are not finite raise a ValueError naming the first such AP.
+    Each AP is scored before and after with ``evaluate`` on the subset of the
+    global test set whose labels it holds. Training-pool statistics
+    standardize both the fine-tuning inputs and the test set, so in the
+    i.i.d. case every AP starts from an identical "before" accuracy.
+    Fine-tuned parameters that are not finite raise a ValueError naming the
+    first such AP.
     """
     if fine_tune_steps < 0:
         raise ValueError("fine_tune_steps must be >= 0")
     stats = modality.pool_normalization(partition.stats)
-    test_x = modality.stack_batch(data.test_iq, cfg.modalities, stats)
-    # one pass of the global model; each AP's "before" reads its subset's rows
-    global_logits, _ = models._logits(cfg.spec, w_global, test_x)
-    global_hits = np.argmax(global_logits, axis=1) == data.test_labels
-    test_subsets, befores, states = [], [], []
-    for n in range(partition.num_aps):
-        mask = np.isin(data.test_labels, partition.label_sets[n])
+    _, batches = _standardized_rows(
+        data, partition, cfg.modalities, stats, [stats] * partition.num_aps
+    )
+    test, test_subsets, states = batches[0], [], []
+    for n, local in enumerate(batches[1:]):
+        mask = np.isin(test.labels, partition.label_sets[n])
         if not mask.any():
             raise ValueError(f"AP {n}: personalized test subset is empty")
-        test_subsets.append(models.Batch(test_x[mask], data.test_labels[mask]))
-        befores.append(float(np.mean(global_hits[mask])))
-        ix = partition.indices[n]
-        local = models.Batch(
-            modality.stack_batch(data.train_iq[ix], cfg.modalities, stats),
-            data.train_labels[ix],
-        )
+        test_subsets.append(models.Batch(test.inputs[mask], test.labels[mask]))
         rng = np.random.default_rng(
             np.random.SeedSequence((_DOMAIN_PERSONALIZE, cfg.seed, n))
         )
@@ -486,7 +480,7 @@ def personalize(
     return [
         PersonalizationResult(
             ap=n,
-            before_acc=befores[n],
+            before_acc=evaluate(cfg.spec, w_global, subset)[1],
             after_acc=evaluate(cfg.spec, tuned[n], subset)[1],
             params=tuned[n],
         )

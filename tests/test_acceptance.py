@@ -7,6 +7,9 @@ experiment criteria load the shipped configs from ``configs/``.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -311,15 +314,22 @@ def test_criterion_10_personalization():
 def test_criterion_11_determinism(tmp_path):
     def body():
         cfg_path = CONFIG_DIR / "desk_determinism.json"
-        outs = []
-        for name, threads in (("a", 1), ("b", 1), ("c", 4)):
-            out = tmp_path / name
-            rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
-                           "--threads", str(threads)])
-            assert rc == 0
-            outs.append((out / cli.METRICS_FILENAME).read_bytes())
-        assert outs[0] == outs[1], "repeated runs differ"
-        assert outs[0] == outs[2], "threaded run differs"
+        files = (cli.METRICS_FILENAME, "model_seed1.npz", "model_seed2.npz",
+                 cli.MANIFEST_FILENAME)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+        # reruns in fresh processes whose BLAS runs each GEMM on 1 and on 2 threads
+        src = Path(cli.__file__).resolve().parents[1]
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedrf.cli", "run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / threads)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outs = [[(tmp_path / name / f).read_bytes() for f in files] for name in "a12"]
+        assert outs[0] == outs[1], "rerun at 1 BLAS thread differs"
+        assert outs[0] == outs[2], "rerun at 2 BLAS threads differs"
 
         ds = _desk_dataset()
         path = tmp_path / "ds.rfds"
@@ -331,4 +341,4 @@ def test_criterion_11_determinism(tmp_path):
         datafile.write_dataset(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    _report(11, "byte-identical reruns (serial and threaded) and file round-trip", 120, body)
+    _report(11, "byte-identical reruns (1 and 2 BLAS threads) and file round-trip", 120, body)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -131,6 +132,100 @@ def test_values_coerced_by_declared_type(key, value, parsed, error):
     cfg = cfg_mod.from_dict(raw)
     got = getattr(getattr(cfg, section) if section else cfg, name)
     assert got == parsed and type(got) is type(parsed)
+
+
+TINY = 5e-324  # the smallest positive float
+
+# one row per declared bound: key, its first invalid value, the exact error
+BOUND_CASES = [
+    ("dataset.num_transmitters", 1, "dataset.num_transmitters must be >= 2"),
+    ("dataset.per_tx_count", 0, "dataset.per_tx_count must be >= 1"),
+    ("dataset.window_len", 1, "dataset.window_len must be >= 2"),
+    ("dataset.seed", -1, "dataset.seed must be >= 0"),
+    ("partition.num_aps", 0, "partition.num_aps must be >= 1"),
+    ("partition.labels_per_ap", 0, "partition.labels_per_ap must be >= 1"),
+    ("model.block_channels", [0, 16], "model.block_channels must be >= 1"),
+    ("model.block_channels", [8, 0], "model.block_channels must be >= 1"),
+    ("model.kernel_len", 0, "model.kernel_len must be >= 1"),
+    ("model.hidden", 0, "model.hidden must be >= 1"),
+    ("model.l2_coeff", -TINY, "model.l2_coeff must be >= 0"),
+    ("training.rounds", -1, "training.rounds must be >= 0"),
+    ("training.local_steps", 0, "training.local_steps must be >= 1"),
+    ("training.batch_size", 0, "training.batch_size must be >= 1"),
+    ("training.eta", 0.0, "training.eta must be > 0"),
+    ("training.eval_stride", 0, "training.eval_stride must be >= 1"),
+    ("training.seeds", [1, -1], "training.seeds must be >= 0"),
+    ("training.seeds", [2**64], "training.seeds must be < 2**64"),
+    ("analysis.dim", 0, "analysis.dim must be >= 1"),
+    ("analysis.num_aps", 0, "analysis.num_aps must be >= 1"),
+    ("analysis.noise_scale", -TINY, "analysis.noise_scale must be >= 0"),
+    ("analysis.drift_scale", -TINY, "analysis.drift_scale must be >= 0"),
+    ("analysis.mu_target", 0.0, "analysis.mu_target must be > 0"),
+    ("analysis.smoothness_target", 0.0, "analysis.smoothness_target must be > 0"),
+    ("analysis.rounds", 0, "analysis.rounds must be >= 1"),
+    ("analysis.local_steps", 0, "analysis.local_steps must be >= 1"),
+    ("analysis.batch_size", 0, "analysis.batch_size must be >= 1"),
+    ("analysis.eta", 0.0, "analysis.eta must be > 0"),
+    ("analysis.modality_count", 0, "analysis.modality_count must be >= 1"),
+    ("analysis.mc_seeds", 0, "analysis.mc_seeds must be >= 1"),
+    ("analysis.seed", -1, "analysis.seed must be >= 0"),
+    ("personalization.fine_tune_steps", -1, "personalization.fine_tune_steps must be >= 0"),
+    *((key, value, f"{key} must be finite, got {value!r}")
+      for key in ("model.l2_coeff", "training.eta", "analysis.noise_scale",
+                  "analysis.drift_scale", "analysis.mu_target",
+                  "analysis.smoothness_target", "analysis.init_radius", "analysis.eta")
+      for value in (math.nan, math.inf, -math.inf)),
+]
+
+
+def _one_key(key, value):
+    section, name = key.split(".")
+    return {section: {name: value}}
+
+
+@pytest.mark.parametrize("key, value, error", BOUND_CASES)
+def test_declared_bound_rejects_first_invalid_value(key, value, error):
+    with pytest.raises(cfg_mod.ConfigError) as exc:
+        cfg_mod.from_dict(_one_key(key, value))
+    assert str(exc.value) == error
+
+
+def test_every_declared_bound_has_a_row():
+    cfg = cfg_mod.ExperimentConfig()
+    declared = {
+        f"{section.name}.{name}"
+        for section in dataclasses.fields(cfg)
+        if dataclasses.is_dataclass(getattr(cfg, section.name))
+        for name, *_ in cfg_mod._bounds(type(getattr(cfg, section.name)))
+    }
+    assert declared == {key for key, _, _ in BOUND_CASES}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dataset.seed", 0), ("model.l2_coeff", 0.0), ("training.eta", TINY),
+    ("training.seeds", [0, 2**64 - 1]), ("analysis.init_radius", -1.0),
+    ("analysis.seed", 0), ("personalization.fine_tune_steps", 0),
+])
+def test_declared_bound_accepts_its_edge(key, value):
+    cfg_mod.from_dict(_one_key(key, value))
+
+
+def test_labels_per_ap_bound_holds_in_iid_mode():
+    with pytest.raises(cfg_mod.ConfigError, match="partition.labels_per_ap must be >= 1"):
+        cfg_mod.from_dict({"partition": {"mode": "iid", "labels_per_ap": 0}})
+
+
+def test_rules_that_are_not_one_keys_bound():
+    cases = [
+        ({"model": {"kernel_len": 4}}, "model.kernel_len must be odd"),
+        ({"analysis": {"mu_target": 2.0, "smoothness_target": 1.5}},
+         "analysis.mu_target must be <= analysis.smoothness_target"),
+        ({"dataset": {"test_fraction": math.nan}}, "dataset.test_fraction must be in (0, 1)"),
+    ]
+    for raw, error in cases:
+        with pytest.raises(cfg_mod.ConfigError) as exc:
+            cfg_mod.from_dict(raw)
+        assert str(exc.value) == error
 
 
 def test_dataset_path_replaces_generation_keys():
@@ -436,6 +531,10 @@ BAD_MODELS = {
                       "unknown model kind 'bogus'"),
     "params_length": (lambda e: {**e, "params": e["params"][:-1]},
                       "params has shape (131,), but the spec needs (132,)"),
+    "params_complex": (lambda e: {**e, "params": e["params"].astype(np.complex128)},
+                       "params has dtype complex128, not float64"),
+    "params_nan": (lambda e: {**e, "params": np.where(np.arange(132) == 7, np.nan, e["params"])},
+                   "params are not all finite"),
     # json writes NaN, and reads it back
     "l2_nan": (lambda e: {**e, "spec": str(e["spec"]).replace('"l2_coeff": 0.001', '"l2_coeff": NaN')},
                "l2_coeff must be finite and >= 0, got nan"),
@@ -639,9 +738,11 @@ def test_run_fits_normalization_once_per_shard(tmp_path, monkeypatch):
 # CLI: every failure is one error line, exit 1 and, once the out dir exists,
 # a "failed" manifest
 
-NO_OUT_DIR = ("out_is_file", "config_is_directory", "config_not_utf8", "seed_2_64")
+NO_OUT_DIR = ("out_is_file", "config_is_directory", "config_not_utf8", "seed_2_64",
+              "analysis_seed_negative")
 FAILURE_CASES = [
-    *(("run", what) for what in NO_OUT_DIR),
+    *(("run", what) for what in NO_OUT_DIR[:4]),
+    ("verify-bound", "analysis_seed_negative"),
     *((command, f"dataset_{state}") for command in ("gen-data", "run")
       for state in ("missing", "directory", "bad_magic")),
     ("verify-bound", "inapplicable"),
@@ -679,6 +780,11 @@ def failure_case(tmp_path, command, what):
         raw["analysis"]["eta"] = 0.5  # eta*J*mu/M = 2.5 >= 1
         cfg_path = write_cfg(tmp_path, raw)
         message = "eta*J*mu/M = 2.5 >= 1: bound inapplicable"
+    elif what == "analysis_seed_negative":
+        raw = json.loads((CONFIG_DIR / "quad_bound.json").read_text())
+        raw["analysis"]["seed"] = -1
+        cfg_path = write_cfg(tmp_path, raw)
+        message = "analysis.seed must be >= 0"
     elif what == "seed_2_64":
         extra = ["--seed-override", str(2**64)]
         message = "training.seeds must be < 2**64"
