@@ -12,12 +12,13 @@ Subcommands:
 All outputs are deterministic functions of the config file, so repeated
 invocations produce byte-identical artifacts.
 
-``main`` owns every failure: it reads the config and creates the output
-directory, then calls the subcommand, which lists each file it writes and
+``main`` owns every failure: it parses the command line, reads the config
+and creates the output directory, then calls the subcommand, which writes
+each text file through ``_write`` (so it is listed in the manifest) and
 raises on failure. Every subcommand leaves a ``manifest.json`` whose status
-is ``"complete"`` or ``"failed"``; every failure is one ``error:`` line on
-stderr and exit status 1. A failure before the output directory exists
-writes no manifest.
+is ``"complete"`` or ``"failed"``; every failure, a usage error included, is
+one ``error:`` line on stderr and exit status 1. A failure before the output
+directory exists writes no manifest.
 
 The manifest records the subcommand that wrote it, and an output directory
 belongs to that subcommand: another subcommand refuses it before writing
@@ -51,6 +52,28 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _write(out: Path, outputs: List[str], name: str, content) -> None:
+    """Write ``out/name`` and list it in ``outputs``: a dict as JSON, a list of rows as CSV."""
+    if isinstance(content, dict):
+        text = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(",".join(row) + "\n" for row in content)
+    (out / name).write_text(text)
+    outputs.append(name)
+
+
+def _ap_rows(results: List[federation.PersonalizationResult], *lead: str) -> List[List[str]]:
+    """One personalize.csv row per AP, after the ``lead`` cells."""
+    return [[*lead, str(r.ap), _fmt(r.before_acc), _fmt(r.after_acc)] for r in results]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so ``main`` reports it like every other failure."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _load_config(args) -> cfg_mod.ExperimentConfig:
     cfg = cfg_mod.parse_config(args.config)
     if args.seed_override is not None:
@@ -80,7 +103,7 @@ def _out_dir(args, cfg: cfg_mod.ExperimentConfig) -> Path:
 
 def _write_manifest(out: Path, command: str, cfg, status: str, outputs: List[str],
                     error: str = ""):
-    manifest = {
+    _write(out, outputs, MANIFEST_FILENAME, {
         "tool": "fedrf",
         "version": __version__,
         "command": command,
@@ -89,17 +112,14 @@ def _write_manifest(out: Path, command: str, cfg, status: str, outputs: List[str
         "seeds": list(cfg.training.seeds),
         "outputs": sorted(outputs),
         "config": cfg.echo(),
-    }
-    out.joinpath(MANIFEST_FILENAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    })
 
 
 def save_model(path: Path, result: experiment.RunResult) -> None:
     np.savez(
         path,
         params=result.params,
-        spec=json.dumps(asdict(result.spec)),
+        spec=json.dumps(asdict(result.train_cfg.spec)),
         seed=result.seed,
         modalities=np.array(result.train_cfg.modalities),
         version=__version__,
@@ -132,32 +152,15 @@ def load_model(path: Path):
             raise ValueError(f"params has dtype {params.dtype}, not float64")
         if not np.isfinite(params).all():
             raise ValueError("params are not all finite")
+        # save_model writes the seed as one int64, or uint64 from 2**63 on
+        if seed.shape != () or seed.dtype.kind not in "iu":
+            raise ValueError(f"seed has dtype {seed.dtype} and shape {seed.shape}, "
+                             "not one integer")
+        if seed < 0:
+            raise ValueError(f"seed is {seed}, not >= 0")
         return params, spec, int(seed), tuple(modalities.tolist())
     except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"model {path}: {exc}") from exc
-
-
-def _metrics_rows(result: experiment.RunResult) -> List[str]:
-    rows = []
-    run_id = f"seed{result.seed}"
-    for m in result.metrics:
-        cells = [run_id, str(m.round), _fmt(m.global_loss), _fmt(m.global_acc)]
-        cells.extend(_fmt(v) for v in m.ap_losses)
-        cells.append("")  # bound column: always empty, kept so the header stays fixed
-        rows.append(",".join(cells))
-    return rows
-
-
-def _write_metrics(out: Path, results, num_aps: int) -> str:
-    header = ["run_id", "round", "global_loss", "global_acc"]
-    header.extend(f"ap{i}_loss" for i in range(num_aps))
-    header.append("bound")
-    lines = [",".join(header)]
-    for result in results:
-        lines.extend(_metrics_rows(result))
-    path = out / METRICS_FILENAME
-    path.write_text("\n".join(lines) + "\n")
-    return METRICS_FILENAME
 
 
 def cmd_gen_data(args, cfg, out: Path, outputs: List[str]) -> None:
@@ -169,28 +172,30 @@ def cmd_gen_data(args, cfg, out: Path, outputs: List[str]) -> None:
 
 def cmd_run(args, cfg, out: Path, outputs: List[str]) -> None:
     ds = experiment.load_dataset(cfg)
-    results = []
+    runs = []
     for seed in cfg.training.seeds:
-        result = experiment.run_single(cfg, seed, ds)
-        results.append(result)
+        run = experiment.run_single(cfg, seed, ds)
+        runs.append(run)
         model_name = f"model_seed{seed}.npz"
-        save_model(out / model_name, result)
+        save_model(out / model_name, run)
         outputs.append(model_name)
-    outputs.append(_write_metrics(out, results, cfg.partition.num_aps))
+    header = ["run_id", "round", "global_loss", "global_acc",
+              *(f"ap{i}_loss" for i in range(cfg.partition.num_aps)), "bound"]
+    # the bound column is always empty, kept so the header stays fixed
+    _write(out, outputs, METRICS_FILENAME, [header, *(
+        [f"seed{run.seed}", str(m.round), _fmt(m.global_loss), _fmt(m.global_acc),
+         *map(_fmt, m.ap_losses), ""]
+        for run in runs for m in run.metrics)])
     if cfg.personalization.enabled:
-        lines = ["run_id,ap,before_acc,after_acc"]
-        for result in results:
-            for r in experiment.personalize_run(cfg, result):
-                lines.append(
-                    f"seed{result.seed},{r.ap},{_fmt(r.before_acc)},{_fmt(r.after_acc)}"
-                )
-        (out / PERSONALIZE_FILENAME).write_text("\n".join(lines) + "\n")
-        outputs.append(PERSONALIZE_FILENAME)
-    for result in results:
-        final = result.metrics[-1] if result.metrics else None
-        if final is not None:
+        rows = [["run_id", "ap", "before_acc", "after_acc"]]
+        for run in runs:
+            rows.extend(_ap_rows(experiment.personalize_run(cfg, run), f"seed{run.seed}"))
+        _write(out, outputs, PERSONALIZE_FILENAME, rows)
+    for run in runs:
+        if run.metrics:
+            final = run.metrics[-1]
             print(
-                f"seed{result.seed}: round {final.round} "
+                f"seed{run.seed}: round {final.round} "
                 f"loss {final.global_loss:.4f} acc {final.global_acc:.4f}"
             )
 
@@ -216,14 +221,11 @@ def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
         seed=a.seed,
     )
     trace = analysis.verify_bound(problem, qcfg, a.mc_seeds)
-    lines = ["round,empirical_gap,stderr,bound"]
-    for i in range(len(trace.rounds)):
-        lines.append(
-            f"{trace.rounds[i]},{_fmt(trace.empirical[i])},"
-            f"{_fmt(trace.stderr[i])},{_fmt(trace.bound[i])}"
-        )
-    (out / BOUND_TRACE_FILENAME).write_text("\n".join(lines) + "\n")
-    outputs.append(BOUND_TRACE_FILENAME)
+    _write(out, outputs, BOUND_TRACE_FILENAME, [
+        ["round", "empirical_gap", "stderr", "bound"],
+        *([str(r), _fmt(e), _fmt(s), _fmt(b)] for r, e, s, b in
+          zip(trace.rounds, trace.empirical, trace.stderr, trace.bound)),
+    ])
     summary = {
         "rounds": int(qcfg.rounds),
         "mc_seeds": int(a.mc_seeds),
@@ -237,10 +239,7 @@ def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
             "zeta2": problem.zeta2,
         },
     }
-    (out / BOUND_SUMMARY_FILENAME).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    outputs.append(BOUND_SUMMARY_FILENAME)
+    _write(out, outputs, BOUND_SUMMARY_FILENAME, summary)
     print(
         f"bound check: {summary['violation_count']} violation(s) "
         f"over {summary['rounds']} rounds"
@@ -249,65 +248,57 @@ def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
 
 def cmd_personalize(args, cfg, out: Path, outputs: List[str]) -> None:
     params, spec, seed, modalities = load_model(Path(args.model))
-    ds = experiment.load_dataset(cfg)
+    run = experiment.prepare(cfg, experiment.load_dataset(cfg), seed)
     saved = dict(asdict(spec), modalities=modalities)
-    wanted = dict(
-        asdict(experiment.build_spec(cfg, ds.num_transmitters, ds.window_len)),
-        modalities=cfg.training.modalities,
-    )
+    wanted = dict(asdict(run.train_cfg.spec), modalities=run.train_cfg.modalities)
     if saved != wanted:
         field = next(key for key in saved if saved[key] != wanted[key])
         raise ValueError(
             f"model {args.model}: {field} is {saved[field]}, "
             f"but the config gives {wanted[field]}"
         )
-    split = experiment.split_train_test(ds, cfg.dataset.test_fraction, seed)
-    partition = experiment.build_partition(split, cfg, seed)
-    train_cfg = experiment.training_config(cfg, spec, seed)
-    steps = experiment.resolve_fine_tune_steps(cfg, partition)
-    results = federation.personalize(split, partition, params, steps, train_cfg)
-    lines = ["ap,before_acc,after_acc"]
-    for r in results:
-        lines.append(f"{r.ap},{_fmt(r.before_acc)},{_fmt(r.after_acc)}")
-    (out / PERSONALIZE_FILENAME).write_text("\n".join(lines) + "\n")
-    outputs.append(PERSONALIZE_FILENAME)
+    run.params = params
+    results = experiment.personalize_run(cfg, run)
+    _write(out, outputs, PERSONALIZE_FILENAME,
+           [["ap", "before_acc", "after_acc"], *_ap_rows(results)])
     for r in results:
         print(f"ap{r.ap}: before {r.before_acc:.4f} after {r.after_acc:.4f}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedrf",
         description="Multi-modal federated RF fingerprinting simulator",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, fn in (
         ("gen-data", cmd_gen_data),
         ("run", cmd_run),
         ("verify-bound", cmd_verify_bound),
         ("personalize", cmd_personalize),
     ):
-        p = sub.add_parser(name)
+        p = parsers[name] = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         # kept so existing command lines keep working: the APs of a round
         # train as one stacked computation, so there are no workers to cap
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored (APs train as one stacked computation)")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace training.seeds with this single seed")
-        if name == "personalize":
-            p.add_argument("--model", required=True, help="saved model .npz")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, seed_override=None)
+    # only run reads training.seeds; personalize takes its seed from the model file
+    parsers["run"].add_argument("--seed-override", type=int,
+                                help="replace training.seeds with this single seed")
+    parsers["personalize"].add_argument("--model", required=True, help="saved model .npz")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     out = None
     outputs: List[str] = []
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         out = _out_dir(args, cfg)
         args.fn(args, cfg, out, outputs)

@@ -1,10 +1,15 @@
-"""Pipeline glue: dataset -> split -> partition -> train -> personalize."""
+"""Pipeline glue: dataset -> split -> partition -> train -> personalize.
+
+``prepare`` builds one seed's setup (split, partition, model spec and
+training config) for both ``fedrf run``, which trains it (``run_single``),
+and ``fedrf personalize``, which fine-tunes a saved model on it.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -16,13 +21,14 @@ _DOMAIN_SPLIT = 0xC31
 
 @dataclass
 class RunResult:
+    """One seed's run; ``metrics`` and ``params`` stay None until it has trained."""
+
     seed: int
-    spec: models.ModelSpec
     train_cfg: federation.TrainingConfig
     split: federation.SplitDataset
     partition: federation.Partition
-    metrics: List[federation.RoundMetrics]
-    params: np.ndarray
+    metrics: Optional[List[federation.RoundMetrics]] = None
+    params: Optional[np.ndarray] = None
 
 
 def load_dataset(cfg: cfg_mod.ExperimentConfig) -> datafile.DatasetFile:
@@ -61,37 +67,29 @@ def split_train_test(
     )
 
 
-def build_partition(
-    split: federation.SplitDataset, cfg: cfg_mod.ExperimentConfig, seed: int
-) -> federation.Partition:
-    p = cfg.partition
-    selection = cfg.training.modalities
+def prepare(
+    cfg: cfg_mod.ExperimentConfig, ds: datafile.DatasetFile, seed: int
+) -> RunResult:
+    """One seed's setup, not yet trained: split, partition, model spec, training config."""
+    p, m, t = cfg.partition, cfg.model, cfg.training
+    split = split_train_test(ds, cfg.dataset.test_fraction, seed)
     if p.mode == "iid":
-        return federation.partition_iid(split, p.num_aps, seed, selection)
-    return federation.partition_noniid(split, p.num_aps, p.labels_per_ap, seed, selection)
-
-
-def build_spec(
-    cfg: cfg_mod.ExperimentConfig, num_classes: int, window_len: int
-) -> models.ModelSpec:
-    m = cfg.model
-    return models.ModelSpec(
+        partition = federation.partition_iid(split, p.num_aps, seed, t.modalities)
+    else:
+        partition = federation.partition_noniid(
+            split, p.num_aps, p.labels_per_ap, seed, t.modalities
+        )
+    spec = models.ModelSpec(
         kind=m.kind,
-        window_len=window_len,
-        num_modalities=len(cfg.training.modalities),
-        num_classes=num_classes,
+        window_len=ds.window_len,
+        num_modalities=len(t.modalities),
+        num_classes=ds.num_transmitters,
         l2_coeff=m.l2_coeff,
         block_channels=m.block_channels,
         kernel_len=m.kernel_len,
         hidden=m.hidden,
     )
-
-
-def training_config(
-    cfg: cfg_mod.ExperimentConfig, spec: models.ModelSpec, seed: int
-) -> federation.TrainingConfig:
-    t = cfg.training
-    return federation.TrainingConfig(
+    train_cfg = federation.TrainingConfig(
         spec=spec,
         rounds=t.rounds,
         local_steps=t.local_steps,
@@ -101,26 +99,16 @@ def training_config(
         eval_stride=t.eval_stride,
         seed=seed,
     )
+    return RunResult(seed=seed, train_cfg=train_cfg, split=split, partition=partition)
 
 
 def run_single(
     cfg: cfg_mod.ExperimentConfig, seed: int, ds: datafile.DatasetFile
 ) -> RunResult:
     """One complete federated run for one seed."""
-    split = split_train_test(ds, cfg.dataset.test_fraction, seed)
-    partition = build_partition(split, cfg, seed)
-    spec = build_spec(cfg, ds.num_transmitters, ds.window_len)
-    train_cfg = training_config(cfg, spec, seed)
-    metrics, params = federation.run_training(split, partition, train_cfg)
-    return RunResult(
-        seed=seed,
-        spec=spec,
-        train_cfg=train_cfg,
-        split=split,
-        partition=partition,
-        metrics=metrics,
-        params=params,
-    )
+    run = prepare(cfg, ds, seed)
+    run.metrics, run.params = federation.run_training(run.split, run.partition, run.train_cfg)
+    return run
 
 
 def resolve_fine_tune_steps(

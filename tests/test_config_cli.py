@@ -508,6 +508,22 @@ def test_personalize_pipeline_error_prints_one_line(tmp_path):
     assert proc.stderr == "error: label 0 has fewer than 2 examples to split\n"
 
 
+def test_personalize_repeats_the_runs_rows(tmp_path):
+    # run and personalize build a seed's split, partition and model spec the same way
+    cfg_path = small_desk(tmp_path)
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    run_rows = (out / cli.PERSONALIZE_FILENAME).read_text().splitlines()[1:]
+    for seed in (1, 2):
+        pout = tmp_path / f"p{seed}"
+        assert cli.main(["personalize", "--config", str(cfg_path), "--out", str(pout),
+                         "--model", str(out / f"model_seed{seed}.npz")]) == 0
+        rows = (pout / cli.PERSONALIZE_FILENAME).read_text().splitlines()[1:]
+        lead = f"seed{seed},"
+        assert rows == [r[len(lead):] for r in run_rows if r.startswith(lead)]
+        assert len(rows) == 2
+
+
 def test_personalize_missing_model(tmp_path, capsys):
     cfg_path = small_desk(tmp_path)
     rc = cli.main(["personalize", "--config", str(cfg_path),
@@ -538,6 +554,11 @@ BAD_MODELS = {
     # json writes NaN, and reads it back
     "l2_nan": (lambda e: {**e, "spec": str(e["spec"]).replace('"l2_coeff": 0.001', '"l2_coeff": NaN')},
                "l2_coeff must be finite and >= 0, got nan"),
+    "seed_negative": (lambda e: {**e, "seed": np.int64(-1)}, "seed is -1, not >= 0"),
+    "seed_float": (lambda e: {**e, "seed": np.float64(1.5)},
+                   "seed has dtype float64 and shape (), not one integer"),
+    "seed_vector": (lambda e: {**e, "seed": np.array([1, 2])},
+                    "seed has dtype int64 and shape (2,), not one integer"),
 }
 
 
@@ -735,14 +756,49 @@ def test_run_fits_normalization_once_per_shard(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# CLI: usage
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["run"], "the following arguments are required: --config"),
+    (["run", "--config", "c.json", "--seed-override", "abc"],
+     "argument --seed-override: invalid int value: 'abc'"),
+    (["gen-data", "--config", "c.json", "--seed-override", "1"],
+     "unrecognized arguments: --seed-override 1"),
+    (["verify-bound", "--config", "c.json", "--seed-override", "1"],
+     "unrecognized arguments: --seed-override 1"),
+    (["personalize", "--config", "c.json", "--model", "m.npz", "--seed-override", "1"],
+     "unrecognized arguments: --seed-override 1"),
+], ids=["no_command", "no_config", "seed_not_int", "gen_data_seed", "verify_bound_seed",
+        "personalize_seed"])
+def test_usage_error_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, shown", [(["--version"], cli.__version__),
+                                         (["run", "--help"], "usage: fedrf run")])
+def test_help_and_version_exit_0(capsys, argv, shown):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(shown) and err == ""
+
+
+# ---------------------------------------------------------------------------
 # CLI: every failure is one error line, exit 1 and, once the out dir exists,
 # a "failed" manifest
 
 NO_OUT_DIR = ("out_is_file", "config_is_directory", "config_not_utf8", "seed_2_64",
-              "analysis_seed_negative")
+              "analysis_seed_negative", "no_config", "seed_override")
 FAILURE_CASES = [
     *(("run", what) for what in NO_OUT_DIR[:4]),
     ("verify-bound", "analysis_seed_negative"),
+    ("run", "no_config"),
+    ("verify-bound", "seed_override"),
     *((command, f"dataset_{state}") for command in ("gen-data", "run")
       for state in ("missing", "directory", "bad_magic")),
     ("verify-bound", "inapplicable"),
@@ -785,6 +841,11 @@ def failure_case(tmp_path, command, what):
         raw["analysis"]["seed"] = -1
         cfg_path = write_cfg(tmp_path, raw)
         message = "analysis.seed must be >= 0"
+    elif what == "no_config":
+        return [command, "--out", str(out)], "the following arguments are required: --config"
+    elif what == "seed_override":
+        extra = ["--seed-override", "1"]
+        message = "unrecognized arguments: --seed-override 1"
     elif what == "seed_2_64":
         extra = ["--seed-override", str(2**64)]
         message = "training.seeds must be < 2**64"
