@@ -18,7 +18,11 @@ each text file through ``_write`` (so it is listed in the manifest) and
 raises on failure. Every subcommand leaves a ``manifest.json`` whose status
 is ``"complete"`` or ``"failed"``; every failure, a usage error included, is
 one ``error:`` line on stderr and exit status 1. A failure before the output
-directory exists writes no manifest.
+directory exists writes no manifest. The manifest's ``seeds`` are the ones
+the subcommand used, which it records in ``seeds`` as soon as it knows them:
+``training.seeds`` for ``run``, ``analysis.seed`` for ``verify-bound``, the
+model file's seed for ``personalize`` and ``dataset.seed`` for ``gen-data``
+when it generates the dataset.
 
 The manifest records the subcommand that wrote it, and an output directory
 belongs to that subcommand: another subcommand refuses it before writing
@@ -102,14 +106,14 @@ def _out_dir(args, cfg: cfg_mod.ExperimentConfig) -> Path:
 
 
 def _write_manifest(out: Path, command: str, cfg, status: str, outputs: List[str],
-                    error: str = ""):
+                    seeds: List[int], error: str = ""):
     _write(out, outputs, MANIFEST_FILENAME, {
         "tool": "fedrf",
         "version": __version__,
         "command": command,
         "status": status,
         "error": error,
-        "seeds": list(cfg.training.seeds),
+        "seeds": seeds,
         "outputs": sorted(outputs),
         "config": cfg.echo(),
     })
@@ -163,14 +167,17 @@ def load_model(path: Path):
         raise ValueError(f"model {path}: {exc}") from exc
 
 
-def cmd_gen_data(args, cfg, out: Path, outputs: List[str]) -> None:
+def cmd_gen_data(args, cfg, out: Path, outputs: List[str], seeds: List[int]) -> None:
+    if cfg.dataset.path is None:
+        seeds.append(cfg.dataset.seed)
     ds = experiment.load_dataset(cfg)
     datafile.write_dataset(ds, out / DATASET_FILENAME)
     outputs.append(DATASET_FILENAME)
     print(f"wrote {out / DATASET_FILENAME} ({len(ds)} records)")
 
 
-def cmd_run(args, cfg, out: Path, outputs: List[str]) -> None:
+def cmd_run(args, cfg, out: Path, outputs: List[str], seeds: List[int]) -> None:
+    seeds.extend(cfg.training.seeds)
     ds = experiment.load_dataset(cfg)
     runs = []
     for seed in cfg.training.seeds:
@@ -200,8 +207,9 @@ def cmd_run(args, cfg, out: Path, outputs: List[str]) -> None:
             )
 
 
-def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
+def cmd_verify_bound(args, cfg, out: Path, outputs: List[str], seeds: List[int]) -> None:
     a = cfg.analysis
+    seeds.append(a.seed)
     problem = analysis.make_quadratic_problem(
         seed=a.seed,
         dim=a.dim,
@@ -246,8 +254,9 @@ def cmd_verify_bound(args, cfg, out: Path, outputs: List[str]) -> None:
     )
 
 
-def cmd_personalize(args, cfg, out: Path, outputs: List[str]) -> None:
+def cmd_personalize(args, cfg, out: Path, outputs: List[str], seeds: List[int]) -> None:
     params, spec, seed, modalities = load_model(Path(args.model))
+    seeds.append(seed)
     run = experiment.prepare(cfg, experiment.load_dataset(cfg), seed)
     saved = dict(asdict(spec), modalities=modalities)
     wanted = dict(asdict(run.train_cfg.spec), modalities=run.train_cfg.modalities)
@@ -297,17 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     out = None
     outputs: List[str] = []
+    seeds: List[int] = []
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         out = _out_dir(args, cfg)
-        args.fn(args, cfg, out, outputs)
+        args.fn(args, cfg, out, outputs, seeds)
     except Exception as exc:  # noqa: BLE001 - every failure ends in one line and exit 1
         if out is not None:
-            _write_manifest(out, args.command, cfg, "failed", outputs, error=str(exc))
+            _write_manifest(out, args.command, cfg, "failed", outputs, seeds, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(out, args.command, cfg, "complete", outputs)
+    _write_manifest(out, args.command, cfg, "complete", outputs, seeds)
     return 0
 
 

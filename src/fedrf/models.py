@@ -9,31 +9,31 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   convolutions plus an additive skip each) separated by 2x1 max pooling
   along time, a trailing convolution, then two fully connected layers.
   Convolutions use odd-length kernels along the time axis with zero padding
-  and stride 1; the 2-wide column axis is never convolved, so activations are
-  kept sequence-major, (n, cols, T, C), one time sequence per (example,
-  column). The input is transposed once at entry and back before fc1, whose
-  rows keep their (time, column, channel) meaning. Each convolution is an
-  im2col GEMM: a row's K*Cin patch is one contiguous window of the
-  zero-padded sequence, and a ones column carries the bias, so the forward
-  pass is ``patches @ [w; b]`` and the weight and bias gradients are
-  ``patches.T @ dy``. The input gradient is the windows of zero-padded dy
-  times the time-flipped kernel. The first convolution's input gradient is
-  never formed: no parameter needs it. Each layer's patch matrix, output,
-  pooling result and their gradients are work arrays that the thread keeps
-  from call to call (each up to ``SCRATCH_MAX_BYTES``), so a training step
-  does not allocate, fault in and free them again; the products that fill
-  them are the same, and so are the bits. All layers share one padded input
-  or dy, one dy windows array and one input gradient: the first two live for
-  one call, and each input gradient is used up by the next backward call.
+  and stride 1; the 2-wide column axis is never convolved. Activations are
+  channel-major slabs (C, T + 2p, S) of the S = n*cols (example, column)
+  time sequences, with p = K//2 zero time steps at each end: a time step of
+  a channel is one contiguous run of S values. The input is transposed into
+  a slab once at entry and back before fc1, whose rows keep their (time,
+  column, channel) meaning. Row j*Cin + c of a convolution's (K*Cin + 1,
+  T*S) patch matrix is channel c shifted by tap j, one contiguous copy, and
+  a ones row carries the bias, so the convolution is one GEMM
+  ``[w; b].T @ patches`` into the interior of a padded output slab. Tap j's
+  weight gradient is the input slab shifted by j, read in place, times dy;
+  the input gradient is the time-flipped kernel times the patch matrix of
+  dy, and the first convolution's is never formed. ReLU, the skip and the
+  masks run on whole slabs and pooling on S-long time steps, so the padding
+  stays zero. The slabs are work arrays that the thread keeps from call to
+  call (each up to ``SCRATCH_MAX_BYTES``), so a step does not allocate, fault
+  in and free them again; their padding is zeroed whenever they are handed
+  out. All layers share one patch matrix and one input gradient.
 
 Evaluation without gradients runs in near-equal blocks of at most
 ``SOFTMAX_BLOCK_ROWS`` or ``EVAL_BLOCK_ROWS`` examples, so the softmax input
-block and the mini_resnet patch matrices stay cache-sized. A batch larger
-than one block splits into blocks of at least half a block, so every product
-stays a matrix-matrix product, whose rows do not depend on the other rows: the
-blocked logits are bit-identical to one pass over the whole batch, or over any
-run of its rows. (A 1-row block would take a matrix-vector product, which
-rounds differently.)
+block and the mini_resnet patch matrices stay cache-sized. Blocks hold at
+least half a block, so every product stays a matrix-matrix product (a 1-row
+block's matrix-vector products round differently). A convolution's output
+column depends only on its own patch column, and a dense layer's row only on
+its own input row, so the blocked logits are bit-identical to one pass.
 
 One backward pass (``_backward``) serves both ``loss_and_grad``, which
 returns the loss and a new gradient array, and ``train_step``, the training
@@ -57,13 +57,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 KIND_SOFTMAX = "softmax_linear"
 KIND_RESNET = "mini_resnet"
 
 # examples per mini_resnet evaluation block: at 64 samples and the default
-# widths a block's largest patch matrix is 4096 x 25 float64 values (0.8 MB),
+# widths a block's largest patch matrix is 25 x 4096 float64 values (0.8 MB),
 # where a 680-example batch would build 16 MB ones
 EVAL_BLOCK_ROWS = 32
 
@@ -131,11 +130,8 @@ def param_layout(spec: ModelSpec) -> List[Tuple[str, Tuple[int, ...]]]:
     ):
         layout.append((f"{name}.w", (k, cin, cout)))
         layout.append((f"{name}.b", (cout,)))
-    layout.append(("fc1.w", (flat_dim, spec.hidden)))
-    layout.append(("fc1.b", (spec.hidden,)))
-    layout.append(("fc2.w", (spec.hidden, spec.num_classes)))
-    layout.append(("fc2.b", (spec.num_classes,)))
-    return layout
+    return layout + [("fc1.w", (flat_dim, spec.hidden)), ("fc1.b", (spec.hidden,)),
+                     ("fc2.w", (spec.hidden, spec.num_classes)), ("fc2.b", (spec.num_classes,))]
 
 
 def num_params(spec: ModelSpec) -> int:
@@ -145,8 +141,7 @@ def num_params(spec: ModelSpec) -> int:
 @functools.lru_cache(maxsize=None)
 def _segments(spec: ModelSpec) -> Tuple[Tuple[str, int, int, Tuple[int, ...]], ...]:
     """(name, start, stop, shape) of every layout segment, computed once per spec."""
-    segments = []
-    off = 0
+    segments, off = [], 0
     for name, shape in param_layout(spec):
         size = int(np.prod(shape))
         segments.append((name, off, off + size, shape))
@@ -242,91 +237,110 @@ def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _windows(a: np.ndarray, k: int, key: Optional[str]) -> np.ndarray:
-    """Read-only (S, T, k*C) view: row (s, t) holds the k time steps of ``a``
-    (..., T, C) centred on t, zero-padded, with the leading axes merged into S.
+def _slab(key: Optional[str], c: int, t: int, s: int, p: int) -> np.ndarray:
+    """A (c, t + 2p, s) work array (see ``_scratch``) whose first and last p
+    time steps are zero: the padding around an interior of t steps."""
+    slab = _scratch(key, (c, t + 2 * p, s))
+    slab[:, :p] = 0.0
+    slab[:, p + t :] = 0.0
+    return slab
 
-    ``a`` is copied into a padded work array under ``key``, in which each
-    window is one contiguous run of k*C values.
-    """
-    *lead, t, c = a.shape
-    p = k // 2
-    padded = _scratch(key, (*lead, t + 2 * p, c))
-    padded[..., :p, :] = 0.0
-    padded[..., p : p + t, :] = a
-    padded[..., p + t :, :] = 0.0
-    flat = padded.reshape(-1, (t + 2 * p) * c)
-    step = flat.itemsize
-    return as_strided(flat, (len(flat), t, k * c), (flat.strides[0], c * step, step),
-                      writeable=False)
+
+def _interior(slab: np.ndarray, t: int) -> np.ndarray:
+    """The (C, t*S) view of the t unpadded time steps of a (C, T, S) slab."""
+    p = (slab.shape[1] - t) // 2
+    return slab[:, p : p + t].reshape(len(slab), -1)
+
+
+def _to_slab(rows: np.ndarray, key: str, p: int) -> np.ndarray:
+    """(n, t, cols, C) ``rows`` as the interior of a (C, t + 2p, n*cols) work
+    slab, copied a column at a time: one transposed copy of the whole array
+    runs inner loops of 2 values and takes three times as long."""
+    n, t, cols, c = rows.shape
+    slab = _slab(key, c, t, n * cols, p)
+    for col in range(cols):
+        _interior(slab, t).reshape(c, t, n, cols)[..., col] = rows[:, :, col].transpose(2, 1, 0)
+    return slab
+
+
+def _fill_taps(rows: np.ndarray, slab: np.ndarray, k: int, t: int) -> None:
+    """Fill (k*C, t*S) ``rows`` from a (C, t + k - 1, S) slab: row j*C + c is
+    channel c's time steps j .. j+t-1, one contiguous run of t*S values."""
+    taps = rows.reshape(k, len(slab), t, -1)
+    for j in range(k):
+        taps[j] = slab[:, j : j + t]
 
 
 def conv_time(x: np.ndarray, w: np.ndarray, b: np.ndarray, key: Optional[str] = None):
-    """Convolve along the time axis with zero padding; sequences stay separate.
+    """Convolve along time the (Cin, T + 2p, S) slab x, whose p = K//2 time
+    steps at each end are zero, with w (K, Cin, Cout) and b (Cout,).
 
-    x: (n, cols, T, Cin), w: (K, Cin, Cout), b: (Cout,). Each row of the
-    (n*cols*T, K*Cin + 1) patch matrix is one window of x and a 1 that carries
-    the bias, so the convolution is one GEMM with ``[w; b]``. Returns (out,
-    patches). With a ``key`` both are kept work arrays (see ``_scratch``)
-    that the key's next call overwrites.
+    Returns the (Cout, T + 2p, S) slab, padded alike, of one GEMM ``[w; b].T
+    @ patches`` (see the module docstring). With a ``key`` it is a kept work
+    array (see ``_scratch``) that the key's next call overwrites, and the
+    patch matrix one that all keys share.
     """
-    n, cols, t, cin = x.shape
-    k, _, cout = w.shape
-    patches = _scratch(key and f"{key}.patches", (n * cols, t, k * cin + 1))
-    np.copyto(patches[..., :-1], _windows(x, k, key and "pad"))
-    patches[..., -1] = 1.0
-    patches = patches.reshape(n * cols * t, k * cin + 1)
+    k, cin, cout = w.shape
+    t = x.shape[1] - 2 * (k // 2)
+    patches = _scratch(key and "patches", (k * cin + 1, t * x.shape[2]))
+    _fill_taps(patches[:-1], x, k, t)
+    patches[-1] = 1.0
     wb = np.concatenate((w.reshape(k * cin, cout), b[None]))
-    out = np.matmul(patches, wb, out=_scratch(key and f"{key}.out", (n * cols * t, cout)))
-    return out.reshape(n, cols, t, cout), patches
+    out = _slab(key and f"{key}.out", cout, t, x.shape[2], k // 2)
+    np.matmul(wb.T, patches, out=_interior(out, t))
+    return out
 
 
-def conv_time_backward(patches: np.ndarray, w: np.ndarray, dy: np.ndarray,
+def conv_time_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
                        input_grad: bool = True, key: Optional[str] = None):
-    """Gradients of conv_time from its patch matrix; returns (dx, dw, db).
-
-    dw and db are one ``patches.T @ dy`` product. dx is None unless
-    ``input_grad``; it is the windows of dy times the time-flipped kernel.
-    With a ``key``, dx, the padded dy and its windows are kept work arrays
-    (see ``_scratch``) that all keys share: the next keyed call overwrites dx,
-    and its dy may be that dx, as dy is read in full before dx is written.
+    """(dx, dw, db) of conv_time from its input slab x and the dy slab; dx is
+    None unless ``input_grad``. With a ``key``, dx and the patch matrix of dy
+    are work arrays (see ``_scratch``) that all keys share: the next keyed
+    call overwrites dx, and its dy may be that dx, as dy is read in full
+    before dx is written.
     """
-    n, cols, t, cout = dy.shape
-    k, cin, _ = w.shape
-    dwb = patches.T @ dy.reshape(-1, cout)
-    dw, db = dwb[:-1].reshape(w.shape), dwb[-1]
+    k, cin, cout = w.shape
+    t = dy.shape[1] - 2 * (k // 2)
+    dyi = _interior(dy, t)
+    dw, db = np.empty(w.shape), dyi.sum(axis=1)
+    for j in range(k):
+        np.matmul(x[:, j : j + t].reshape(cin, -1), dyi.T, out=dw[j])
     if not input_grad:
         return None, dw, db
-    windows = _scratch(key and "dywindows", (n * cols, t, k * cout))
-    np.copyto(windows, _windows(dy, k, key and "pad"))
-    # dx[t] = sum over taps j of dy[t + p - j] @ w[j].T: the windows run j backwards
+    windows = _scratch(key and "patches", (k * cout, dyi.shape[1]))
+    _fill_taps(windows, dy, k, t)
+    # dx[t] = sum over taps j of w[j] @ dy[t + p - j]: the windows run j backwards
     flipped = w[::-1].transpose(0, 2, 1).reshape(k * cout, cin)
-    dx = np.matmul(windows.reshape(-1, k * cout), flipped,
-                   out=_scratch(key and "dx", (n * cols * t, cin)))
-    return dx.reshape(n, cols, t, cin), dw, db
+    dx = _slab(key and "dx", cin, t, dy.shape[2], k // 2)
+    np.matmul(flipped.T, windows, out=_interior(dx, t))
+    return dx, dw, db
 
 
-def maxpool2_time(x: np.ndarray, key: Optional[str] = None):
-    """Non-overlapping 2x1 max pooling along time; ties take the earlier sample.
+def maxpool2_time(x: np.ndarray, p: int = 0, key: Optional[str] = None):
+    """Non-overlapping 2x1 max pooling along time of a (C, T + 2p, S) slab
+    padded by p zero time steps; ties take the earlier sample.
 
-    x: (n, cols, T, C). Returns (out, idx) with idx True where the later sample
-    of a pair won. With a ``key``, out is a kept work array (see ``_scratch``),
-    and so is the result of ``maxpool2_time_backward`` with the same key.
+    Returns (out, idx): the (C, T/2 + 2p, S) slab of the maxima, padded
+    alike, and (C, T/2, S), True where the later sample won. With a ``key``,
+    out is a kept work array (see ``_scratch``), and so is the result of
+    ``maxpool2_time_backward`` with the same key.
     """
-    n, cols, t, c = x.shape
-    xr = x.reshape(n, cols, t // 2, 2, c)
-    first, second = xr[..., 0, :], xr[..., 1, :]
-    out = _scratch(key and f"{key}.pool", (n, cols, t // 2, c))
-    return np.maximum(first, second, out=out), second > first
+    th = x.shape[1] // 2 - p
+    first, second = x[:, p : p + 2 * th : 2], x[:, p + 1 : p + 2 * th : 2]
+    out = _slab(key and f"{key}.pool", len(x), th, x.shape[2], p)
+    np.maximum(first, second, out=out[:, p : p + th])
+    return out, second > first
 
 
-def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray, t: int,
+def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray,
                            key: Optional[str] = None) -> np.ndarray:
-    n, cols, th, c = dy.shape
-    dxr = _scratch(key and f"{key}.dpool", (n, cols, th, 2, c))
-    np.multiply(dy, ~idx, out=dxr[..., 0, :])
-    np.multiply(dy, idx, out=dxr[..., 1, :])
-    return dxr.reshape(n, cols, t, c)
+    """dx of maxpool2_time from its idx and the padded dy slab, padded alike."""
+    c, th, s = idx.shape
+    p = (dy.shape[1] - th) // 2
+    dx = _slab(key and f"{key}.dpool", c, 2 * th, s, p)
+    np.multiply(dy[:, p : p + th], ~idx, out=dx[:, p : p + 2 * th : 2])
+    np.multiply(dy[:, p : p + th], idx, out=dx[:, p + 1 : p + 2 * th : 2])
+    return dx
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -411,23 +425,22 @@ def _l2_term(spec: ModelSpec, params: np.ndarray):
 
 def _check_input(spec: ModelSpec, x: np.ndarray) -> None:
     if x.shape[-3:] != spec.input_shape:
-        raise ValueError(
-            f"input shape {x.shape[-3:]} does not match spec {spec.input_shape}"
-        )
+        raise ValueError(f"input shape {x.shape[-3:]} does not match spec {spec.input_shape}")
 
 
 def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
     """Returns (logits, cache). cache is None unless keep.
 
-    Without keep no ReLU mask is built. Each layer's patch matrix, output and
-    pooling result is a work array of that layer (see ``_scratch``), so the
-    cache holds views that the next pass overwrites.
+    Without keep no ReLU mask is built. Each layer's output slab and pooling
+    result is a work array of that layer (see ``_scratch``), so the cache
+    holds views that the next pass overwrites.
     """
     cache: Optional[dict] = {"masks": []} if keep else None
+    n, t, cols, _ = x.shape
+    p = spec.kernel_len // 2
 
     def conv(name, h):
-        z, patches = conv_time(h, views[f"{name}.w"], views[f"{name}.b"], key=name)
-        return z, (patches if keep else None)
+        return conv_time(h, views[f"{name}.w"], views[f"{name}.b"], key=name)
 
     def relu(z):
         # in place: every z here is its own layer's work array or a fresh copy
@@ -435,28 +448,29 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
         return np.maximum(z, 0.0, out=z), mask
 
     def block(name, h):
-        a1, p1 = conv(f"{name}.conv1", h)
-        a2, p2 = conv(f"{name}.conv2", a1)
-        a2, m2 = relu(a2)
-        pre, p3 = conv(f"{name}.conv3", a2)
+        a1 = conv(f"{name}.conv1", h)
+        a2, m2 = relu(conv(f"{name}.conv2", a1))
+        pre = conv(f"{name}.conv3", a2)
         pre += a1
         out, mo = relu(pre)
-        pooled, pidx = maxpool2_time(out, key=name)
+        pooled, pidx = maxpool2_time(out, p, key=name)
         if keep:
-            cache[name] = (p1, p2, p3, m2, mo, pidx, out.shape[2])
+            # the input slab of each convolution, for its weight gradient
+            cache[name] = (h, a1, a2, m2, mo, pidx)
             cache["masks"].extend([m2, mo, pidx])
         return pooled
 
-    # sequence-major inside: (n, cols, T, C), one time sequence per (example, column)
-    h = block("block2", block("block1", x.transpose(0, 2, 1, 3)))
-    am, pm = conv("mid_conv", h)
-    # fc1 rows are in (time, column, channel) order
-    flat = am.transpose(0, 2, 1, 3).reshape(len(am), -1)
-    flat, mm = relu(flat)
+    h = block("block2", block("block1", _to_slab(x, "input", p)))
+    am = _interior(conv("mid_conv", h), t // 4).reshape(-1, t // 4, n, cols)
+    # fc1 rows are in (time, column, channel) order; see _to_slab for the loop
+    flat = np.empty((n, t // 4, cols, len(am)))
+    for col in range(cols):
+        flat[:, :, col] = am[..., col].transpose(2, 1, 0)
+    flat, mm = relu(flat.reshape(n, -1))
     a1f, m1 = relu(flat @ views["fc1.w"] + views["fc1.b"])
     logits = a1f @ views["fc2.w"] + views["fc2.b"]
     if keep:
-        cache["head"] = (pm, mm, am.shape, flat, m1, a1f)
+        cache["head"] = (h, mm, flat, m1, a1f)
         cache["masks"].extend([mm, m1])
     return logits, cache
 
@@ -577,42 +591,36 @@ def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nda
         dlogits, cache = _resnet_forward(spec, views, x, keep=True)
         loss = _dlogits(dlogits, labels, want_loss)
         grad.fill(0.0)
-        pm, mm, am_shape, flat, m1, a1f = cache["head"]
-        gviews["fc2.w"] += a1f.T @ dlogits
-        gviews["fc2.b"] += dlogits.sum(axis=0)
-        da1f = dlogits @ views["fc2.w"].T
-        dz1 = da1f * m1
-        gviews["fc1.w"] += flat.T @ dz1
-        gviews["fc1.b"] += dz1.sum(axis=0)
+        hm, mm, flat, m1, a1f = cache["head"]
+
+        def add(name, dw, db):
+            gviews[f"{name}.w"] += dw
+            gviews[f"{name}.b"] += db
+
+        def conv_back(name, h, dy, input_grad=True):
+            dx, dw, db = conv_time_backward(h, views[f"{name}.w"], dy, input_grad, key=name)
+            add(name, dw, db)
+            return dx
+
+        add("fc2", a1f.T @ dlogits, dlogits.sum(axis=0))
+        dz1 = (dlogits @ views["fc2.w"].T) * m1
+        add("fc1", flat.T @ dz1, dz1.sum(axis=0))
         dflat = dz1 @ views["fc1.w"].T
-        n, cols, tq, c = am_shape
-        dzm = (dflat * mm).reshape(n, tq, cols, c).transpose(0, 2, 1, 3).copy()
-        dh, dw, db = conv_time_backward(pm, views["mid_conv.w"], dzm, key="mid_conv")
-        gviews["mid_conv.w"] += dw
-        gviews["mid_conv.b"] += db
+
+        # back from fc1's (time, column, channel) order, into the dx work
+        # array, which mid_conv's backward call may overwrite
+        rows = (dflat * mm).reshape(len(x), x.shape[1] // 4, x.shape[2], -1)
+        dh = conv_back("mid_conv", hm, _to_slab(rows, "dx", spec.kernel_len // 2))
         for name in ("block2", "block1"):
-            p1, p2, p3, m2, mo, pidx, t_out = cache[name]
-            dout = maxpool2_time_backward(pidx, dh, t_out, key=name)
-            dpre = np.multiply(dout, mo, out=dout)
-            da2, dw3, db3 = conv_time_backward(
-                p3, views[f"{name}.conv3.w"], dpre, key=f"{name}.conv3"
-            )
-            gviews[f"{name}.conv3.w"] += dw3
-            gviews[f"{name}.conv3.b"] += db3
-            dz2 = np.multiply(da2, m2, out=da2)
-            da1, dw2, db2 = conv_time_backward(
-                p2, views[f"{name}.conv2.w"], dz2, key=f"{name}.conv2"
-            )
-            gviews[f"{name}.conv2.w"] += dw2
-            gviews[f"{name}.conv2.b"] += db2
+            h, a1, a2, m2, mo, pidx = cache[name]
+            dpre = maxpool2_time_backward(pidx, dh, key=name)
+            dpre *= mo
+            dz2 = conv_back(f"{name}.conv3", a2, dpre)
+            dz2 *= m2
+            da1 = conv_back(f"{name}.conv2", a1, dz2)
             da1 += dpre  # additive skip from the block output
             # the input gradient of block1.conv1 would be the data's
-            dh, dw1, db1 = conv_time_backward(
-                p1, views[f"{name}.conv1.w"], da1, input_grad=name != "block1",
-                key=f"{name}.conv1",
-            )
-            gviews[f"{name}.conv1.w"] += dw1
-            gviews[f"{name}.conv1.b"] += db1
+            dh = conv_back(f"{name}.conv1", h, da1, input_grad=name != "block1")
     return loss
 
 
@@ -640,9 +648,7 @@ def _activation_signature(spec: ModelSpec, params: np.ndarray, batch: Batch):
 
 
 def _same_signature(a, b) -> bool:
-    if a is None and b is None:
-        return True
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
+    return (a is None and b is None) or all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def central_diff_max_error(loss_fn, params: np.ndarray, grad: np.ndarray,
@@ -658,8 +664,7 @@ def central_diff_max_error(loss_fn, params: np.ndarray, grad: np.ndarray,
     """
     _, sig0 = loss_fn(params)
     scale = max(float(np.max(np.abs(grad))), 1e-12)
-    worst = 0.0
-    checked = 0
+    worst, checked = 0.0, 0
     for i in coords:
         if limit is not None and checked >= limit:
             break
@@ -677,14 +682,8 @@ def central_diff_max_error(loss_fn, params: np.ndarray, grad: np.ndarray,
     return worst, checked
 
 
-def finite_diff_check(
-    spec: ModelSpec,
-    params: np.ndarray,
-    batch: Batch,
-    step: float = 1e-5,
-    num_coords: Optional[int] = None,
-    seed: int = 0,
-) -> Tuple[float, int]:
+def finite_diff_check(spec: ModelSpec, params: np.ndarray, batch: Batch, step: float = 1e-5,
+                      num_coords: Optional[int] = None, seed: int = 0) -> Tuple[float, int]:
     """Compare loss_and_grad against central differences.
 
     Every coordinate is checked unless ``num_coords`` is smaller than the

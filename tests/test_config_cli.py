@@ -420,6 +420,65 @@ def test_largest_seed_round_trips(tmp_path):
                      "--model", str(model)]) == 0
 
 
+def test_mini_resnet_run_is_byte_identical_at_1_and_2_blas_threads(tmp_path):
+    # window 64 and batch 32: the larger convolution GEMMs are big enough for
+    # OpenBLAS to split them over two threads
+    cfg_path = small_desk(tmp_path, dataset={"per_tx_count": 40, "window_len": 64},
+                          model={"kind": "mini_resnet"},
+                          training={"batch_size": 32, "seeds": [1]})
+    files = (cli.METRICS_FILENAME, "model_seed1.npz", cli.PERSONALIZE_FILENAME,
+             cli.MANIFEST_FILENAME)
+    src = Path(cli.__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedrf.cli", "run", "--config", str(cfg_path),
+             "--out", str(tmp_path / threads)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append([(tmp_path / threads / f).read_bytes() for f in files])
+    for name, one, two in zip(files, *outs):
+        assert one == two, f"{name} differs between 1 and 2 BLAS threads"
+
+
+def test_manifest_records_the_seeds_each_command_used(tmp_path):
+    def seeds(out, status="complete"):
+        manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+        assert manifest["status"] == status
+        return manifest["seeds"]
+
+    cfg_path = small_desk(tmp_path, training={"rounds": 1})
+    gen = tmp_path / "g"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(gen)]) == 0
+    assert seeds(gen) == [3]  # dataset.seed
+    # copying a dataset file draws no random numbers
+    copy = write_cfg(tmp_path, {"dataset": {"path": str(gen / cli.DATASET_FILENAME),
+                                            "seed": 5}}, name="copy.json")
+    assert cli.main(["gen-data", "--config", str(copy), "--out", str(tmp_path / "c")]) == 0
+    assert seeds(tmp_path / "c") == []
+    run = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(run),
+                     "--seed-override", "7"]) == 0
+    assert seeds(run) == [7]
+    args = ["personalize", "--config", str(cfg_path), "--out", str(tmp_path / "p"), "--model"]
+    assert cli.main([*args, str(run / "model_seed7.npz")]) == 0
+    assert seeds(tmp_path / "p") == [7]  # the model file's, not training.seeds
+    # a personalize that fails before it has read its model knows no seed
+    assert cli.main([*args, str(run / "absent.npz")]) == 1
+    assert seeds(tmp_path / "p", "failed") == []
+    bound = tmp_path / "b"
+    quad = CONFIG_DIR / "quad_noiseless.json"
+    assert cli.main(["verify-bound", "--config", str(quad), "--out", str(bound)]) == 0
+    assert seeds(bound) == [6]  # analysis.seed
+    raw = json.loads((CONFIG_DIR / "quad_bound.json").read_text())
+    raw["analysis"]["eta"] = 0.5  # inapplicable: fails after reading analysis.seed
+    assert cli.main(["verify-bound", "--config", str(write_cfg(tmp_path, raw)),
+                     "--out", str(tmp_path / "b2")]) == 1
+    assert seeds(tmp_path / "b2", "failed") == [11]
+
+
 def test_out_dir_belongs_to_one_command(tmp_path, capsys):
     cfg_path = small_desk(tmp_path, training={"seeds": [1]})
     out = tmp_path / "r"

@@ -23,9 +23,22 @@ def random_batch(spec, n, seed=0):
     return models.Batch(x, y)
 
 
-def seq(a):
-    """(n, T, cols, C) <-> (n, cols, T, C): the kernels' sequence-major layout."""
-    return np.ascontiguousarray(np.swapaxes(a, 1, 2))
+def slab(a, kernel_len):
+    """(n, T, cols, C) -> the kernels' channel-major layout: a (C, T + 2p, n*cols)
+    slab whose p = kernel_len // 2 time steps at each end are zero."""
+    n, t, cols, c = a.shape
+    p = kernel_len // 2
+    out = np.zeros((c, t + 2 * p, n * cols))
+    out[:, p : p + t] = a.transpose(3, 1, 0, 2).reshape(c, t, n * cols)
+    return out
+
+
+def unslab(a, kernel_len, n):
+    """The inverse of ``slab``: the interior as (n, T, cols, C), once the pads are zero."""
+    c, tp, s = a.shape
+    p = kernel_len // 2
+    assert not a[:, :p].any() and not a[:, tp - p :].any(), "nonzero padding"
+    return a[:, p : tp - p].reshape(c, tp - 2 * p, n, s // n).transpose(2, 1, 3, 0)
 
 
 def probabilities(spec, params, x):
@@ -168,22 +181,22 @@ def test_resnet_structure():
     views = models.param_views(spec, params)
     x = np.zeros((1,) + spec.input_shape)
     shapes = {}
-    h = seq(x)
+    h = slab(x, 3)
     for block, pool in (("block1", "pool1"), ("block2", "pool2")):
         for conv in ("conv1", "conv2", "conv3"):
-            h, _ = models.conv_time(h, views[f"{block}.{conv}.w"], views[f"{block}.{conv}.b"])
-        shapes[block] = h.shape[1:]
-        h, _ = models.maxpool2_time(h)
-        shapes[pool] = h.shape[1:]
-    h, _ = models.conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
-    shapes["mid_conv"] = h.shape[1:]
-    h = seq(h).reshape(1, -1) @ views["fc1.w"]
+            h = models.conv_time(h, views[f"{block}.{conv}.w"], views[f"{block}.{conv}.b"])
+        shapes[block] = unslab(h, 3, 1).shape[1:]
+        h, _ = models.maxpool2_time(h, 1)
+        shapes[pool] = unslab(h, 3, 1).shape[1:]
+    h = models.conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
+    shapes["mid_conv"] = unslab(h, 3, 1).shape[1:]
+    h = unslab(h, 3, 1).reshape(1, -1) @ views["fc1.w"]
     shapes["fc1"] = h.shape[1:]
     shapes["fc2"] = (h @ views["fc2.w"]).shape[1:]
     assert shapes == {
-        "block1": (2, 256, 16), "pool1": (2, 128, 16),
-        "block2": (2, 128, 32), "pool2": (2, 64, 32),
-        "mid_conv": (2, 64, 16), "fc1": (80,), "fc2": (163,),
+        "block1": (256, 2, 16), "pool1": (128, 2, 16),
+        "block2": (128, 2, 32), "pool2": (64, 2, 32),
+        "mid_conv": (64, 2, 16), "fc1": (80,), "fc2": (163,),
     }
     assert models._logits(spec, params, x)[0].shape == (1, 163)
     # each residual block carries exactly three convolutions
@@ -205,12 +218,12 @@ def test_resnet_skip_isolation():
     batch = random_batch(spec, 3, seed=11)
     got = probabilities(spec, params, batch.inputs)
 
-    h = seq(batch.inputs)
+    h = slab(batch.inputs, 3)
     for block in ("block1", "block2"):
-        h1, _ = models.conv_time(h, views[f"{block}.conv1.w"], views[f"{block}.conv1.b"])
-        h, _ = models.maxpool2_time(np.maximum(h1, 0.0))
-    zm, _ = models.conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
-    flat = seq(np.maximum(zm, 0.0)).reshape(len(batch), -1)
+        h1 = models.conv_time(h, views[f"{block}.conv1.w"], views[f"{block}.conv1.b"])
+        h, _ = models.maxpool2_time(np.maximum(h1, 0.0), 1)
+    zm = models.conv_time(h, views["mid_conv.w"], views["mid_conv.b"])
+    flat = unslab(np.maximum(zm, 0.0), 3, len(batch)).reshape(len(batch), -1)
     a1 = np.maximum(flat @ views["fc1.w"] + views["fc1.b"], 0.0)
     logits = a1 @ views["fc2.w"] + views["fc2.b"]
     ref = models._softmax(logits)
@@ -377,14 +390,17 @@ def test_conv_time_matches_naive_loop(kernel_len):
         b = rng.standard_normal(cout)
         dy = rng.standard_normal((n, t, 2, cout))
 
-        out, patches = models.conv_time(seq(x), w, b)
-        assert patches.shape == (n * 2 * t, kernel_len * cin + 1)
-        assert np.allclose(seq(out), naive_conv_time(x, w, b), rtol=0, atol=1e-12)
-        dx, dw, db = models.conv_time_backward(patches, w, seq(dy))
-        for got, ref in zip((seq(dx), dw, db), naive_conv_time_backward(x, w, dy)):
+        xs, dys = slab(x, kernel_len), slab(dy, kernel_len)
+        out = models.conv_time(xs, w, b)
+        assert out.shape == (cout, t + kernel_len - 1, n * 2)
+        assert np.allclose(unslab(out, kernel_len, n), naive_conv_time(x, w, b),
+                           rtol=0, atol=1e-12)
+        dx, dw, db = models.conv_time_backward(xs, w, dys)
+        got_dx = unslab(dx, kernel_len, n)
+        for got, ref in zip((got_dx, dw, db), naive_conv_time_backward(x, w, dy)):
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0, atol=1e-12)
-        no_dx, dw_only, db_only = models.conv_time_backward(patches, w, seq(dy), input_grad=False)
+        no_dx, dw_only, db_only = models.conv_time_backward(xs, w, dys, input_grad=False)
         assert no_dx is None
         assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
 
@@ -474,12 +490,17 @@ def test_resnet_matches_naive_network(kernel_len):
 
 
 def test_maxpool2_time_tie_takes_earlier_sample():
-    x = np.array([3.0, 3.0, 1.0, 2.0, 5.0, 4.0]).reshape(1, 1, 6, 1)
+    x = np.array([3.0, 3.0, 1.0, 2.0, 5.0, 4.0]).reshape(1, 6, 1)
     out, idx = models.maxpool2_time(x)
     assert out.ravel().tolist() == [3.0, 2.0, 5.0]
     assert idx.ravel().tolist() == [False, True, False]
-    dx = models.maxpool2_time_backward(idx, np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1), 6)
+    dx = models.maxpool2_time_backward(idx, np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1))
     assert dx.ravel().tolist() == [1.0, 0.0, 0.0, 2.0, 3.0, 0.0]
+    # with one zero time step of padding at each end, in and out
+    out, idx = models.maxpool2_time(np.pad(x, ((0, 0), (1, 1), (0, 0))), 1)
+    assert out.ravel().tolist() == [0.0, 3.0, 2.0, 5.0, 0.0]
+    dx = models.maxpool2_time_backward(idx, np.array([0.0, 1.0, 2.0, 3.0, 0.0]).reshape(1, 5, 1))
+    assert dx.ravel().tolist() == [0.0, 1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0]
 
 
 def test_eval_logits_equal_training_logits():
@@ -534,28 +555,74 @@ def test_row_max_equals_the_reduction():
                               equal_nan=True)
 
 
+def poison_work_arrays():
+    """Fill every work array this thread keeps with nan, padding included."""
+    for buf in models._scratch_arrays.__dict__.values():
+        buf[:] = np.nan
+
+
 def test_keyed_conv_work_arrays_match_fresh_ones():
     # a key hands the next call its previous memory, here first filled with nan;
-    # the padded input or dy, the dy windows and dx are shared by all keys
-    for key in ("test.conv.patches", "pad", "dywindows", "dx"):
-        models._scratch(key, (9 * 2 * 8 * (3 * 4 + 1),))[:] = np.nan
+    # the patch matrix and dx are shared by all keys
+    for key in ("patches", "test.conv.out", "dx", "test.pool.pool", "test.pool.dpool"):
+        models._scratch(key, (9 * 2 * 10 * (3 * 4 + 1),))
     rng = np.random.default_rng(5)
     w = rng.standard_normal((3, 2, 4))
     b = rng.standard_normal(4)
+    w_back = rng.standard_normal((3, 4, 2))
     for n in (6, 3, 9):
-        x = rng.standard_normal((n, 2, 8, 2))
-        dy = rng.standard_normal((n, 2, 8, 4))
-        out, patches = models.conv_time(x, w, b, key="test.conv")
-        ref_out, ref_patches = models.conv_time(x, w, b)
-        assert np.array_equal(out, ref_out) and np.array_equal(patches, ref_patches)
-        got = models.conv_time_backward(patches, w, dy, key="test.conv")
-        for g, r in zip(got, models.conv_time_backward(ref_patches, w, dy)):
+        poison_work_arrays()
+        x = slab(rng.standard_normal((n, 8, 2, 2)), 3)
+        dy = slab(rng.standard_normal((n, 8, 2, 4)), 3)
+        out = models.conv_time(x, w, b, key="test.conv")
+        assert np.array_equal(out, models.conv_time(x, w, b))
+        unslab(out, 3, n)
+        got = models.conv_time_backward(x, w, dy, key="test.conv")
+        for g, r in zip(got, models.conv_time_backward(x, w, dy)):
             assert np.array_equal(g, r)
-        pooled, idx = models.maxpool2_time(x, key="test.pool")
-        ref_pooled, ref_idx = models.maxpool2_time(x)
+        unslab(got[0], 3, n)
+        # the next keyed call may take the last dx as its dy
+        dx = got[0]
+        ref = models.conv_time_backward(out, w_back, dx.copy())
+        got = models.conv_time_backward(out, w_back, dx, key="test.conv")
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        unslab(got[0], 3, n)
+        pooled, idx = models.maxpool2_time(x, 1, key="test.pool")
+        ref_pooled, ref_idx = models.maxpool2_time(x, 1)
         assert np.array_equal(pooled, ref_pooled) and np.array_equal(idx, ref_idx)
-        dpool = models.maxpool2_time_backward(idx, x[:, :, ::2], 8, key="test.pool")
-        assert np.array_equal(dpool, models.maxpool2_time_backward(idx, x[:, :, ::2], 8))
+        unslab(pooled, 3, n)
+        dpool = models.maxpool2_time_backward(idx, pooled, key="test.pool")
+        assert np.array_equal(dpool, models.maxpool2_time_backward(idx, pooled))
+        unslab(dpool, 3, n)
+
+
+@pytest.mark.parametrize("kernel_len", [1, 3, 5])
+@pytest.mark.parametrize("window_len", [8, 16])
+def test_poisoned_work_arrays_match_fresh_ones(kernel_len, window_len):
+    # window_len 8: mid_conv runs at T=2, below kernel_len 5; the padding of
+    # every slab must come back zero from work arrays that another batch size
+    # laid out differently and that hold nan everywhere
+    spec = models.ModelSpec("mini_resnet", window_len, 2, 5, l2_coeff=1e-3,
+                            block_channels=(3, 4), kernel_len=kernel_len, hidden=6)
+    params = models.init_params(spec, kernel_len)
+    sizes = (32, 31, 9, 1)
+    batches = [random_batch(spec, n, seed=n) for n in sizes]
+
+    def calls(batch, before):
+        before()
+        stepped = params.copy()
+        models.train_step(spec, stepped, batch, 0.1)
+        before()
+        loss, grad = models.loss_and_grad(spec, params, batch)
+        before()
+        return loss, grad, stepped, models._logits(spec, params, batch.inputs)[0]
+
+    fresh = [calls(batch, models._scratch_arrays.__dict__.clear) for batch in batches]
+    calls(batches[0], lambda: None)  # the largest batch sizes the kept arrays
+    for batch, ref in zip(batches, fresh):
+        for got, want in zip(calls(batch, poison_work_arrays), ref):
+            assert np.array_equal(got, want), len(batch)
 
 
 def test_scratch_keeps_only_small_keyed_arrays():
