@@ -2,10 +2,11 @@
 
 One training round broadcasts the global parameter vector to every AP, runs
 J local SGD steps on each AP's private shard, and averages the returned
-vectors. The APs of a round step in lockstep: every AP draws its mini-batch
-from its own RNG stream keyed by (seed, ap, round), and one stacked in-place
-step (``models.train_step``) serves all APs of equal batch size, so results
-are bit-identical to training the APs one after another.
+vectors. Each AP's J mini-batches are drawn up front, as one index plan, from
+its own RNG stream keyed by (seed, ap, round). The APs of a round then step
+in lockstep: one stacked in-place step (``models.train_step``) serves all APs
+of equal batch size, so results are bit-identical to training the APs one
+after another.
 
 The average sorts each coordinate with an odd-even transposition network of
 ``np.minimum``/``np.maximum`` over the AP rows and sums the rows in order,
@@ -82,14 +83,6 @@ class TrainingConfig:
             raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
         if self.eval_stride < 1:
             raise ValueError("eval_stride must be >= 1")
-
-
-@dataclass
-class APState:
-    """One AP's view for a single round: its shard and its RNG."""
-
-    data: models.Batch
-    rng: np.random.Generator
 
 
 @dataclass
@@ -210,28 +203,18 @@ def partition_noniid(
     return _finalize_partition(data, [np.array(ix) for ix in indices], selection)
 
 
-class _BatchSampler:
-    """Without-replacement mini-batches with epoch reshuffling.
+def _round_plan(n: int, batch_size: int, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """The (steps, min(batch_size, n)) row indices of one AP's mini-batches.
 
-    Pops ``batch_size`` indices per step from a shuffled queue and reshuffles
-    once fewer than a full batch remains. Returned indices are sorted so the
-    full-batch case reduces bit-exactly to the natural data order.
+    Batches are taken without replacement from a shuffled queue of the n rows,
+    drawn with ``rng.permutation(n)``; a new queue is drawn whenever fewer than
+    a batch of rows remain. Each batch is sorted, so a full batch is the
+    natural row order.
     """
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self.queue = rng.permutation(n)
-        self.pos = 0
-
-    def next(self) -> np.ndarray:
-        if self.pos + self.batch_size > self.n:
-            self.queue = self.rng.permutation(self.n)
-            self.pos = 0
-        out = self.queue[self.pos : self.pos + self.batch_size]
-        self.pos += self.batch_size
-        return np.sort(out)
+    size = min(batch_size, n)
+    per_queue = n // size
+    queues = [rng.permutation(n)[: per_queue * size] for _ in range(-(-steps // per_queue))]
+    return np.sort(np.concatenate(queues).reshape(-1, size)[:steps], axis=1)
 
 
 def ap_stream(seed: int, ap: int, round_index: int) -> np.random.Generator:
@@ -242,15 +225,17 @@ def ap_stream(seed: int, ap: int, round_index: int) -> np.random.Generator:
 
 @np.errstate(over="ignore", invalid="ignore")
 def local_train(
-    aps: Sequence[APState],
+    shards: Sequence[models.Batch],
+    rngs: Sequence[np.random.Generator],
     w_global: np.ndarray,
     cfg: TrainingConfig,
     grad_fn: Optional[Callable[[np.ndarray, models.Batch], np.ndarray]] = None,
 ) -> np.ndarray:
     """Run exactly ``cfg.local_steps`` SGD steps at every AP from the broadcast parameters.
 
-    Returns the local parameters stacked as (N, P) in the order of ``aps``.
-    Each AP draws its mini-batches from its own sampler and RNG stream. APs
+    Returns the local parameters stacked as (N, P) in the order of
+    ``shards``. Before the first step, each AP's mini-batches for all steps
+    are drawn as one ``_round_plan`` from its own stream in ``rngs``. APs
     with the same effective batch size (``batch_size`` capped at the shard
     size) step together on their stacked (G, P) parameters and stacked
     (G, B, ...) batch: by default each step is one in-place
@@ -259,26 +244,28 @@ def local_train(
     reported here; callers check for divergence.
     """
     w_global = np.asarray(w_global, dtype=np.float64)
-    samplers = [_BatchSampler(len(ap.data), cfg.batch_size, ap.rng) for ap in aps]
+    plans = [
+        _round_plan(len(shard), cfg.batch_size, rng, cfg.local_steps)
+        for shard, rng in zip(shards, rngs)
+    ]
     groups: Dict[int, List[int]] = {}
-    for n, sampler in enumerate(samplers):
-        groups.setdefault(sampler.batch_size, []).append(n)
-    out = np.empty((len(aps),) + w_global.shape)
-    for members in groups.values():
-        size = samplers[members[0]].batch_size
-        shape = aps[members[0]].data.inputs.shape[1:]
+    for n, plan in enumerate(plans):
+        groups.setdefault(plan.shape[1], []).append(n)
+    out = np.empty((len(shards),) + w_global.shape)
+    for size, members in groups.items():
+        shape = shards[members[0]].inputs.shape[1:]
         # one stacked batch, refilled in place at every step
         batch = models.Batch(
             np.empty((len(members), size) + shape),
             np.empty((len(members), size), dtype=np.int64),
         )
         w = np.repeat(w_global[None], len(members), axis=0)
-        for _ in range(cfg.local_steps):
+        for j in range(cfg.local_steps):
             for g, n in enumerate(members):
-                idx = samplers[n].next()
-                # the sampler's indices are in range; "clip" lets take write out unbuffered
-                np.take(aps[n].data.inputs, idx, axis=0, out=batch.inputs[g], mode="clip")
-                np.take(aps[n].data.labels, idx, out=batch.labels[g], mode="clip")
+                idx = plans[n][j]
+                # the plan's indices are in range; "clip" lets take write out unbuffered
+                np.take(shards[n].inputs, idx, axis=0, out=batch.inputs[g], mode="clip")
+                np.take(shards[n].labels, idx, out=batch.labels[g], mode="clip")
             if grad_fn is None:
                 models.train_step(cfg.spec, w, batch, cfg.eta)
             else:
@@ -364,19 +351,20 @@ def build_ap_batches(
 
 
 def _round_scores(
-    spec: models.ModelSpec, params: np.ndarray, rows: np.ndarray, batches: List[models.Batch]
+    spec: models.ModelSpec, params: np.ndarray, pooled: models.Batch, batches: List[models.Batch]
 ) -> Tuple[float, float, Tuple[float, ...]]:
     """Test loss and accuracy and the AP losses of one evaluated round.
 
-    ``rows`` and ``batches`` (the test batch, then the AP batches) are those
-    of ``_standardized_rows``. One blocked forward pass over ``rows`` gives
+    ``batches`` (the test batch, then the AP batches) are those of
+    ``_standardized_rows``; ``pooled`` holds its rows and, in the same order,
+    every batch's labels. One blocked forward pass over the rows gives
     every batch's logits. A row's logits do not depend on the other rows of
     its block, so the scores equal ``evaluate`` on the test batch and
     ``models.batch_loss`` on each AP batch bit for bit; the l2 term is
     computed once.
     """
-    logits, _ = models._logits(spec, params, rows)
-    losses = models._row_losses(logits, np.concatenate([b.labels for b in batches]))
+    logits, _ = models._logits(spec, params, pooled.inputs)
+    losses = models._row_losses(logits, pooled.labels)
     test = batches[0]
     acc = float(np.mean(np.argmax(logits[: len(test)], axis=1) == test.labels))
     means, start = [], 0
@@ -407,22 +395,19 @@ def run_training(
     """
     stats = modality.pool_normalization(partition.stats)
     rows, batches = _standardized_rows(data, partition, cfg.modalities, stats, partition.stats)
-    ap_batches = batches[1:]
+    pooled = models.Batch(rows, np.concatenate([b.labels for b in batches]))
     init_seed = int(np.random.SeedSequence((_DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
     w = models.init_params(cfg.spec, init_seed)
 
     metrics: List[RoundMetrics] = []
     for t in range(cfg.rounds):
         start = time.perf_counter()
-        states = [
-            APState(data=ap_batches[n], rng=ap_stream(cfg.seed, n, t))
-            for n in range(partition.num_aps)
-        ]
-        w = aggregate(local_train(states, w, cfg))
+        rngs = [ap_stream(cfg.seed, n, t) for n in range(partition.num_aps)]
+        w = aggregate(local_train(batches[1:], rngs, w, cfg))
         if not np.all(np.isfinite(w)):
             raise ValueError(f"training diverged at round {t+1}: parameters are not finite")
         if (t + 1) % cfg.eval_stride == 0 or t == cfg.rounds - 1:
-            loss, acc, ap_losses = _round_scores(cfg.spec, w, rows, batches)
+            loss, acc, ap_losses = _round_scores(cfg.spec, w, pooled, batches)
             metrics.append(
                 RoundMetrics(
                     round=t + 1,
@@ -457,21 +442,21 @@ def personalize(
     _, batches = _standardized_rows(
         data, partition, cfg.modalities, stats, [stats] * partition.num_aps
     )
-    test, test_subsets, states = batches[0], [], []
-    for n, local in enumerate(batches[1:]):
+    test, test_subsets = batches[0], []
+    for n in range(partition.num_aps):
         mask = np.isin(test.labels, partition.label_sets[n])
         if not mask.any():
             raise ValueError(f"AP {n}: personalized test subset is empty")
         test_subsets.append(models.Batch(test.inputs[mask], test.labels[mask]))
-        rng = np.random.default_rng(
-            np.random.SeedSequence((_DOMAIN_PERSONALIZE, cfg.seed, n))
-        )
-        states.append(APState(data=local, rng=rng))
     if fine_tune_steps == 0:
-        tuned = np.repeat(np.asarray(w_global, dtype=np.float64)[None], len(states), axis=0)
+        tuned = np.repeat(np.asarray(w_global, dtype=np.float64)[None], partition.num_aps, axis=0)
     else:
         tuned_cfg = dataclasses.replace(cfg, local_steps=fine_tune_steps)
-        tuned = local_train(states, w_global, tuned_cfg)
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence((_DOMAIN_PERSONALIZE, cfg.seed, n)))
+            for n in range(partition.num_aps)
+        ]
+        tuned = local_train(batches[1:], rngs, w_global, tuned_cfg)
         diverged = np.flatnonzero(~np.isfinite(tuned).all(axis=1))
         if len(diverged):
             raise ValueError(

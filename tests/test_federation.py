@@ -169,8 +169,7 @@ def test_local_train_zero_eta_is_identity():
     cfg.eta = 0.0  # zero step size: every update is a no-op
     batches = federation.build_ap_batches(split, part, cfg.modalities)
     w0 = models.init_params(cfg.spec, 0)
-    state = federation.APState(batches[0], federation.ap_stream(cfg.seed, 0, 0))
-    out = federation.local_train([state], w0, cfg)
+    out = federation.local_train(batches[:1], [federation.ap_stream(cfg.seed, 0, 0)], w0, cfg)
     assert np.array_equal(out, w0[None])
 
 
@@ -182,8 +181,8 @@ def test_local_train_quadratic_closed_form():
     grad_fn = lambda w, b: w - 3.0
     for steps, expected in ((1, 0.3), (2, 0.57)):
         cfg.local_steps = steps
-        state = federation.APState(dummy, federation.ap_stream(0, 0, 0))
-        out = federation.local_train([state], np.zeros(1), cfg, grad_fn=grad_fn)
+        rngs = [federation.ap_stream(0, 0, 0)]
+        out = federation.local_train([dummy], rngs, np.zeros(1), cfg, grad_fn=grad_fn)
         assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -194,8 +193,8 @@ def test_local_train_never_modifies_a_returned_gradient():
     cfg = small_cfg(split, local_steps=4, eta=0.3)
     batches = federation.build_ap_batches(split, part, cfg.modalities)
     w0 = models.init_params(cfg.spec, 0)
-    states = [federation.APState(b, federation.ap_stream(0, n, 0)) for n, b in enumerate(batches)]
-    out = federation.local_train(states, w0, cfg, grad_fn=lambda w, b: w)
+    rngs = [federation.ap_stream(0, n, 0) for n in range(len(batches))]
+    out = federation.local_train(batches, rngs, w0, cfg, grad_fn=lambda w, b: w)
     ref = w0.copy()
     for _ in range(cfg.local_steps):
         ref = ref - cfg.eta * ref
@@ -210,8 +209,8 @@ def test_local_train_deterministic():
     w0 = models.init_params(cfg.spec, 0)
     outs = []
     for _ in range(2):
-        state = federation.APState(batches[1], federation.ap_stream(cfg.seed, 1, 3))
-        outs.append(federation.local_train([state], w0, cfg))
+        rngs = [federation.ap_stream(cfg.seed, 1, 3)]
+        outs.append(federation.local_train(batches[1:], rngs, w0, cfg))
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -241,16 +240,35 @@ def test_pool_stats_reject_non_finite_shard():
         modality.pool_normalization(part.stats)
 
 
-def test_batch_sampler_without_replacement():
-    rng = np.random.default_rng(0)
-    sampler = federation._BatchSampler(10, 4, rng)
-    seen = []
-    for _ in range(2):  # one partial epoch: 4 + 4, remainder discarded
-        idx = sampler.next()
-        assert len(idx) == 4
-        assert len(np.unique(idx)) == 4
-        seen.extend(idx.tolist())
-    assert len(set(seen)) == 8  # no repeats within the epoch
+def queue_reference(n, batch_size, rng, steps):
+    """Reference for _round_plan: pop sorted batches off a shuffled queue of
+    the n rows, drawing a new queue when a batch no longer fits."""
+    size = min(batch_size, n)
+    queue, pos, plan = rng.permutation(n), 0, []
+    for _ in range(steps):
+        if pos + size > n:
+            queue, pos = rng.permutation(n), 0
+        plan.append(np.sort(queue[pos : pos + size]))
+        pos += size
+    return np.stack(plan)
+
+
+# (10, 4, 5) draws a new queue mid-round; (3, 6, 4) has a shard smaller than
+# the batch; (680, 32, 20) is the desk shape
+@pytest.mark.parametrize("n, batch_size, steps",
+                         [(10, 4, 2), (10, 4, 5), (3, 6, 4), (6, 6, 3), (680, 32, 20)])
+def test_round_plan_matches_queue_reference(n, batch_size, steps):
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    plan = federation._round_plan(n, batch_size, rng, steps)
+    assert np.array_equal(plan, queue_reference(n, batch_size, ref_rng, steps))
+    assert plan.shape == (steps, min(batch_size, n))
+    # both use up the stream alike
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
+    # no row repeats within one queue's batches
+    per_queue = n // plan.shape[1]
+    for start in range(0, steps, per_queue):
+        rows = plan[start : start + per_queue].ravel()
+        assert len(np.unique(rows)) == len(rows)
 
 
 def test_aggregate_identities():
@@ -404,10 +422,10 @@ def per_ap_local_train(batches, rngs, w0, cfg):
     """Reference for local_train: each AP alone, one loss_and_grad + sgd_step per step."""
     outs = []
     for batch, rng in zip(batches, rngs):
-        sampler = federation._BatchSampler(len(batch), cfg.batch_size, rng)
+        plan = queue_reference(len(batch), cfg.batch_size, rng, cfg.local_steps)
         w = w0.copy()
-        for _ in range(cfg.local_steps):
-            _, g = models.loss_and_grad(cfg.spec, w, batch.select(sampler.next()))
+        for idx in plan:
+            _, g = models.loss_and_grad(cfg.spec, w, batch.select(idx))
             w = models.sgd_step(w, g, cfg.eta)
         outs.append(w)
     return np.stack(outs)
@@ -427,8 +445,7 @@ def test_stacked_local_train_matches_per_ap_loop(kind, shard_sizes):
         batches = [b.select(np.arange(k)) for b, k in zip(batches, shard_sizes)]
     w0 = models.init_params(cfg.spec, 3)
     rngs = lambda: [federation.ap_stream(cfg.seed, n, 7) for n in range(4)]
-    states = [federation.APState(b, rng) for b, rng in zip(batches, rngs())]
-    stacked = federation.local_train(states, w0, cfg)
+    stacked = federation.local_train(batches, rngs(), w0, cfg)
     assert np.array_equal(stacked, per_ap_local_train(batches, rngs(), w0, cfg))
 
 
