@@ -291,10 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = parsers[name] = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        # kept so existing command lines keep working: the APs of a round
-        # train as one stacked computation, so there are no workers to cap
+        # kept so existing command lines keep working: the CPUs a run may
+        # use are its CPU affinity, which taskset sets
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored (APs train as one stacked computation)")
+                       help="accepted and ignored (a mini_resnet run trains on two "
+                            "processes when its CPU affinity holds two CPUs)")
         p.set_defaults(fn=fn, seed_override=None)
     # only run reads training.seeds; personalize takes its seed from the model file
     parsers["run"].add_argument("--seed-override", type=int,

@@ -14,15 +14,29 @@ bit-identical to summing ``np.sort(axis=0)``. ``run_training`` standardizes
 the test set and every AP shard once, into one array whose row runs are the
 batches, and an evaluated round takes one blocked forward pass over it for
 the test loss and accuracy and every AP's loss.
+
+A ``mini_resnet`` run whose process may use two CPUs (its CPU affinity) and
+that has at least two APs forks one helper process for the rounds. The
+helper trains the later half of the APs and computes the logits of the later
+half of the evaluation blocks, into memory the two processes share, while
+the calling process does the rest and then aggregates and scores. An AP's
+parameters and a row's logits do not depend on which process computed them,
+so neither do the results. ``softmax_linear`` rounds are too short to pay
+for the handoff and stay in one process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import mmap
+import os
+import signal
+import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -351,20 +365,22 @@ def build_ap_batches(
 
 
 def _round_scores(
-    spec: models.ModelSpec, params: np.ndarray, pooled: models.Batch, batches: List[models.Batch]
+    spec: models.ModelSpec,
+    params: np.ndarray,
+    logits: np.ndarray,
+    labels: np.ndarray,
+    batches: List[models.Batch],
 ) -> Tuple[float, float, Tuple[float, ...]]:
     """Test loss and accuracy and the AP losses of one evaluated round.
 
     ``batches`` (the test batch, then the AP batches) are those of
-    ``_standardized_rows``; ``pooled`` holds its rows and, in the same order,
-    every batch's labels. One blocked forward pass over the rows gives
-    every batch's logits. A row's logits do not depend on the other rows of
-    its block, so the scores equal ``evaluate`` on the test batch and
-    ``models.batch_loss`` on each AP batch bit for bit; the l2 term is
-    computed once.
+    ``_standardized_rows``; ``logits`` are those of its rows under
+    ``params``, and ``labels`` every batch's labels in the same order. A
+    row's logits do not depend on the other rows of its evaluation block, so
+    the scores equal ``evaluate`` on the test batch and ``models.batch_loss``
+    on each AP batch bit for bit; the l2 term is computed once.
     """
-    logits, _ = models._logits(spec, params, pooled.inputs)
-    losses = models._row_losses(logits, pooled.labels)
+    losses = models._row_losses(logits, labels)
     test = batches[0]
     acc = float(np.mean(np.argmax(logits[: len(test)], axis=1) == test.labels))
     means, start = [], 0
@@ -378,6 +394,86 @@ def _round_scores(
     return loss, acc, tuple(ap_losses)
 
 
+# the tasks of a round, each sent to the helper process as one byte
+_TRAIN, _SCORE = b"T", b"S"
+
+
+def _wants_helper(spec: models.ModelSpec, num_aps: int) -> bool:
+    """Whether ``run_training`` forks a helper: a mini_resnet round takes long
+    enough to pay for the handoff, and there are two APs and two CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return spec.kind == models.KIND_RESNET and num_aps >= 2 and (
+        affinity is not None and len(affinity(0)) >= 2)
+
+
+def _serve(work: Callable[[bytes, int], None], commands: int, replies: int) -> NoReturn:
+    """The helper process: run ``work(task, round)`` for each task read from
+    ``commands`` until the pipe closes, and answer each with an empty line on
+    ``replies``; an exception is answered with one line naming it, and the
+    process ends. It never returns into its caller's stack, writes nothing to
+    stdout or stderr and ignores SIGINT, which the parent handles for both.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        sys.stdout = sys.stderr = open(os.devnull, "w")
+        os.dup2(sys.stdout.fileno(), 1)
+        os.dup2(sys.stdout.fileno(), 2)
+        rounds = 0  # training tasks done: the index of the round under way
+        while task := os.read(commands, 1):
+            work(task, rounds)
+            rounds += task == _TRAIN
+            os.write(replies, b"\n")
+        status = 0
+    except Exception as exc:  # noqa: BLE001 - the parent raises it as one line
+        os.write(replies, " ".join(f"{type(exc).__name__}: {exc}".split()).encode() + b"\n")
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _round_tasks(work: Callable[..., None], mine: tuple, theirs: tuple, fork: bool):
+    """Yield ``run(task, t)``, which calls ``work(task, t, *mine)`` here and,
+    with ``fork``, ``work(task, t, *theirs)`` at the same time in a forked
+    helper process, and returns when both are done. A failed helper makes
+    ``run`` raise a one-line RuntimeError. On leaving, the helper's command
+    pipe is closed and the process reaped, after an exception killed first,
+    so no helper outlives the block.
+    """
+    if not fork:
+        yield lambda task, t: work(task, t, *mine)
+        return
+    commands, command_end = os.pipe()
+    reply_end, replies = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(command_end)
+        os.close(reply_end)
+        _serve(lambda task, t: work(task, t, *theirs), commands, replies)
+    os.close(commands)
+    os.close(replies)
+    reader = os.fdopen(reply_end, "rb")
+
+    def run(task: bytes, t: int) -> None:
+        os.write(command_end, task)
+        work(task, t, *mine)
+        reply = reader.readline()
+        if reply == b"":
+            raise RuntimeError(f"training helper process ended during round {t+1}")
+        if reply != b"\n":
+            raise RuntimeError(f"training helper failed in round {t+1}: {reply.decode().strip()}")
+
+    try:
+        yield run
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(command_end)
+        reader.close()
+        os.waitpid(pid, 0)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_training(
     data: SplitDataset, partition: Partition, cfg: TrainingConfig
@@ -387,36 +483,70 @@ def run_training(
     Global metrics are computed on the held-out test set, standardized with
     training-pool statistics, every ``eval_stride`` rounds and always after
     the final round, together with each AP's loss (mean cross-entropy plus
-    the l2 term) on its own shard; one forward pass over the test rows and
-    the AP rows, built once into one array, serves them all. A round whose
-    aggregated parameters are not finite fails the run with a ValueError
-    naming that round; the overflow that leads there is not reported as
-    NumPy warnings.
+    the l2 term) on its own shard; one blocked forward pass over the test
+    rows and the AP rows, built once into one array, serves them all. A round
+    whose aggregated parameters are not finite fails the run with a
+    ValueError naming that round; the overflow that leads there is not
+    reported as NumPy warnings.
+
+    When ``_wants_helper``, a forked helper process trains APs ``[N//2:]``
+    and computes the logits of the later half of the evaluation blocks while
+    this process does the rest; otherwise this process does all of it. The
+    broadcast parameters, the AP results and the logits live in one shared
+    anonymous mapping made before the fork, and the helper inherits the rows.
+    Each AP's parameters and each row's logits are bit-identical whichever
+    process computes them, so the results do not depend on the helper.
     """
     stats = modality.pool_normalization(partition.stats)
     rows, batches = _standardized_rows(data, partition, cfg.modalities, stats, partition.stats)
-    pooled = models.Batch(rows, np.concatenate([b.labels for b in batches]))
+    labels = np.concatenate([b.labels for b in batches])
     init_seed = int(np.random.SeedSequence((_DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
     w = models.init_params(cfg.spec, init_seed)
 
+    num_aps, size, classes = partition.num_aps, len(w), cfg.spec.num_classes
+    shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + num_aps) * size + len(rows) * classes)))
+    w_shared = shared[:size]
+    local = shared[size : (1 + num_aps) * size].reshape(num_aps, size)
+    logits = shared[(1 + num_aps) * size :].reshape(len(rows), classes)
+
+    def work(task: bytes, t: int, aps: range, block: slice) -> None:
+        """One process's share of a task of round t, from ``w_shared``."""
+        if task == _TRAIN:
+            rngs = [ap_stream(cfg.seed, n, t) for n in aps]
+            shards = batches[1 + aps.start : 1 + aps.stop]
+            local[aps.start : aps.stop] = local_train(shards, rngs, w_shared, cfg)
+        elif block.start < block.stop:
+            logits[block] = models._logits(cfg.spec, w_shared, rows[block])[0]
+
+    fork = _wants_helper(cfg.spec, num_aps)
+    ap_cut = num_aps // 2 if fork else num_aps
+    stops = models.block_stops(cfg.spec, len(rows))
+    row_cut = stops[(len(stops) - 1) // 2] if fork else len(rows)
+    mine = (range(ap_cut), slice(0, row_cut))
+    theirs = (range(ap_cut, num_aps), slice(row_cut, len(rows)))
+
     metrics: List[RoundMetrics] = []
-    for t in range(cfg.rounds):
-        start = time.perf_counter()
-        rngs = [ap_stream(cfg.seed, n, t) for n in range(partition.num_aps)]
-        w = aggregate(local_train(batches[1:], rngs, w, cfg))
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"training diverged at round {t+1}: parameters are not finite")
-        if (t + 1) % cfg.eval_stride == 0 or t == cfg.rounds - 1:
-            loss, acc, ap_losses = _round_scores(cfg.spec, w, pooled, batches)
-            metrics.append(
-                RoundMetrics(
-                    round=t + 1,
-                    global_loss=loss,
-                    global_acc=acc,
-                    ap_losses=ap_losses,
-                    wall_time_s=time.perf_counter() - start,
+    w_shared[:] = w
+    with _round_tasks(work, mine, theirs, fork) as run:
+        for t in range(cfg.rounds):
+            start = time.perf_counter()
+            run(_TRAIN, t)
+            w = aggregate(local)
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"training diverged at round {t+1}: parameters are not finite")
+            w_shared[:] = w
+            if (t + 1) % cfg.eval_stride == 0 or t == cfg.rounds - 1:
+                run(_SCORE, t)
+                loss, acc, ap_losses = _round_scores(cfg.spec, w, logits, labels, batches)
+                metrics.append(
+                    RoundMetrics(
+                        round=t + 1,
+                        global_loss=loss,
+                        global_acc=acc,
+                        ap_losses=ap_losses,
+                        wall_time_s=time.perf_counter() - start,
+                    )
                 )
-            )
     return metrics, w
 
 

@@ -22,10 +22,12 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   the input gradient is the time-flipped kernel times the patch matrix of
   dy, and the first convolution's is never formed. ReLU, the skip and the
   masks run on whole slabs and pooling on S-long time steps, so the padding
-  stays zero. The slabs are work arrays that the thread keeps from call to
-  call (each up to ``SCRATCH_MAX_BYTES``), so a step does not allocate, fault
-  in and free them again; their padding is zeroed whenever they are handed
-  out. All layers share one patch matrix and one input gradient.
+  stays zero. The pooling's backward copies dy to both samples of each pair
+  and multiplies by one mask: the block's ReLU mask with each pair's losing
+  sample cleared. The slabs are work arrays that the thread keeps from call
+  to call (each up to ``SCRATCH_MAX_BYTES``), so a step does not allocate,
+  fault in and free them again; their padding is zeroed whenever they are
+  handed out. All layers share one patch matrix and one input gradient.
 
 Evaluation without gradients runs in near-equal blocks of at most
 ``SOFTMAX_BLOCK_ROWS`` or ``EVAL_BLOCK_ROWS`` examples, so the softmax input
@@ -316,30 +318,44 @@ def conv_time_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     return dx, dw, db
 
 
-def maxpool2_time(x: np.ndarray, p: int = 0, key: Optional[str] = None):
+def maxpool2_time(x: np.ndarray, p: int = 0, key: Optional[str] = None,
+                  winners: bool = True):
     """Non-overlapping 2x1 max pooling along time of a (C, T + 2p, S) slab
     padded by p zero time steps; ties take the earlier sample.
 
-    Returns (out, idx): the (C, T/2 + 2p, S) slab of the maxima, padded
-    alike, and (C, T/2, S), True where the later sample won. With a ``key``,
-    out is a kept work array (see ``_scratch``), and so is the result of
-    ``maxpool2_time_backward`` with the same key.
+    Returns (out, win): the (C, T/2 + 2p, S) slab of the maxima, padded
+    alike, and a bool array of x's shape, True at the sample of each pair
+    that won and False elsewhere; win is None unless ``winners``. With a
+    ``key``, out is a kept work array (see ``_scratch``), and so is the
+    result of ``maxpool2_time_backward`` with the same key.
     """
     th = x.shape[1] // 2 - p
     first, second = x[:, p : p + 2 * th : 2], x[:, p + 1 : p + 2 * th : 2]
     out = _slab(key and f"{key}.pool", len(x), th, x.shape[2], p)
     np.maximum(first, second, out=out[:, p : p + th])
-    return out, second > first
+    if not winners:
+        return out, None
+    win = np.zeros(x.shape, dtype=bool)
+    np.greater(second, first, out=win[:, p + 1 : p + 2 * th : 2])
+    np.logical_not(win[:, p + 1 : p + 2 * th : 2], out=win[:, p : p + 2 * th : 2])
+    return out, win
 
 
-def maxpool2_time_backward(idx: np.ndarray, dy: np.ndarray,
+def maxpool2_time_backward(win: np.ndarray, dy: np.ndarray,
                            key: Optional[str] = None) -> np.ndarray:
-    """dx of maxpool2_time from its idx and the padded dy slab, padded alike."""
-    c, th, s = idx.shape
-    p = (dy.shape[1] - th) // 2
+    """dx of maxpool2_time from its win and the padded dy slab: each time
+    step of dy at the winner of its pair, zero elsewhere, padded alike. A
+    ``win`` with more samples cleared (a ReLU mask folded in) clears them too.
+    """
+    c, t, s = win.shape
+    th = t - dy.shape[1]
+    p = (t - 2 * th) // 2
     dx = _slab(key and f"{key}.dpool", c, 2 * th, s, p)
-    np.multiply(dy[:, p : p + th], ~idx, out=dx[:, p : p + 2 * th : 2])
-    np.multiply(dy[:, p : p + th], idx, out=dx[:, p + 1 : p + 2 * th : 2])
+    # copy dy to both samples of each pair, then zero the losers in one
+    # contiguous multiply: a strided multiply of each half by a bool mask
+    # took three times as long as this copy
+    dx[:, p : p + 2 * th].reshape(c, th, 2, s)[...] = dy[:, p : p + th, None]
+    dx *= win
     return dx
 
 
@@ -431,9 +447,9 @@ def _check_input(spec: ModelSpec, x: np.ndarray) -> None:
 def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
     """Returns (logits, cache). cache is None unless keep.
 
-    Without keep no ReLU mask is built. Each layer's output slab and pooling
-    result is a work array of that layer (see ``_scratch``), so the cache
-    holds views that the next pass overwrites.
+    Without keep no ReLU or pooling mask is built. Each layer's output slab
+    and pooling result is a work array of that layer (see ``_scratch``), so
+    the cache holds views that the next pass overwrites.
     """
     cache: Optional[dict] = {"masks": []} if keep else None
     n, t, cols, _ = x.shape
@@ -453,11 +469,14 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
         pre = conv(f"{name}.conv3", a2)
         pre += a1
         out, mo = relu(pre)
-        pooled, pidx = maxpool2_time(out, p, key=name)
+        pooled, win = maxpool2_time(out, p, key=name, winners=keep)
         if keep:
+            # the samples whose gradient passes both the ReLU and the pooling;
+            # a pool's loser has no kink, so the masks still show every one
+            np.logical_and(mo, win, out=mo)
             # the input slab of each convolution, for its weight gradient
-            cache[name] = (h, a1, a2, m2, mo, pidx)
-            cache["masks"].extend([m2, mo, pidx])
+            cache[name] = (h, a1, a2, m2, mo)
+            cache["masks"].extend([m2, mo, win])
         return pooled
 
     h = block("block2", block("block1", _to_slab(x, "input", p)))
@@ -475,6 +494,17 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
     return logits, cache
 
 
+def block_stops(spec: ModelSpec, n: int) -> List[int]:
+    """Where each of the evaluation blocks of n examples ends: near-equal
+    blocks of at most ``SOFTMAX_BLOCK_ROWS`` or ``EVAL_BLOCK_ROWS`` rows."""
+    rows = SOFTMAX_BLOCK_ROWS if spec.kind == KIND_SOFTMAX else EVAL_BLOCK_ROWS
+    # near-equal blocks, as np.array_split cuts them: a fixed stride would
+    # leave a 1-row tail, whose matrix-vector products round differently
+    parts = max(1, -(-n // rows))
+    size, longer = divmod(n, parts)
+    return [k * size + min(k, longer) for k in range(1, parts + 1)]
+
+
 def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = False):
     """(logits, cache) of a batch of (n, L, 2, M) inputs.
 
@@ -487,16 +517,11 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = Fal
     views = param_views(spec, params)
     if keep:
         return _resnet_forward(spec, views, x, keep)
-    rows = SOFTMAX_BLOCK_ROWS if spec.kind == KIND_SOFTMAX else EVAL_BLOCK_ROWS
-    # near-equal blocks, as np.array_split cuts them: a fixed stride would
-    # leave a 1-row tail, whose matrix-vector products round differently
-    parts = max(1, -(-len(x) // rows))
-    size, longer = divmod(len(x), parts)
     logits = np.empty((len(x), spec.num_classes))
-    stop = 0
-    for k in range(parts):
-        start, stop = stop, stop + size + (k < longer)
+    start = 0
+    for stop in block_stops(spec, len(x)):
         xb, out = x[start:stop], logits[start:stop]
+        start = stop
         if spec.kind == KIND_SOFTMAX:
             np.matmul(xb.reshape(len(xb), -1), views["w"], out=out)
             out += views["b"]
@@ -612,9 +637,8 @@ def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nda
         rows = (dflat * mm).reshape(len(x), x.shape[1] // 4, x.shape[2], -1)
         dh = conv_back("mid_conv", hm, _to_slab(rows, "dx", spec.kernel_len // 2))
         for name in ("block2", "block1"):
-            h, a1, a2, m2, mo, pidx = cache[name]
-            dpre = maxpool2_time_backward(pidx, dh, key=name)
-            dpre *= mo
+            h, a1, a2, m2, mo = cache[name]
+            dpre = maxpool2_time_backward(mo, dh, key=name)
             dz2 = conv_back(f"{name}.conv3", a2, dpre)
             dz2 *= m2
             da1 = conv_back(f"{name}.conv2", a1, dz2)

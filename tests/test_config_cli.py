@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedrf import cli, config as cfg_mod, datafile, modality
+from fedrf import cli, config as cfg_mod, datafile, federation, modality
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -420,27 +420,42 @@ def test_largest_seed_round_trips(tmp_path):
                      "--model", str(model)]) == 0
 
 
-def test_mini_resnet_run_is_byte_identical_at_1_and_2_blas_threads(tmp_path):
+MINI_RESNET_FILES = (cli.METRICS_FILENAME, "model_seed1.npz", cli.PERSONALIZE_FILENAME,
+                     cli.MANIFEST_FILENAME)
+
+
+def mini_resnet_outputs(tmp_path, name, threads="1", preexec_fn=None):
+    """The output files of ``fedrf run`` on a small mini_resnet config, run
+    as a user runs it at the given BLAS thread count."""
     # window 64 and batch 32: the larger convolution GEMMs are big enough for
     # OpenBLAS to split them over two threads
     cfg_path = small_desk(tmp_path, dataset={"per_tx_count": 40, "window_len": 64},
                           model={"kind": "mini_resnet"},
                           training={"batch_size": 32, "seeds": [1]})
-    files = (cli.METRICS_FILENAME, "model_seed1.npz", cli.PERSONALIZE_FILENAME,
-             cli.MANIFEST_FILENAME)
     src = Path(cli.__file__).resolve().parents[1]
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fedrf.cli", "run", "--config", str(cfg_path),
-             "--out", str(tmp_path / threads)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append([(tmp_path / threads / f).read_bytes() for f in files])
-    for name, one, two in zip(files, *outs):
-        assert one == two, f"{name} differs between 1 and 2 BLAS threads"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedrf.cli", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / name)],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [(tmp_path / name / f).read_bytes() for f in MINI_RESNET_FILES]
+
+
+def test_mini_resnet_run_is_byte_identical_at_1_and_2_blas_threads(tmp_path):
+    one, two = (mini_resnet_outputs(tmp_path, threads, threads) for threads in ("1", "2"))
+    for name, a, b in zip(MINI_RESNET_FILES, one, two):
+        assert a == b, f"{name} differs between 1 and 2 BLAS threads"
+
+
+def test_mini_resnet_run_is_byte_identical_with_and_without_the_helper(tmp_path):
+    # pinned to one CPU, fedrf run forks no training helper
+    cpu = min(os.sched_getaffinity(0))
+    pinned = mini_resnet_outputs(tmp_path, "pinned",
+                                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    for name, a, b in zip(MINI_RESNET_FILES, pinned, mini_resnet_outputs(tmp_path, "free")):
+        assert a == b, f"{name} differs between one CPU and all of them"
 
 
 def test_manifest_records_the_seeds_each_command_used(tmp_path):
@@ -795,6 +810,57 @@ def test_run_divergence_prints_one_line(tmp_path):
     manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
     assert manifest["status"] == "failed"
     assert manifest["error"] == error
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_process", "helper"])
+def test_mini_resnet_divergence_fails_with_round(tmp_path, capfd, monkeypatch, cpus):
+    # two CPUs fork the training helper, which has finished round 1 when the
+    # aggregate of round 2 overflows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    cfg_path = small_desk(tmp_path, model={"kind": "mini_resnet"},
+                          training={"eta": 1e3, "rounds": 6, "seeds": [1]})
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    error = "training diverged at round 2: parameters are not finite"
+    assert capfd.readouterr().err == f"error: {error}\n"
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert (manifest["status"], manifest["error"]) == ("failed", error)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault, error", [
+    # the helper's message keeps to one line
+    ("raise", "training helper failed in round 2: ValueError: no shard"),
+    ("exit", "training helper process ended during round 2"),
+])
+def test_failed_training_helper_fails_the_run_with_one_line(tmp_path, capfd, monkeypatch,
+                                                            fault, error):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, calls = os.getpid(), []
+    local_train = federation.local_train
+
+    def faulty(*args, **kwargs):
+        calls.append(1)
+        # the helper's second call is in round 2
+        if os.getpid() != parent and len(calls) == 2:
+            if fault == "exit":
+                os._exit(3)
+            raise ValueError("no\nshard")
+        return local_train(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "local_train", faulty)
+    cfg_path = small_desk(tmp_path, model={"kind": "mini_resnet"}, training={"seeds": [1]})
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capfd.readouterr().err == f"error: {error}\n"
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert (manifest["status"], manifest["error"]) == ("failed", error)
+    _no_child_left()
 
 
 def test_run_fits_normalization_once_per_shard(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -510,6 +512,78 @@ def test_metric_rounds_and_stride():
     cfg2 = small_cfg(split, rounds=1)
     metrics2, _ = federation.run_training(split, part, cfg2)
     assert [m.round for m in metrics2] == [1]
+
+
+def one_and_two_process_runs(monkeypatch, split, part, cfg):
+    """run_training seeing one CPU, then two; returns both results and the
+    number of helper processes forked."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        runs.append(federation.run_training(split, part, cfg))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return runs, len(forks)
+
+
+@pytest.mark.parametrize("sizes, batch, stride", [
+    ((5, 43), 8, 1),
+    ((3, 10, 35), 6, 2),
+    ((48,), 8, 1),
+], ids=["two_aps", "three_aps", "one_ap"])
+def test_helper_process_gives_the_bits_of_one_process(monkeypatch, sizes, batch, stride):
+    # 16 test and 48 training rows: two evaluation blocks, one per process.
+    # Shards of 5 and 3 are smaller than the batch, so each process steps
+    # APs of other batch sizes than the other one
+    split = make_split()
+    order = np.random.default_rng(6).permutation(len(split.train_labels))
+    part = federation._finalize_partition(
+        split, np.split(order, np.cumsum(sizes)[:-1]), ("iq",))
+    cfg = small_cfg(split, seed=4, rounds=3, batch=batch, kind="mini_resnet")
+    cfg.eval_stride = stride
+    ((one, w_one), (two, w_two)), forks = one_and_two_process_runs(monkeypatch, split, part, cfg)
+    assert forks == (len(sizes) > 1)
+    scores = lambda metrics: [(m.round, m.global_loss, m.global_acc, m.ap_losses) for m in metrics]
+    assert scores(one) == scores(two)
+    assert [m.round for m in two] == ([2, 3] if stride == 2 else [1, 2, 3])
+    assert np.array_equal(w_one, w_two)
+
+
+def test_softmax_run_forks_no_helper(monkeypatch):
+    split = make_split()
+    part = federation.partition_iid(split, 4, seed=0, selection=("iq",))
+    _, forks = one_and_two_process_runs(monkeypatch, split, part, small_cfg(split))
+    assert forks == 0
+
+
+def test_interrupted_run_leaves_no_helper(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    split = make_split()
+    part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
+    cfg = small_cfg(split, kind="mini_resnet")
+    parent = os.getpid()
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the helper's share of the round
+
+    monkeypatch.setattr(federation, "local_train", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        federation.run_training(split, part, cfg)
+    # the helper was stopped, not waited for
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

@@ -491,15 +491,16 @@ def test_resnet_matches_naive_network(kernel_len):
 
 def test_maxpool2_time_tie_takes_earlier_sample():
     x = np.array([3.0, 3.0, 1.0, 2.0, 5.0, 4.0]).reshape(1, 6, 1)
-    out, idx = models.maxpool2_time(x)
+    out, win = models.maxpool2_time(x)
     assert out.ravel().tolist() == [3.0, 2.0, 5.0]
-    assert idx.ravel().tolist() == [False, True, False]
-    dx = models.maxpool2_time_backward(idx, np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1))
+    assert win.ravel().tolist() == [True, False, False, True, True, False]
+    dx = models.maxpool2_time_backward(win, np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1))
     assert dx.ravel().tolist() == [1.0, 0.0, 0.0, 2.0, 3.0, 0.0]
     # with one zero time step of padding at each end, in and out
-    out, idx = models.maxpool2_time(np.pad(x, ((0, 0), (1, 1), (0, 0))), 1)
+    out, win = models.maxpool2_time(np.pad(x, ((0, 0), (1, 1), (0, 0))), 1)
     assert out.ravel().tolist() == [0.0, 3.0, 2.0, 5.0, 0.0]
-    dx = models.maxpool2_time_backward(idx, np.array([0.0, 1.0, 2.0, 3.0, 0.0]).reshape(1, 5, 1))
+    assert win.ravel().tolist() == [False, True, False, False, True, True, False, False]
+    dx = models.maxpool2_time_backward(win, np.array([0.0, 1.0, 2.0, 3.0, 0.0]).reshape(1, 5, 1))
     assert dx.ravel().tolist() == [0.0, 1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0]
 
 
