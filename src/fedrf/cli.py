@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         # kept so existing command lines keep working: the CPUs a run may
         # use are its CPU affinity, which taskset sets
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored (a mini_resnet run trains on two "
-                            "processes when its CPU affinity holds two CPUs)")
+                       help="accepted and ignored (a run trains on two processes "
+                            "when its CPU affinity holds two CPUs)")
         p.set_defaults(fn=fn, seed_override=None)
     # only run reads training.seeds; personalize takes its seed from the model file
     parsers["run"].add_argument("--seed-override", type=int,

@@ -15,14 +15,14 @@ the test set and every AP shard once, into one array whose row runs are the
 batches, and an evaluated round takes one blocked forward pass over it for
 the test loss and accuracy and every AP's loss.
 
-A ``mini_resnet`` run whose process may use two CPUs (its CPU affinity) and
-that has at least two APs forks one helper process for the rounds. The
-helper trains the later half of the APs and computes the logits of the later
-half of the evaluation blocks, into memory the two processes share, while
-the calling process does the rest and then aggregates and scores. An AP's
-parameters and a row's logits do not depend on which process computed them,
-so neither do the results. ``softmax_linear`` rounds are too short to pay
-for the handoff and stay in one process.
+A run whose process may use two CPUs (its CPU affinity), that has at least
+two APs and at least one round forks one helper process for the rounds. The
+helper trains the later half of the APs and scores the rows of the later half
+of the evaluation blocks (each row's loss, and for a test row whether it is
+classified right), into memory the two processes share, while the calling
+process does the rest and then aggregates and averages the scores. An AP's
+parameters and a row's scores do not depend on which process computed them,
+so neither do the results.
 """
 
 from __future__ import annotations
@@ -367,22 +367,22 @@ def build_ap_batches(
 def _round_scores(
     spec: models.ModelSpec,
     params: np.ndarray,
-    logits: np.ndarray,
-    labels: np.ndarray,
+    losses: np.ndarray,
+    hits: np.ndarray,
     batches: List[models.Batch],
 ) -> Tuple[float, float, Tuple[float, ...]]:
     """Test loss and accuracy and the AP losses of one evaluated round.
 
     ``batches`` (the test batch, then the AP batches) are those of
-    ``_standardized_rows``; ``logits`` are those of its rows under
-    ``params``, and ``labels`` every batch's labels in the same order. A
-    row's logits do not depend on the other rows of its evaluation block, so
-    the scores equal ``evaluate`` on the test batch and ``models.batch_loss``
-    on each AP batch bit for bit; the l2 term is computed once.
+    ``_standardized_rows``. Under ``params``, ``losses`` holds the
+    cross-entropy of each of its rows, and ``hits`` holds 1.0 for each test
+    row whose lowest-index argmax is its label, else 0.0. A row's logits do
+    not depend on the other rows of its evaluation block, nor its loss on
+    other rows, so the scores equal ``evaluate`` on the test batch and
+    ``models.batch_loss`` on each AP batch bit for bit; the l2 term is
+    computed once.
     """
-    losses = models._row_losses(logits, labels)
-    test = batches[0]
-    acc = float(np.mean(np.argmax(logits[: len(test)], axis=1) == test.labels))
+    acc = float(np.mean(hits))
     means, start = [], 0
     for batch in batches:
         means.append(models._mean(losses[start : start + len(batch)]))
@@ -398,12 +398,11 @@ def _round_scores(
 _TRAIN, _SCORE = b"T", b"S"
 
 
-def _wants_helper(spec: models.ModelSpec, num_aps: int) -> bool:
-    """Whether ``run_training`` forks a helper: a mini_resnet round takes long
-    enough to pay for the handoff, and there are two APs and two CPUs."""
+def _wants_helper(num_aps: int, rounds: int) -> bool:
+    """Whether ``run_training`` forks a helper: there are two APs to share,
+    a round to run and two CPUs to run it on."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return spec.kind == models.KIND_RESNET and num_aps >= 2 and (
-        affinity is not None and len(affinity(0)) >= 2)
+    return num_aps >= 2 and rounds >= 1 and affinity is not None and len(affinity(0)) >= 2
 
 
 def _serve(work: Callable[[bytes, int], None], commands: int, replies: int) -> NoReturn:
@@ -490,12 +489,13 @@ def run_training(
     reported as NumPy warnings.
 
     When ``_wants_helper``, a forked helper process trains APs ``[N//2:]``
-    and computes the logits of the later half of the evaluation blocks while
-    this process does the rest; otherwise this process does all of it. The
-    broadcast parameters, the AP results and the logits live in one shared
-    anonymous mapping made before the fork, and the helper inherits the rows.
-    Each AP's parameters and each row's logits are bit-identical whichever
-    process computes them, so the results do not depend on the helper.
+    and scores the rows of the later half of the evaluation blocks while this
+    process does the rest; otherwise this process does all of it. The
+    broadcast parameters, the AP results and the row losses and test hits
+    live in one shared anonymous mapping made before the fork, and the helper
+    inherits the rows. Each AP's parameters and each row's scores are
+    bit-identical whichever process computes them, so the results do not
+    depend on the helper.
     """
     stats = modality.pool_normalization(partition.stats)
     rows, batches = _standardized_rows(data, partition, cfg.modalities, stats, partition.stats)
@@ -503,11 +503,11 @@ def run_training(
     init_seed = int(np.random.SeedSequence((_DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
     w = models.init_params(cfg.spec, init_seed)
 
-    num_aps, size, classes = partition.num_aps, len(w), cfg.spec.num_classes
-    shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + num_aps) * size + len(rows) * classes)))
+    num_aps, size, num_test = partition.num_aps, len(w), len(batches[0])
+    shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + num_aps) * size + len(rows) + num_test)))
     w_shared = shared[:size]
     local = shared[size : (1 + num_aps) * size].reshape(num_aps, size)
-    logits = shared[(1 + num_aps) * size :].reshape(len(rows), classes)
+    losses, hits = np.split(shared[(1 + num_aps) * size :], [len(rows)])
 
     def work(task: bytes, t: int, aps: range, block: slice) -> None:
         """One process's share of a task of round t, from ``w_shared``."""
@@ -516,9 +516,12 @@ def run_training(
             shards = batches[1 + aps.start : 1 + aps.stop]
             local[aps.start : aps.stop] = local_train(shards, rngs, w_shared, cfg)
         elif block.start < block.stop:
-            logits[block] = models._logits(cfg.spec, w_shared, rows[block])[0]
+            logits = models._logits(cfg.spec, w_shared, rows[block])[0]
+            losses[block] = models._row_losses(logits, labels[block])
+            hit = hits[block]  # the block's test rows, which come first
+            hit[:] = np.argmax(logits[: len(hit)], axis=1) == labels[block][: len(hit)]
 
-    fork = _wants_helper(cfg.spec, num_aps)
+    fork = _wants_helper(num_aps, cfg.rounds)
     ap_cut = num_aps // 2 if fork else num_aps
     stops = models.block_stops(cfg.spec, len(rows))
     row_cut = stops[(len(stops) - 1) // 2] if fork else len(rows)
@@ -537,7 +540,7 @@ def run_training(
             w_shared[:] = w
             if (t + 1) % cfg.eval_stride == 0 or t == cfg.rounds - 1:
                 run(_SCORE, t)
-                loss, acc, ap_losses = _round_scores(cfg.spec, w, logits, labels, batches)
+                loss, acc, ap_losses = _round_scores(cfg.spec, w, losses, hits, batches)
                 metrics.append(
                     RoundMetrics(
                         round=t + 1,

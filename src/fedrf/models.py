@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -227,7 +228,10 @@ def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
     previous user left there; every other call gets a new array. Keeping the
     arrays spares a mini_resnet step from allocating and freeing a few MB of
     work arrays, which the C allocator may return to the system and fault in
-    again at the next step.
+    again at the next step. Each kept array is a private mapping of its own,
+    outside the C heap: one first kept, or grown, late in a run would sit at
+    the top of the heap, and the memory freed below it could no longer be
+    extended to fit the next large array, which would grow the heap instead.
     """
     size = math.prod(shape)
     if key is None or 8 * size > SCRATCH_MAX_BYTES:
@@ -235,7 +239,8 @@ def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
     kept = _scratch_arrays.__dict__
     buf = kept.get(key)
     if buf is None or len(buf) < size:
-        buf = kept[key] = np.empty(size)
+        mapping = mmap.mmap(-1, 8 * max(size, 1), flags=mmap.MAP_PRIVATE)
+        buf = kept[key] = np.frombuffer(mapping)
     return buf[:size].reshape(shape)
 
 

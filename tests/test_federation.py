@@ -389,16 +389,19 @@ def test_evaluate_loss_matches_batch_loss_without_l2():
 # ---------------------------------------------------------------------------
 # full training loop
 
-def test_run_training_zero_rounds():
+def test_run_training_zero_rounds(monkeypatch):
+    # with no round to run, two CPUs fork no helper either
     split = make_split()
     part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
     cfg = small_cfg(split, rounds=0)
-    metrics, params = federation.run_training(split, part, cfg)
-    assert metrics == []
+    runs, forks = one_and_two_process_runs(monkeypatch, split, part, cfg)
+    assert forks == 0
     init_seed = int(
         np.random.SeedSequence((federation._DOMAIN_INIT, cfg.seed)).generate_state(1)[0]
     )
-    assert np.array_equal(params, models.init_params(cfg.spec, init_seed))
+    for metrics, params in runs:
+        assert metrics == []
+        assert np.array_equal(params, models.init_params(cfg.spec, init_seed))
 
 
 def test_single_ap_full_batch_equals_centralized():
@@ -455,8 +458,10 @@ def test_stacked_local_train_matches_per_ap_loop(kind, shard_sizes):
 @pytest.mark.parametrize("l2", [0.0, 1e-2])
 def test_round_scores_match_per_batch_reference(kind, l2, monkeypatch):
     # unequal shards, one shorter than any evaluation block, so the blocks of
-    # the one pass straddle batch boundaries
-    split = make_split(per_tx=100)
+    # the one pass straddle batch boundaries. On two CPUs a helper process
+    # scores the later blocks, which hold test rows too: 240 of the 400 rows
+    # are test rows
+    split = make_split(per_tx=100, test_fraction=0.6)
     sel = ("iq", "dft")
     order = np.random.default_rng(4).permutation(len(split.train_labels))
     sizes = np.cumsum([3, 41, 90])
@@ -472,8 +477,6 @@ def test_round_scores_match_per_batch_reference(kind, l2, monkeypatch):
         return aggregated[-1]
 
     monkeypatch.setattr(federation, "aggregate", recording_aggregate)
-    metrics, _ = federation.run_training(split, part, cfg)
-
     stats = modality.pool_normalization(part.stats)
     test = models.Batch(modality.stack_batch(split.test_iq, sel, stats), split.test_labels)
     aps = [
@@ -481,11 +484,15 @@ def test_round_scores_match_per_batch_reference(kind, l2, monkeypatch):
                      split.train_labels[ix])
         for n, ix in enumerate(part.indices)
     ]
-    assert [m.round for m in metrics] == [2, 3]
-    for m in metrics:
-        w = aggregated[m.round - 1]
-        assert (m.global_loss, m.global_acc) == federation.evaluate(cfg.spec, w, test)
-        assert m.ap_losses == tuple(models.batch_loss(cfg.spec, w, b) for b in aps)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        aggregated.clear()
+        metrics, _ = federation.run_training(split, part, cfg)
+        assert [m.round for m in metrics] == [2, 3]
+        for m in metrics:
+            w = aggregated[m.round - 1]
+            assert (m.global_loss, m.global_acc) == federation.evaluate(cfg.spec, w, test)
+            assert m.ap_losses == tuple(models.batch_loss(cfg.spec, w, b) for b in aps)
 
 
 @pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])
@@ -534,20 +541,25 @@ def one_and_two_process_runs(monkeypatch, split, part, cfg):
     return runs, len(forks)
 
 
-@pytest.mark.parametrize("sizes, batch, stride", [
-    ((5, 43), 8, 1),
-    ((3, 10, 35), 6, 2),
-    ((48,), 8, 1),
-], ids=["two_aps", "three_aps", "one_ap"])
-def test_helper_process_gives_the_bits_of_one_process(monkeypatch, sizes, batch, stride):
-    # 16 test and 48 training rows: two evaluation blocks, one per process.
-    # Shards of 5 and 3 are smaller than the batch, so each process steps
-    # APs of other batch sizes than the other one
+@pytest.mark.parametrize("kind, sizes, batch, stride", [
+    pytest.param(kind, sizes, batch, stride, id=prefix + name)
+    for kind, prefix in (("mini_resnet", ""), ("softmax_linear", "softmax-"))
+    for name, sizes, batch, stride in (
+        ("two_aps", (5, 43), 8, 1),
+        ("three_aps", (3, 10, 35), 6, 2),
+        ("one_ap", (48,), 8, 1),
+    )
+])
+def test_helper_process_gives_the_bits_of_one_process(monkeypatch, kind, sizes, batch, stride):
+    # 16 test and 48 training rows: two mini_resnet evaluation blocks, one per
+    # process (softmax_linear's one block is scored by the caller). Shards of
+    # 5 and 3 are smaller than the batch, so each process steps APs of other
+    # batch sizes than the other one
     split = make_split()
     order = np.random.default_rng(6).permutation(len(split.train_labels))
     part = federation._finalize_partition(
         split, np.split(order, np.cumsum(sizes)[:-1]), ("iq",))
-    cfg = small_cfg(split, seed=4, rounds=3, batch=batch, kind="mini_resnet")
+    cfg = small_cfg(split, seed=4, rounds=3, batch=batch, kind=kind)
     cfg.eval_stride = stride
     ((one, w_one), (two, w_two)), forks = one_and_two_process_runs(monkeypatch, split, part, cfg)
     assert forks == (len(sizes) > 1)
@@ -555,13 +567,6 @@ def test_helper_process_gives_the_bits_of_one_process(monkeypatch, sizes, batch,
     assert scores(one) == scores(two)
     assert [m.round for m in two] == ([2, 3] if stride == 2 else [1, 2, 3])
     assert np.array_equal(w_one, w_two)
-
-
-def test_softmax_run_forks_no_helper(monkeypatch):
-    split = make_split()
-    part = federation.partition_iid(split, 4, seed=0, selection=("iq",))
-    _, forks = one_and_two_process_runs(monkeypatch, split, part, small_cfg(split))
-    assert forks == 0
 
 
 def test_interrupted_run_leaves_no_helper(monkeypatch):
