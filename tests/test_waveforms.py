@@ -6,6 +6,15 @@ import pytest
 
 from fedrf import waveforms
 
+QPSK_POINTS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
+
+
+def record_stream(master_seed, transmitter_id, record_index):
+    """The reference stream of one dataset record, built the plain way."""
+    return np.random.default_rng(
+        np.random.SeedSequence((master_seed, transmitter_id, record_index))
+    )
+
 
 def test_profile_deterministic():
     a = waveforms.synth_transmitter_profile(7, 3)
@@ -161,12 +170,51 @@ def test_batched_calls_match_row_calls_bitwise(shape, snr_db):
         assert row.tobytes() == batch[idx].tobytes()
 
 
+def assert_draws_follow_record_streams(seed, tx, count, length):
+    """Record r draws its symbol indices, then one (3, L) normal block, from its own stream.
+
+    Compared byte for byte against one ``default_rng`` per record.
+    """
+    syms, normals = waveforms.record_draws(seed, tx, count, length)
+    assert syms.shape == (count, length) and normals.shape == (3, count, length)
+    for rec in range(count):
+        rng = record_stream(seed, tx, rec)
+        assert syms[rec].tobytes() == QPSK_POINTS[rng.integers(0, 4, size=length)].tobytes()
+        assert normals[:, rec].tobytes() == rng.standard_normal((3, length)).tobytes()
+
+
 def test_record_draws_follow_each_record_stream():
-    """Record r draws its symbol indices, then one (3, L) normal block, from its own stream."""
-    syms, normals = waveforms.record_draws(9, 2, 4, 16)
-    assert syms.shape == (4, 16) and normals.shape == (3, 4, 16)
-    points = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
-    for rec in range(4):
-        rng = waveforms.record_stream(9, 2, rec)
-        assert np.array_equal(syms[rec], points[rng.integers(0, 4, size=16)])
-        assert np.array_equal(normals[:, rec], rng.standard_normal((3, 16)))
+    assert_draws_follow_record_streams(9, 2, 4, 16)
+
+
+# seeds of 1, 1, 2, 2, 3 and 4 words: with tx and rec, 3 to 6 words of
+# entropy, so the last two reach SeedSequence's post-pool mixing
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("tx", [0, 65535])
+def test_stream_seeds_match_seed_sequence(seed, tx):
+    """The vectorized hash gives SeedSequence's words, and the state PCG64 seeds from them."""
+    words = waveforms._stream_seeds(seed, tx, 300)
+    assert words.shape == (300, 4) and words.dtype == np.uint64
+    bit_gen = np.random.PCG64(1)
+    for rec in (0, 1, 2, 255, 256, 299):
+        key = (seed, tx, rec)
+        assert np.array_equal(words[rec], np.random.SeedSequence(key).generate_state(4, np.uint64))
+        bit_gen.state = waveforms._pcg64_state(words[rec])
+        assert bit_gen.state == np.random.PCG64(np.random.SeedSequence(key)).state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("length", [2, 3, 17, 64])
+def test_record_draws_match_per_record_reference_bytes(seed, count, length):
+    """An odd length leaves the high half of the last 64-bit output unused."""
+    assert_draws_follow_record_streams(seed, 65535, count, length)
+
+
+@pytest.mark.parametrize("seed, tx", [(-1, 0), (0, -1)])
+def test_record_draws_rejects_negative_keys(seed, tx):
+    with pytest.raises(ValueError, match="non-negative"):
+        waveforms.record_draws(seed, tx, 2, 4)
