@@ -3,9 +3,10 @@
 One training round broadcasts the global parameter vector to every AP, runs
 J local SGD steps on each AP's private shard, and averages the returned
 vectors. Each AP's J mini-batches are drawn up front, as one index plan, from
-its own RNG stream keyed by (seed, ap, round). The APs of a round then step
-in lockstep: one stacked in-place step (``models.train_step``) serves all APs
-of equal batch size, so results are bit-identical to training the APs one
+its own RNG stream keyed by (seed, ap, round). The APs of equal batch size
+then step in lockstep: all J of their stacked in-place steps are one
+``models.train_round`` call, which checks shapes, takes views and gathers
+labels once per round, and results are bit-identical to training the APs one
 after another.
 
 The average sorts each coordinate with an odd-even transposition network of
@@ -251,10 +252,11 @@ def local_train(
     ``shards``. Before the first step, each AP's mini-batches for all steps
     are drawn as one ``_round_plan`` from its own stream in ``rngs``. APs
     with the same effective batch size (``batch_size`` capped at the shard
-    size) step together on their stacked (G, P) parameters and stacked
-    (G, B, ...) batch: by default each step is one in-place
-    ``models.train_step``, which computes no loss; a ``grad_fn`` returns the
-    (G, P) gradients instead, and they are not modified. Overflow is not
+    size) step together on their stacked (G, P) parameters: by default all
+    their steps are one ``models.train_round`` call, which does the round's
+    bookkeeping once and computes no loss; with a ``grad_fn``, each step
+    gathers the stacked (G, B, ...) batch and takes the (G, P) gradients
+    that ``grad_fn`` returns, which are not modified. Overflow is not
     reported here; callers check for divergence.
     """
     w_global = np.asarray(w_global, dtype=np.float64)
@@ -266,23 +268,18 @@ def local_train(
     for n, plan in enumerate(plans):
         groups.setdefault(plan.shape[1], []).append(n)
     out = np.empty((len(shards),) + w_global.shape)
-    for size, members in groups.items():
-        shape = shards[members[0]].inputs.shape[1:]
-        # one stacked batch, refilled in place at every step
-        batch = models.Batch(
-            np.empty((len(members), size) + shape),
-            np.empty((len(members), size), dtype=np.int64),
-        )
+    for members in groups.values():
+        group = [shards[n] for n in members]
+        group_plans = np.stack([plans[n] for n in members])
         w = np.repeat(w_global[None], len(members), axis=0)
-        for j in range(cfg.local_steps):
-            for g, n in enumerate(members):
-                idx = plans[n][j]
-                # the plan's indices are in range; "clip" lets take write out unbuffered
-                np.take(shards[n].inputs, idx, axis=0, out=batch.inputs[g], mode="clip")
-                np.take(shards[n].labels, idx, out=batch.labels[g], mode="clip")
-            if grad_fn is None:
-                models.train_step(cfg.spec, w, batch, cfg.eta)
-            else:
+        if grad_fn is None:
+            models.train_round(cfg.spec, w, group, group_plans, cfg.eta)
+        else:
+            for step in group_plans.transpose(1, 0, 2):
+                batch = models.Batch(
+                    np.stack([shard.inputs[rows] for shard, rows in zip(group, step)]),
+                    np.stack([shard.labels[rows] for shard, rows in zip(group, step)]),
+                )
                 w = models.sgd_step(w, grad_fn(w, batch), cfg.eta)
         out[members] = w
     return out
@@ -434,17 +431,22 @@ def _serve(work: Callable[[bytes, int], None], commands: int, replies: int) -> N
 def _round_tasks(work: Callable[..., None], mine: tuple, theirs: tuple, fork: bool):
     """Yield ``run(task, t)``, which calls ``work(task, t, *mine)`` here and,
     with ``fork``, ``work(task, t, *theirs)`` at the same time in a forked
-    helper process, and returns when both are done. A failed helper makes
-    ``run`` raise a one-line RuntimeError. On leaving, the helper's command
-    pipe is closed and the process reaped, after an exception killed first,
-    so no helper outlives the block.
+    helper process, and returns when both are done. A helper that cannot be
+    started, fails or has ended makes this raise a one-line RuntimeError. On
+    leaving, the helper's command pipe is closed and the process reaped,
+    after an exception killed first, so no helper outlives the block.
     """
     if not fork:
         yield lambda task, t: work(task, t, *mine)
         return
     commands, command_end = os.pipe()
     reply_end, replies = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        for fd in (commands, command_end, reply_end, replies):
+            os.close(fd)
+        raise RuntimeError(f"cannot start the training helper process: {exc}") from None
     if pid == 0:
         os.close(command_end)
         os.close(reply_end)
@@ -454,11 +456,15 @@ def _round_tasks(work: Callable[..., None], mine: tuple, theirs: tuple, fork: bo
     reader = os.fdopen(reply_end, "rb")
 
     def run(task: bytes, t: int) -> None:
-        os.write(command_end, task)
+        ended = RuntimeError(f"training helper process ended during round {t+1}")
+        try:
+            os.write(command_end, task)
+        except BrokenPipeError:
+            raise ended from None
         work(task, t, *mine)
         reply = reader.readline()
         if reply == b"":
-            raise RuntimeError(f"training helper process ended during round {t+1}")
+            raise ended
         if reply != b"\n":
             raise RuntimeError(f"training helper failed in round {t+1}: {reply.decode().strip()}")
 

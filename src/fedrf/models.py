@@ -38,13 +38,18 @@ column depends only on its own patch column, and a dense layer's row only on
 its own input row, so the blocked logits are bit-identical to one pass.
 
 One backward pass (``_backward``) serves both ``loss_and_grad``, which
-returns the loss and a new gradient array, and ``train_step``, the training
-loop's in-place SGD step, which computes no loss. The step's gradient, its
-l2 term and the softmax logits, which turn in place into the probabilities
-and then the logit gradient, are kept work arrays. The l2 term and the update
-run in place in the order of ``sgd_step(params, loss_and_grad(...)[1], eta)``
-(``g += l2*w``, then ``w -= eta*g``), so the bits are those of that
-reference.
+returns the loss and a new gradient array, and ``train_round``, which takes
+all J in-place SGD steps of a round of local training in one call and
+computes no loss (``train_step`` is its one-step case). A round does its
+bookkeeping once: it checks the input shapes, takes the parameter and
+gradient views, hands out the kept work arrays (the gradient, its l2 term and
+the softmax logits, which turn in place into the probabilities and then the
+logit gradient) and gathers every step's labels from the round plans; for
+softmax_linear it also computes every step's flat indices of the label
+entries in the stacked logits. A step then only gathers its mini-batches and
+does the arithmetic. The l2 term and the update run in place in the order of
+``sgd_step(params, loss_and_grad(...)[1], eta)`` (``g += l2*w``, then
+``w -= eta*g``), so the bits are those of that reference.
 
 Everything is float64 and gradients are computed by hand so they can be
 verified against central finite differences.
@@ -389,10 +394,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / s[..., None]
 
 
+def _label_index(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """The flat index of every row's label entry in the C-contiguous
+    (..., n, num_classes) array of the rows' logits."""
+    return num_classes * np.arange(labels.size) + labels.ravel()
+
+
 def _picked(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """z[..., label] of every row, in the shape of ``labels``."""
-    rows = z.reshape(-1, z.shape[-1])
-    return rows[np.arange(len(rows)), labels.ravel()].reshape(labels.shape)
+    return z.reshape(-1)[_label_index(labels, z.shape[-1])].reshape(labels.shape)
 
 
 def _mean(losses: np.ndarray):
@@ -412,24 +422,25 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return _mean(_row_losses(logits, labels))
 
 
-def _dlogits(logits: np.ndarray, labels: np.ndarray, want_loss: bool):
-    """Turn C-contiguous ``logits``, in place, into the gradient of the mean
-    cross-entropy with respect to them; return that loss when ``want_loss``.
+def _dlogits(logits: np.ndarray, index: np.ndarray, want_loss: bool):
+    """Turn C-contiguous (..., n, C) ``logits``, in place, into the gradient
+    of the mean cross-entropy with respect to them; return that loss when
+    ``want_loss``. ``index`` is the ``_label_index`` of the rows' labels.
 
     The operations are those of ``_cross_entropy`` and ``_softmax``, in the
     same order, so the bits are too; the row max is the reduction, which
     ``_row_max`` equals and which is faster on a training batch.
     """
+    entries = logits.reshape(-1)
     logits -= logits.max(axis=-1, keepdims=True)
-    picked = _picked(logits, labels) if want_loss else None
+    picked = entries[index].reshape(logits.shape[:-1]) if want_loss else None
     e = np.exp(logits, out=logits)
     s = e.sum(axis=-1)
     loss = _mean(np.log(s) - picked) if want_loss else None
     probs = np.divide(e, s[..., None], out=e)
     # subtracting 1 at each label leaves every other entry exact
-    rows = probs.reshape(-1, probs.shape[-1])
-    rows[np.arange(len(rows)), labels.ravel()] -= 1.0
-    probs /= labels.shape[-1]
+    entries[index] -= 1.0
+    probs /= logits.shape[-2]
     return loss
 
 
@@ -554,72 +565,118 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
     gradient is a new array on every call.
     """
     params = np.asarray(params, dtype=np.float64)
+    _check_count(params, batch.labels.shape[:-1])
     grad = np.empty_like(params)
-    loss = _gradient(spec, params, batch, grad, want_loss=True)
+    if spec.kind == KIND_RESNET and params.ndim > 1:
+        loss = np.array([
+            _backward(spec, p, x, y, g, want_loss=True)
+            for p, x, y, g in zip(params, batch.inputs, batch.labels, grad)
+        ])
+    else:
+        loss = _backward(spec, params, batch.inputs, batch.labels, grad, want_loss=True)
     if spec.l2_coeff:
         loss += _l2_term(spec, params)
         grad += spec.l2_coeff * params
     return loss, grad
 
 
+def _check_count(params: np.ndarray, lead: Tuple[int, ...]) -> None:
+    if params.shape[:-1] != lead:
+        raise ValueError("stacked parameters and stacked batches differ in count")
+
+
 def train_step(spec: ModelSpec, params: np.ndarray, batch: Batch, eta: float) -> None:
     """One SGD step on the batch loss, in place: ``params -= eta * grad``.
 
-    ``params`` is a float64 array (N, P) for a stacked batch, else (P,).
-
-    Stacks like ``loss_and_grad`` and gives the bits of
-    ``sgd_step(params, loss_and_grad(spec, params, batch)[1], eta)``, but
-    computes no loss. The gradient, its l2 term and the softmax logits are
-    kept work arrays (see ``_scratch``), so a step allocates only small
-    temporaries.
+    ``params`` is a float64 array (N, P) for a stacked batch, else (P,). The
+    one-step case of ``train_round``, with each batch as one shard; it gives
+    the bits of ``sgd_step(params, loss_and_grad(spec, params, batch)[1], eta)``.
     """
+    if params.ndim == 1:
+        params, batch = params[None], Batch(batch.inputs[None], batch.labels[None])
+    n = batch.labels.shape[-1]
+    shards = [Batch(x, y) for x, y in zip(batch.inputs, batch.labels)]
+    train_round(spec, params, shards, np.broadcast_to(np.arange(n), (len(shards), 1, n)), eta)
+
+
+def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
+                plans: np.ndarray, eta: float) -> None:
+    """Take the J SGD steps of a round of local training at G APs, in place.
+
+    ``params`` is the (G, P) float64 array of the APs' parameters,
+    ``shards`` their G unstacked batches and ``plans`` the (G, J, B) row
+    indices, each in range, of every AP's J mini-batches in its shard. Step
+    j sets ``params[g] -= eta * grad`` of the loss of rows ``plans[g, j]`` of
+    ``shards[g]``, for every g, as ``sgd_step`` of ``loss_and_grad`` would,
+    bit for bit, and computes no loss. The shape checks, views, work arrays,
+    labels and label indices are set up once for all J steps (see the module
+    docstring); each step's stacked (G, B, ...) mini-batch is gathered into
+    one array of this call.
+    """
+    plans = np.asarray(plans)
+    _check_count(params, (len(shards),))
+    _check_count(params, plans.shape[:1])
+    for shard in shards:
+        _check_input(spec, shard.inputs)
+    g_count, steps, size = plans.shape
+    # (J, G, B): every step's stacked labels
+    labels = np.stack([shard.labels[plan] for shard, plan in zip(shards, plans)], axis=1)
+    inputs = np.empty((g_count, size) + spec.input_shape)
     grad = _scratch("step.grad", params.shape)
-    _gradient(spec, params, batch, grad, want_loss=False, key="step")
-    if spec.l2_coeff:
-        grad += np.multiply(params, spec.l2_coeff, out=_scratch("step.l2", params.shape))
-    grad *= eta
-    params -= grad
+    l2 = _scratch("step.l2", params.shape) if spec.l2_coeff else None
+    if spec.kind == KIND_SOFTMAX:
+        views, gviews = param_views(spec, params), param_views(spec, grad)
+        flat = inputs.reshape(g_count, size, -1)
+        logits = _scratch("step.logits", (g_count, size, spec.num_classes))
+        # every step's _label_index of its (G, B) labels
+        index = spec.num_classes * np.arange(g_count * size) + labels.reshape(steps, -1)
+    for j in range(steps):
+        for g, shard in enumerate(shards):
+            # the plan's indices are in range; "clip" lets take write out unbuffered
+            np.take(shard.inputs, plans[g, j], axis=0, out=inputs[g], mode="clip")
+        if spec.kind == KIND_SOFTMAX:
+            _softmax_backward(views, gviews, flat, logits, index[j], want_loss=False)
+        else:
+            for g in range(g_count):
+                _backward(spec, params[g], inputs[g], labels[j, g], grad[g], want_loss=False)
+        if l2 is not None:
+            grad += np.multiply(params, spec.l2_coeff, out=l2)
+        grad *= eta
+        params -= grad
 
 
-def _gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, grad: np.ndarray,
-              want_loss: bool, key: Optional[str] = None):
-    """Write the gradient of the mean cross-entropy (no l2 term) into ``grad``.
-
-    Returns the loss (one per row when stacked) when ``want_loss``, else None.
-    """
-    if params.shape[:-1] != batch.labels.shape[:-1]:
-        raise ValueError("stacked parameters and stacked batches differ in count")
-    if spec.kind == KIND_RESNET and params.ndim > 1:
-        losses = [
-            _backward(spec, p, x, y, g, want_loss)
-            for p, x, y, g in zip(params, batch.inputs, batch.labels, grad)
-        ]
-        return np.array(losses) if want_loss else None
-    return _backward(spec, params, batch.inputs, batch.labels, grad, want_loss, key)
+def _softmax_backward(views, gviews, flat: np.ndarray, logits: np.ndarray,
+                      index: np.ndarray, want_loss: bool):
+    """softmax_linear's pass: the (..., n, C) ``logits`` of the flattened
+    inputs ``flat`` under ``views``, turned by ``_dlogits`` into their
+    gradient, and the weight and bias gradients written into ``gviews``."""
+    np.matmul(flat, views["w"], out=logits)
+    logits += views["b"][..., None, :]
+    loss = _dlogits(logits, index, want_loss)
+    np.matmul(np.swapaxes(flat, -1, -2), logits, out=gviews["w"])
+    gviews["b"][...] = logits.sum(axis=-2)
+    return loss
 
 
 def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-              grad: np.ndarray, want_loss: bool, key: Optional[str] = None):
-    """The one backward pass of both kinds; see ``_gradient``.
+              grad: np.ndarray, want_loss: bool):
+    """Write the gradient of the mean cross-entropy (no l2 term) into ``grad``.
 
+    Returns the loss (one per row when stacked) when ``want_loss``, else None.
     softmax_linear takes stacked parameters and batches as batched matrix
-    products, and with a ``key`` its logits are a kept work array. mini_resnet
-    takes one parameter vector.
+    products; mini_resnet takes one parameter vector.
     """
     _check_input(spec, x)
     views = param_views(spec, params)
     gviews = param_views(spec, grad)
+    index = _label_index(labels, spec.num_classes)
     if spec.kind == KIND_SOFTMAX:
         flat = x.reshape(x.shape[:-3] + (-1,))
-        shape = labels.shape + (spec.num_classes,)
-        logits = np.matmul(flat, views["w"], out=_scratch(key and f"{key}.logits", shape))
-        logits += views["b"][..., None, :]
-        loss = _dlogits(logits, labels, want_loss)
-        np.matmul(np.swapaxes(flat, -1, -2), logits, out=gviews["w"])
-        gviews["b"][...] = logits.sum(axis=-2)
+        logits = np.empty(labels.shape + (spec.num_classes,))
+        loss = _softmax_backward(views, gviews, flat, logits, index, want_loss)
     else:
         dlogits, cache = _resnet_forward(spec, views, x, keep=True)
-        loss = _dlogits(dlogits, labels, want_loss)
+        loss = _dlogits(dlogits, index, want_loss)
         grad.fill(0.0)
         hm, mm, flat, m1, a1f = cache["head"]
 

@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -857,6 +859,42 @@ def test_failed_training_helper_fails_the_run_with_one_line(tmp_path, capfd, mon
     cfg_path = small_desk(tmp_path, model={"kind": "mini_resnet"}, training={"seeds": [1]})
     out = tmp_path / "r"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capfd.readouterr().err == f"error: {error}\n"
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert (manifest["status"], manifest["error"]) == ("failed", error)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("fork", "cannot start the training helper process: [Errno 11] Resource temporarily unavailable"),
+    # killed after round 1: the command of round 2 finds no reader
+    ("kill", "training helper process ended during round 2"),
+])
+def test_unstarted_or_killed_training_helper_fails_the_run_with_one_line(
+        tmp_path, capfd, monkeypatch, fault, error):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fork, round_scores, helpers = os.fork, federation._round_scores, []
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def recorded_fork():
+        helpers.append(fork())
+        return helpers[-1]
+
+    def scores_then_kill(*args):
+        os.kill(helpers[0], signal.SIGKILL)
+        # dead, but left for the run to reap
+        os.waitid(os.P_PID, helpers[0], os.WEXITED | os.WNOWAIT)
+        return round_scores(*args)
+
+    monkeypatch.setattr(os, "fork", failing_fork if fault == "fork" else recorded_fork)
+    monkeypatch.setattr(federation, "_round_scores", scores_then_kill)
+    cfg_path = small_desk(tmp_path, training={"seeds": [1]})
+    out = tmp_path / "r"
+    fds = len(os.listdir("/proc/self/fd"))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert len(os.listdir("/proc/self/fd")) == fds
     assert capfd.readouterr().err == f"error: {error}\n"
     manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
     assert (manifest["status"], manifest["error"]) == ("failed", error)

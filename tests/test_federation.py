@@ -441,17 +441,19 @@ def per_ap_local_train(batches, rngs, w0, cfg):
                          ids=["equal_batches", "unequal_batches"])
 def test_stacked_local_train_matches_per_ap_loop(kind, shard_sizes):
     # shard sizes 3, 10, 5, 12 at batch 6 give effective batch sizes 3, 6, 5, 6:
-    # three stacks, one of them holding two APs
+    # three stacks, one of them holding two APs. In 7 steps the shards of 10
+    # and 12 (and the equal shards of 12) draw new queues within the round
     split = make_split()
     part = federation.partition_iid(split, 4, seed=2, selection=("iq",))
-    cfg = small_cfg(split, seed=5, local_steps=4, batch=6, kind=kind)
-    batches = federation.build_ap_batches(split, part, cfg.modalities)
-    if shard_sizes is not None:
-        batches = [b.select(np.arange(k)) for b, k in zip(batches, shard_sizes)]
-    w0 = models.init_params(cfg.spec, 3)
-    rngs = lambda: [federation.ap_stream(cfg.seed, n, 7) for n in range(4)]
-    stacked = federation.local_train(batches, rngs(), w0, cfg)
-    assert np.array_equal(stacked, per_ap_local_train(batches, rngs(), w0, cfg))
+    rngs = lambda: [federation.ap_stream(5, n, 7) for n in range(4)]
+    for l2 in (0.0, 1e-2):
+        cfg = small_cfg(split, seed=5, local_steps=7, batch=6, kind=kind, l2=l2)
+        batches = federation.build_ap_batches(split, part, cfg.modalities)
+        if shard_sizes is not None:
+            batches = [b.select(np.arange(k)) for b, k in zip(batches, shard_sizes)]
+        w0 = models.init_params(cfg.spec, 3)
+        stacked = federation.local_train(batches, rngs(), w0, cfg)
+        assert np.array_equal(stacked, per_ap_local_train(batches, rngs(), w0, cfg)), l2
 
 
 @pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])

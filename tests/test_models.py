@@ -299,6 +299,23 @@ def test_train_step_matches_sgd_step_of_loss_and_grad(make_spec, l2, stacked):
     with pytest.raises(ValueError, match="differ in count"):
         models.train_step(spec, np.zeros((2,) + params.shape[-1:]), one_stack, 0.1)
 
+    # a round of 4 steps at G = 3 or 1 APs, each of 5 rows drawn from its
+    # shard of 7, equals 4 steps of the reference, from poisoned work arrays
+    w = params.reshape(-1, params.shape[-1])
+    shards = [random_batch(spec, 7, seed=10 + g) for g in range(len(w))]
+    plans = np.sort(rng.permuted(np.tile(np.arange(7), (len(w), 4, 1)), axis=-1)[..., :5])
+    expected = w
+    for j in range(4):
+        step = models.Batch(np.stack([s.inputs[p[j]] for s, p in zip(shards, plans)]),
+                            np.stack([s.labels[p[j]] for s, p in zip(shards, plans)]))
+        expected = models.sgd_step(expected, models.loss_and_grad(spec, expected, step)[1], 0.1)
+    poison_work_arrays()
+    got = w.copy()
+    models.train_round(spec, got, shards, plans, 0.1)
+    assert np.array_equal(got, expected)
+    with pytest.raises(ValueError, match="differ in count"):
+        models.train_round(spec, np.zeros((2,) + params.shape[-1:]), shards, plans, 0.1)
+
 
 @pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
 def test_loss_and_grad_returns_new_arrays(make_spec):
@@ -603,27 +620,40 @@ def test_keyed_conv_work_arrays_match_fresh_ones():
 def test_poisoned_work_arrays_match_fresh_ones(kernel_len, window_len):
     # window_len 8: mid_conv runs at T=2, below kernel_len 5; the padding of
     # every slab must come back zero from work arrays that another batch size
-    # laid out differently and that hold nan everywhere
-    spec = models.ModelSpec("mini_resnet", window_len, 2, 5, l2_coeff=1e-3,
-                            block_channels=(3, 4), kernel_len=kernel_len, hidden=6)
-    params = models.init_params(spec, kernel_len)
+    # laid out differently and that hold nan everywhere. A round of 3 steps at
+    # G = 1 and G = 3 APs, of either kind, starts from such arrays too
+    resnet = models.ModelSpec("mini_resnet", window_len, 2, 5, l2_coeff=1e-3,
+                              block_channels=(3, 4), kernel_len=kernel_len, hidden=6)
+    softmax = models.ModelSpec("softmax_linear", window_len, 2, 5, l2_coeff=1e-3)
     sizes = (32, 31, 9, 1)
-    batches = [random_batch(spec, n, seed=n) for n in sizes]
+    for spec in (resnet, softmax):
+        params = models.init_params(spec, kernel_len)
+        stacks = {g: np.stack([models.init_params(spec, s) for s in range(g)]) for g in (1, 3)}
+        batches = [random_batch(spec, n, seed=n) for n in sizes]
 
-    def calls(batch, before):
-        before()
-        stepped = params.copy()
-        models.train_step(spec, stepped, batch, 0.1)
-        before()
-        loss, grad = models.loss_and_grad(spec, params, batch)
-        before()
-        return loss, grad, stepped, models._logits(spec, params, batch.inputs)[0]
+        def calls(batch, before):
+            before()
+            stepped = params.copy()
+            models.train_step(spec, stepped, batch, 0.1)
+            rounds = []
+            for g, w in stacks.items():
+                n = len(batch)
+                plans = np.random.default_rng(n + g).integers(0, n, (g, 3, max(1, n // 2)))
+                before()
+                w = w.copy()
+                models.train_round(spec, w, [batch] * g, plans, 0.1)
+                rounds.append(w)
+            before()
+            loss, grad = models.loss_and_grad(spec, params, batch)
+            before()
+            logits = models._logits(spec, params, batch.inputs)[0]
+            return (loss, grad, stepped, *rounds, logits)
 
-    fresh = [calls(batch, models._scratch_arrays.__dict__.clear) for batch in batches]
-    calls(batches[0], lambda: None)  # the largest batch sizes the kept arrays
-    for batch, ref in zip(batches, fresh):
-        for got, want in zip(calls(batch, poison_work_arrays), ref):
-            assert np.array_equal(got, want), len(batch)
+        fresh = [calls(batch, models._scratch_arrays.__dict__.clear) for batch in batches]
+        calls(batches[0], lambda: None)  # the largest batch sizes the kept arrays
+        for batch, ref in zip(batches, fresh):
+            for got, want in zip(calls(batch, poison_work_arrays), ref):
+                assert np.array_equal(got, want), (spec.kind, len(batch))
 
 
 def test_scratch_keeps_only_small_keyed_arrays():
