@@ -187,11 +187,10 @@ def cmd_run(args, cfg, out: Path, outputs: List[str], seeds: List[int]) -> None:
         save_model(out / model_name, run)
         outputs.append(model_name)
     header = ["run_id", "round", "global_loss", "global_acc",
-              *(f"ap{i}_loss" for i in range(cfg.partition.num_aps)), "bound"]
-    # the bound column is always empty, kept so the header stays fixed
+              *(f"ap{i}_loss" for i in range(cfg.partition.num_aps))]
     _write(out, outputs, METRICS_FILENAME, [header, *(
         [f"seed{run.seed}", str(m.round), _fmt(m.global_loss), _fmt(m.global_acc),
-         *map(_fmt, m.ap_losses), ""]
+         *map(_fmt, m.ap_losses)]
         for run in runs for m in run.metrics)])
     if cfg.personalization.enabled:
         rows = [["run_id", "ap", "before_acc", "after_acc"]]

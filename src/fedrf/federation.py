@@ -244,7 +244,6 @@ def local_train(
     rngs: Sequence[np.random.Generator],
     w_global: np.ndarray,
     cfg: TrainingConfig,
-    grad_fn: Optional[Callable[[np.ndarray, models.Batch], np.ndarray]] = None,
 ) -> np.ndarray:
     """Run exactly ``cfg.local_steps`` SGD steps at every AP from the broadcast parameters.
 
@@ -252,12 +251,9 @@ def local_train(
     ``shards``. Before the first step, each AP's mini-batches for all steps
     are drawn as one ``_round_plan`` from its own stream in ``rngs``. APs
     with the same effective batch size (``batch_size`` capped at the shard
-    size) step together on their stacked (G, P) parameters: by default all
-    their steps are one ``models.train_round`` call, which does the round's
-    bookkeeping once and computes no loss; with a ``grad_fn``, each step
-    gathers the stacked (G, B, ...) batch and takes the (G, P) gradients
-    that ``grad_fn`` returns, which are not modified. Overflow is not
-    reported here; callers check for divergence.
+    size) step together: all their steps are one ``models.train_round``
+    call on their stacked (G, P) parameters. Overflow is not reported here;
+    callers check for divergence.
     """
     w_global = np.asarray(w_global, dtype=np.float64)
     plans = [
@@ -269,18 +265,9 @@ def local_train(
         groups.setdefault(plan.shape[1], []).append(n)
     out = np.empty((len(shards),) + w_global.shape)
     for members in groups.values():
-        group = [shards[n] for n in members]
-        group_plans = np.stack([plans[n] for n in members])
         w = np.repeat(w_global[None], len(members), axis=0)
-        if grad_fn is None:
-            models.train_round(cfg.spec, w, group, group_plans, cfg.eta)
-        else:
-            for step in group_plans.transpose(1, 0, 2):
-                batch = models.Batch(
-                    np.stack([shard.inputs[rows] for shard, rows in zip(group, step)]),
-                    np.stack([shard.labels[rows] for shard, rows in zip(group, step)]),
-                )
-                w = models.sgd_step(w, grad_fn(w, batch), cfg.eta)
+        models.train_round(cfg.spec, w, [shards[n] for n in members],
+                           np.stack([plans[n] for n in members]), cfg.eta)
         out[members] = w
     return out
 

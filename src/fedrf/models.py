@@ -24,10 +24,11 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   masks run on whole slabs and pooling on S-long time steps, so the padding
   stays zero. The pooling's backward copies dy to both samples of each pair
   and multiplies by one mask: the block's ReLU mask with each pair's losing
-  sample cleared. The slabs are work arrays that the thread keeps from call
-  to call (each up to ``SCRATCH_MAX_BYTES``), so a step does not allocate,
-  fault in and free them again; their padding is zeroed whenever they are
-  handed out. All layers share one patch matrix and one input gradient.
+  sample cleared. The slabs are work arrays that the process keeps from
+  call to call (each up to ``SCRATCH_MAX_BYTES``), so a step does not
+  allocate, fault in and free them again; their padding is zeroed whenever
+  they are handed out. All layers share one patch matrix and one input
+  gradient.
 
 Evaluation without gradients runs in near-equal blocks of at most
 ``SOFTMAX_BLOCK_ROWS`` or ``EVAL_BLOCK_ROWS`` examples, so the softmax input
@@ -37,19 +38,20 @@ block's matrix-vector products round differently). A convolution's output
 column depends only on its own patch column, and a dense layer's row only on
 its own input row, so the blocked logits are bit-identical to one pass.
 
-One backward pass (``_backward``) serves both ``loss_and_grad``, which
-returns the loss and a new gradient array, and ``train_round``, which takes
-all J in-place SGD steps of a round of local training in one call and
-computes no loss (``train_step`` is its one-step case). A round does its
-bookkeeping once: it checks the input shapes, takes the parameter and
-gradient views, hands out the kept work arrays (the gradient, its l2 term and
-the softmax logits, which turn in place into the probabilities and then the
-logit gradient) and gathers every step's labels from the round plans; for
-softmax_linear it also computes every step's flat indices of the label
-entries in the stacked logits. A step then only gathers its mini-batches and
-does the arithmetic. The l2 term and the update run in place in the order of
+One backward pass serves both ``loss_and_grad``, which returns the loss of
+one batch and a new gradient array, and ``train_round``, the one SGD step
+path: it takes all J in-place steps of a round of local training at G APs in
+one call and computes no loss. A round does its bookkeeping once: it checks
+the input shapes, takes the parameter and gradient views, hands out the kept
+work arrays (the gradient, its l2 term and the softmax logits, which turn in
+place into the probabilities and then the logit gradient) and gathers every
+step's labels from the round plans; for softmax_linear it also computes
+every step's flat indices of the label entries in the (G, B, C) logits. A
+step then only gathers its mini-batches and does the arithmetic: batched
+matrix products over the G APs for softmax_linear, one ``_backward`` per AP
+for mini_resnet. The l2 term and the update run in place in the order of
 ``sgd_step(params, loss_and_grad(...)[1], eta)`` (``g += l2*w``, then
-``w -= eta*g``), so the bits are those of that reference.
+``w -= eta*g``), so each AP's bits are those of that reference.
 
 Everything is float64 and gradients are computed by hand so they can be
 verified against central finite differences.
@@ -60,7 +62,6 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -193,12 +194,7 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 @dataclass
 class Batch:
-    """Stacked inputs (n, L, 2, M) with integer labels (n,).
-
-    A stacked batch holds N equal-size batches, one per AP, as inputs
-    (N, n, L, 2, M) and labels (N, n); ``loss_and_grad`` takes one step on
-    each of them in one call.
-    """
+    """Stacked inputs (n, L, 2, M) with integer labels (n,)."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -206,14 +202,13 @@ class Batch:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim not in (1, 2) or self.inputs.ndim != self.labels.ndim + 3:
-            raise ValueError("inputs must be a 4-D (n, L, 2, M) array, 5-D when stacked")
-        if self.inputs.shape[: self.labels.ndim] != self.labels.shape or self.labels.size == 0:
+        if self.inputs.ndim != 4 or self.labels.ndim != 1:
+            raise ValueError("inputs must be a 4-D (n, L, 2, M) array with 1-D labels")
+        if len(self.inputs) != len(self.labels) or len(self.labels) == 0:
             raise ValueError("batch needs >= 1 example and matching label count")
 
     def __len__(self) -> int:
-        """Number of examples, over all stacked batches."""
-        return self.labels.size
+        return len(self.labels)
 
     def select(self, idx) -> "Batch":
         return Batch(self.inputs[idx], self.labels[idx])
@@ -222,14 +217,14 @@ class Batch:
 # ---------------------------------------------------------------------------
 # primitive ops
 
-_scratch_arrays = threading.local()
+_scratch_arrays: Dict[str, np.ndarray] = {}
 
 
 def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
     """A C-contiguous float64 work array of ``shape`` with undefined contents.
 
     With a ``key`` (and at most ``SCRATCH_MAX_BYTES``) the array is the start
-    of one that this thread keeps for the key, so it holds what the key's
+    of one that the process keeps for the key, so it holds what the key's
     previous user left there; every other call gets a new array. Keeping the
     arrays spares a mini_resnet step from allocating and freeing a few MB of
     work arrays, which the C allocator may return to the system and fault in
@@ -241,11 +236,10 @@ def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
     size = math.prod(shape)
     if key is None or 8 * size > SCRATCH_MAX_BYTES:
         return np.empty(shape)
-    kept = _scratch_arrays.__dict__
-    buf = kept.get(key)
+    buf = _scratch_arrays.get(key)
     if buf is None or len(buf) < size:
         mapping = mmap.mmap(-1, 8 * max(size, 1), flags=mmap.MAP_PRIVATE)
-        buf = kept[key] = np.frombuffer(mapping)
+        buf = _scratch_arrays[key] = np.frombuffer(mapping)
     return buf[:size].reshape(shape)
 
 
@@ -405,10 +399,8 @@ def _picked(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return z.reshape(-1)[_label_index(labels, z.shape[-1])].reshape(labels.shape)
 
 
-def _mean(losses: np.ndarray):
-    """Mean over the last axis; a float for one batch."""
-    loss = np.mean(losses, axis=-1)
-    return float(loss) if loss.ndim == 0 else loss
+def _mean(losses: np.ndarray) -> float:
+    return float(np.mean(losses))
 
 
 def _row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -417,15 +409,16 @@ def _row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.log(s) - _picked(z, labels)
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy; one value per batch when the logits are stacked."""
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy."""
     return _mean(_row_losses(logits, labels))
 
 
 def _dlogits(logits: np.ndarray, index: np.ndarray, want_loss: bool):
     """Turn C-contiguous (..., n, C) ``logits``, in place, into the gradient
     of the mean cross-entropy with respect to them; return that loss when
-    ``want_loss``. ``index`` is the ``_label_index`` of the rows' labels.
+    ``want_loss`` (of (n, C) logits only). ``index`` is the ``_label_index``
+    of the rows' labels.
 
     The operations are those of ``_cross_entropy`` and ``_softmax``, in the
     same order, so the bits are too; the row max is the reduction, which
@@ -433,7 +426,7 @@ def _dlogits(logits: np.ndarray, index: np.ndarray, want_loss: bool):
     """
     entries = logits.reshape(-1)
     logits -= logits.max(axis=-1, keepdims=True)
-    picked = entries[index].reshape(logits.shape[:-1]) if want_loss else None
+    picked = entries[index] if want_loss else None
     e = np.exp(logits, out=logits)
     s = e.sum(axis=-1)
     loss = _mean(np.log(s) - picked) if want_loss else None
@@ -444,12 +437,9 @@ def _dlogits(logits: np.ndarray, index: np.ndarray, want_loss: bool):
     return loss
 
 
-def _l2_term(spec: ModelSpec, params: np.ndarray):
-    """(l2/2)*||params||^2; one value per row when the parameters are stacked."""
-    if params.ndim == 1:
-        return 0.5 * spec.l2_coeff * float(params @ params)
-    # a stack of (1, P) @ (P, 1) products: the same dot product per row
-    return 0.5 * spec.l2_coeff * (params[:, None, :] @ params[:, :, None])[:, 0, 0]
+def _l2_term(spec: ModelSpec, params: np.ndarray) -> float:
+    """(l2/2)*||params||^2."""
+    return 0.5 * spec.l2_coeff * float(params @ params)
 
 
 # ---------------------------------------------------------------------------
@@ -556,24 +546,12 @@ def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
 
 
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
-    """Exact gradient of the batch loss with respect to the flat parameters.
-
-    Stacked parameters (N, P) with a stacked batch (N, n, ...) take N
-    independent steps in one call and return N losses and (N, P) gradients,
-    each bit-identical to its own unstacked call. softmax_linear runs them as
-    batched matrix products; mini_resnet steps through the rows in turn. The
-    gradient is a new array on every call.
-    """
+    """(loss, grad): the batch loss and its exact gradient with respect to
+    the flat (P,) parameters, a new array on every call."""
     params = np.asarray(params, dtype=np.float64)
-    _check_count(params, batch.labels.shape[:-1])
+    _check_count(params, ())
     grad = np.empty_like(params)
-    if spec.kind == KIND_RESNET and params.ndim > 1:
-        loss = np.array([
-            _backward(spec, p, x, y, g, want_loss=True)
-            for p, x, y, g in zip(params, batch.inputs, batch.labels, grad)
-        ])
-    else:
-        loss = _backward(spec, params, batch.inputs, batch.labels, grad, want_loss=True)
+    loss = _backward(spec, params, batch.inputs, batch.labels, grad, want_loss=True)
     if spec.l2_coeff:
         loss += _l2_term(spec, params)
         grad += spec.l2_coeff * params
@@ -582,21 +560,7 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
 
 def _check_count(params: np.ndarray, lead: Tuple[int, ...]) -> None:
     if params.shape[:-1] != lead:
-        raise ValueError("stacked parameters and stacked batches differ in count")
-
-
-def train_step(spec: ModelSpec, params: np.ndarray, batch: Batch, eta: float) -> None:
-    """One SGD step on the batch loss, in place: ``params -= eta * grad``.
-
-    ``params`` is a float64 array (N, P) for a stacked batch, else (P,). The
-    one-step case of ``train_round``, with each batch as one shard; it gives
-    the bits of ``sgd_step(params, loss_and_grad(spec, params, batch)[1], eta)``.
-    """
-    if params.ndim == 1:
-        params, batch = params[None], Batch(batch.inputs[None], batch.labels[None])
-    n = batch.labels.shape[-1]
-    shards = [Batch(x, y) for x, y in zip(batch.inputs, batch.labels)]
-    train_round(spec, params, shards, np.broadcast_to(np.arange(n), (len(shards), 1, n)), eta)
+        raise ValueError("parameter rows and batches differ in count")
 
 
 def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
@@ -660,19 +624,15 @@ def _softmax_backward(views, gviews, flat: np.ndarray, logits: np.ndarray,
 
 def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
               grad: np.ndarray, want_loss: bool):
-    """Write the gradient of the mean cross-entropy (no l2 term) into ``grad``.
-
-    Returns the loss (one per row when stacked) when ``want_loss``, else None.
-    softmax_linear takes stacked parameters and batches as batched matrix
-    products; mini_resnet takes one parameter vector.
-    """
+    """Write the gradient of the mean cross-entropy (no l2 term) of one batch
+    into ``grad``; return the loss when ``want_loss``, else None."""
     _check_input(spec, x)
     views = param_views(spec, params)
     gviews = param_views(spec, grad)
     index = _label_index(labels, spec.num_classes)
     if spec.kind == KIND_SOFTMAX:
-        flat = x.reshape(x.shape[:-3] + (-1,))
-        logits = np.empty(labels.shape + (spec.num_classes,))
+        flat = x.reshape(len(x), -1)
+        logits = np.empty((len(x), spec.num_classes))
         loss = _softmax_backward(views, gviews, flat, logits, index, want_loss)
     else:
         dlogits, cache = _resnet_forward(spec, views, x, keep=True)

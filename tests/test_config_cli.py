@@ -368,7 +368,7 @@ def test_run_outputs_and_determinism(tmp_path):
     m2 = (out2 / cli.METRICS_FILENAME).read_text()
     assert m1 == m2
     header = m1.splitlines()[0]
-    assert header == "run_id,round,global_loss,global_acc,ap0_loss,ap1_loss,bound"
+    assert header == "run_id,round,global_loss,global_acc,ap0_loss,ap1_loss"
     assert len(m1.splitlines()) == 1 + 2 * 2  # 2 seeds x 2 evaluated rounds
     manifest = json.loads((out1 / cli.MANIFEST_FILENAME).read_text())
     assert manifest["status"] == "complete"

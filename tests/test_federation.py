@@ -175,34 +175,6 @@ def test_local_train_zero_eta_is_identity():
     assert np.array_equal(out, w0[None])
 
 
-def test_local_train_quadratic_closed_form():
-    # f(w) = 0.5*(w-3)^2 on a single AP, full batch
-    split = make_split()
-    cfg = small_cfg(split, rounds=1, local_steps=1, eta=0.1)
-    dummy = models.Batch(np.zeros((4, split.window_len, 2, 1)), np.zeros(4, dtype=int))
-    grad_fn = lambda w, b: w - 3.0
-    for steps, expected in ((1, 0.3), (2, 0.57)):
-        cfg.local_steps = steps
-        rngs = [federation.ap_stream(0, 0, 0)]
-        out = federation.local_train([dummy], rngs, np.zeros(1), cfg, grad_fn=grad_fn)
-        assert out[0, 0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_local_train_never_modifies_a_returned_gradient():
-    # a grad_fn may return its own argument: the step must be w - eta*w
-    split = make_split()
-    part = federation.partition_iid(split, 2, seed=1, selection=("iq",))
-    cfg = small_cfg(split, local_steps=4, eta=0.3)
-    batches = federation.build_ap_batches(split, part, cfg.modalities)
-    w0 = models.init_params(cfg.spec, 0)
-    rngs = [federation.ap_stream(0, n, 0) for n in range(len(batches))]
-    out = federation.local_train(batches, rngs, w0, cfg, grad_fn=lambda w, b: w)
-    ref = w0.copy()
-    for _ in range(cfg.local_steps):
-        ref = ref - cfg.eta * ref
-    assert np.array_equal(out, np.stack([ref, ref]))
-
-
 def test_local_train_deterministic():
     split = make_split()
     part = federation.partition_iid(split, 2, seed=1, selection=("iq",))

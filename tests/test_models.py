@@ -261,60 +261,31 @@ def test_softmax_gradient_strong_monotonicity():
 
 
 @pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
-def test_stacked_loss_and_grad_matches_rows(make_spec):
-    spec = make_spec(l2=0.05)
-    rng = np.random.default_rng(4)
-    params = np.stack([models.init_params(spec, s) for s in range(3)])
-    x = rng.standard_normal((3, 5, spec.window_len, 2, spec.num_modalities))
-    y = rng.integers(0, spec.num_classes, (3, 5))
-    losses, grads = models.loss_and_grad(spec, params, models.Batch(x, y))
-    assert losses.shape == (3,) and grads.shape == params.shape
-    for k in range(3):
-        loss, grad = models.loss_and_grad(spec, params[k], models.Batch(x[k], y[k]))
-        assert losses[k] == loss
-        assert np.array_equal(grads[k], grad)
-    with pytest.raises(ValueError):
-        models.loss_and_grad(spec, params[:2], models.Batch(x, y))
-
-
-@pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
 @pytest.mark.parametrize("l2", [0.0, 0.05])
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
 def test_train_step_matches_sgd_step_of_loss_and_grad(make_spec, l2, stacked):
+    # each step of a train_round of 4 steps at G = 1 (single) or 3 (stacked)
+    # APs, each step of 5 rows drawn from the AP's shard of 7, equals sgd_step
+    # of that AP's own loss_and_grad, from kept work arrays that hold nan
     spec = make_spec(l2=l2)
     rng = np.random.default_rng(6)
-    lead = (3,) if stacked else ()
-    params = (np.stack([models.init_params(spec, s) for s in range(3)]) if stacked
-              else models.init_params(spec, 0))
-    batch = models.Batch(rng.standard_normal(lead + (5,) + spec.input_shape),
-                         rng.integers(0, spec.num_classes, lead + (5,)))
-    # the kept work arrays start from whatever the previous step left there
-    for key in ("step.grad", "step.l2", "step.logits"):
-        models._scratch(key, (params.size,))[:] = np.nan
-    expected = models.sgd_step(params, models.loss_and_grad(spec, params, batch)[1], 0.1)
-    got = params.copy()
-    models.train_step(spec, got, batch, 0.1)
-    assert np.array_equal(got, expected)
-    one_stack = batch if stacked else models.Batch(batch.inputs[None], batch.labels[None])
-    with pytest.raises(ValueError, match="differ in count"):
-        models.train_step(spec, np.zeros((2,) + params.shape[-1:]), one_stack, 0.1)
-
-    # a round of 4 steps at G = 3 or 1 APs, each of 5 rows drawn from its
-    # shard of 7, equals 4 steps of the reference, from poisoned work arrays
-    w = params.reshape(-1, params.shape[-1])
+    w = np.stack([models.init_params(spec, s) for s in range(3 if stacked else 1)])
     shards = [random_batch(spec, 7, seed=10 + g) for g in range(len(w))]
     plans = np.sort(rng.permuted(np.tile(np.arange(7), (len(w), 4, 1)), axis=-1)[..., :5])
-    expected = w
-    for j in range(4):
-        step = models.Batch(np.stack([s.inputs[p[j]] for s, p in zip(shards, plans)]),
-                            np.stack([s.labels[p[j]] for s, p in zip(shards, plans)]))
-        expected = models.sgd_step(expected, models.loss_and_grad(spec, expected, step)[1], 0.1)
+    expected = []
+    for params, shard, plan in zip(w, shards, plans):
+        for rows in plan:
+            _, grad = models.loss_and_grad(spec, params, shard.select(rows))
+            params = models.sgd_step(params, grad, 0.1)
+        expected.append(params)
+    for key in ("step.grad", "step.l2", "step.logits"):
+        models._scratch(key, (w.size,))
     poison_work_arrays()
     got = w.copy()
     models.train_round(spec, got, shards, plans, 0.1)
-    assert np.array_equal(got, expected)
+    assert np.array_equal(got, np.stack(expected))
     with pytest.raises(ValueError, match="differ in count"):
-        models.train_round(spec, np.zeros((2,) + params.shape[-1:]), shards, plans, 0.1)
+        models.train_round(spec, np.zeros((2, w.shape[1])), shards, plans, 0.1)
 
 
 @pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
@@ -324,7 +295,8 @@ def test_loss_and_grad_returns_new_arrays(make_spec):
     loss, grad = models.loss_and_grad(spec, params, random_batch(spec, 6, seed=1))
     kept = grad.copy()
     models.loss_and_grad(spec, params, random_batch(spec, 6, seed=2))
-    models.train_step(spec, params.copy(), random_batch(spec, 6, seed=3), 0.1)
+    one_step = np.arange(6)[None, None]
+    models.train_round(spec, params[None].copy(), [random_batch(spec, 6, seed=3)], one_step, 0.1)
     assert np.array_equal(grad, kept)
 
 
@@ -335,9 +307,14 @@ def test_batch_validation():
         models.Batch(np.zeros((2, 4, 2)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
         models.Batch(np.zeros((2, 4, 2, 1)), np.zeros(3, dtype=int))
-    assert len(models.Batch(np.zeros((3, 2, 4, 2, 1)), np.zeros((3, 2), dtype=int))) == 6
+    assert len(models.Batch(np.zeros((3, 4, 2, 1)), np.zeros(3, dtype=int))) == 3
+    # one batch only: 5-D inputs and 2-D labels are rejected
     with pytest.raises(ValueError):
-        models.Batch(np.zeros((3, 2, 4, 2, 1)), np.zeros((2, 3), dtype=int))
+        models.Batch(np.zeros((3, 2, 4, 2, 1)), np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError):
+        models.Batch(np.zeros((3, 2, 4, 2, 1)), np.zeros(3, dtype=int))
+    with pytest.raises(ValueError):
+        models.Batch(np.zeros((3, 4, 2, 1)), np.zeros((3, 1), dtype=int))
 
 
 def test_spec_validation():
@@ -574,8 +551,8 @@ def test_row_max_equals_the_reduction():
 
 
 def poison_work_arrays():
-    """Fill every work array this thread keeps with nan, padding included."""
-    for buf in models._scratch_arrays.__dict__.values():
+    """Fill every work array the process keeps with nan, padding included."""
+    for buf in models._scratch_arrays.values():
         buf[:] = np.nan
 
 
@@ -633,8 +610,8 @@ def test_poisoned_work_arrays_match_fresh_ones(kernel_len, window_len):
 
         def calls(batch, before):
             before()
-            stepped = params.copy()
-            models.train_step(spec, stepped, batch, 0.1)
+            stepped = params[None].copy()
+            models.train_round(spec, stepped, [batch], np.arange(len(batch))[None, None], 0.1)
             rounds = []
             for g, w in stacks.items():
                 n = len(batch)
@@ -649,7 +626,7 @@ def test_poisoned_work_arrays_match_fresh_ones(kernel_len, window_len):
             logits = models._logits(spec, params, batch.inputs)[0]
             return (loss, grad, stepped, *rounds, logits)
 
-        fresh = [calls(batch, models._scratch_arrays.__dict__.clear) for batch in batches]
+        fresh = [calls(batch, models._scratch_arrays.clear) for batch in batches]
         calls(batches[0], lambda: None)  # the largest batch sizes the kept arrays
         for batch, ref in zip(batches, fresh):
             for got, want in zip(calls(batch, poison_work_arrays), ref):
