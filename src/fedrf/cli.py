@@ -17,8 +17,10 @@ and creates the output directory, then calls the subcommand, which writes
 each text file through ``_write`` (so it is listed in the manifest) and
 raises on failure. Every subcommand leaves a ``manifest.json`` whose status
 is ``"complete"`` or ``"failed"``; every failure, a usage error included, is
-one ``error:`` line on stderr and exit status 1. A failure before the output
-directory exists writes no manifest. The manifest's ``seeds`` are the ones
+one ``error:`` line on stderr and exit status 1; an interrupt (SIGINT) is
+``error: interrupted``. A failure before the output directory exists writes
+no manifest, and a rerun into a directory marks its manifest ``"failed"``
+before it writes anything else. The manifest's ``seeds`` are the ones
 the subcommand used, which it records in ``seeds`` as soon as it knows them:
 ``training.seeds`` for ``run``, ``analysis.seed`` for ``verify-bound``, the
 model file's seed for ``personalize`` and ``dataset.seed`` for ``gen-data``
@@ -101,6 +103,8 @@ def _out_dir(args, cfg: cfg_mod.ExperimentConfig) -> Path:
             whose = f"fedrf {owner} output" if isinstance(owner, str) else (
                 "a manifest.json that names no command")
             raise ValueError(f"out dir {path} holds {whose}; pass another --out")
+        # a rerun that dies unreported must not leave the last run's "complete"
+        _write_manifest(path, args.command, cfg, "failed", [], [], error="did not finish")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -312,10 +316,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = _load_config(args)
         out = _out_dir(args, cfg)
         args.fn(args, cfg, out, outputs, seeds)
-    except Exception as exc:  # noqa: BLE001 - every failure ends in one line and exit 1
+    except (Exception, KeyboardInterrupt) as exc:  # noqa: BLE001 - one line and exit 1
+        error = "interrupted" if isinstance(exc, KeyboardInterrupt) else str(exc)
         if out is not None:
-            _write_manifest(out, args.command, cfg, "failed", outputs, seeds, error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
+            _write_manifest(out, args.command, cfg, "failed", outputs, seeds, error=error)
+        print(f"error: {error}", file=sys.stderr)
         return 1
     _write_manifest(out, args.command, cfg, "complete", outputs, seeds)
     return 0

@@ -304,13 +304,9 @@ def aggregate(params_list: Sequence[np.ndarray]) -> np.ndarray:
 
 def evaluate(spec: models.ModelSpec, params: np.ndarray, batch: models.Batch):
     """Mean cross-entropy (no l2 term) and accuracy under lowest-index tie-break."""
-    if len(batch) == 0:
-        raise ValueError("empty evaluation set")
-    logits, _ = models._logits(spec, params, batch.inputs)
-    loss = models._cross_entropy(logits, batch.labels)
-    preds = np.argmax(logits, axis=1)
-    acc = float(np.mean(preds == batch.labels))
-    return loss, acc
+    logits = models._logits(spec, params, batch.inputs)
+    loss = models._mean(models._row_losses(logits, batch.labels))
+    return loss, float(np.mean(np.argmax(logits, axis=1) == batch.labels))
 
 
 def _standardized_rows(
@@ -509,7 +505,7 @@ def run_training(
             shards = batches[1 + aps.start : 1 + aps.stop]
             local[aps.start : aps.stop] = local_train(shards, rngs, w_shared, cfg)
         elif block.start < block.stop:
-            logits = models._logits(cfg.spec, w_shared, rows[block])[0]
+            logits = models._logits(cfg.spec, w_shared, rows[block])
             losses[block] = models._row_losses(logits, labels[block])
             hit = hits[block]  # the block's test rows, which come first
             hit[:] = np.argmax(logits[: len(hit)], axis=1) == labels[block][: len(hit)]
@@ -555,10 +551,13 @@ def personalize(
 ) -> List[PersonalizationResult]:
     """Fine-tune the global model on each AP's shard.
 
-    Each AP is scored before and after with ``evaluate`` on the subset of the
-    global test set whose labels it holds. Training-pool statistics
-    standardize both the fine-tuning inputs and the test set, so in the
-    i.i.d. case every AP starts from an identical "before" accuracy.
+    Each AP is scored on the test rows whose labels it holds: "before" is
+    the mean of their hits in one blocked pass of ``w_global`` over the test
+    set, equal to ``evaluate`` on them (a row's logits do not depend on its
+    block), and "after" is ``evaluate`` of the AP's tuned parameters.
+    Training-pool statistics standardize both the fine-tuning inputs and the
+    test set, so in the i.i.d. case every AP starts from an identical
+    "before" accuracy.
     Fine-tuned parameters that are not finite raise a ValueError naming the
     first such AP.
     """
@@ -568,12 +567,11 @@ def personalize(
     _, batches = _standardized_rows(
         data, partition, cfg.modalities, stats, [stats] * partition.num_aps
     )
-    test, test_subsets = batches[0], []
-    for n in range(partition.num_aps):
-        mask = np.isin(test.labels, partition.label_sets[n])
+    test = batches[0]
+    masks = [np.isin(test.labels, labels) for labels in partition.label_sets]
+    for n, mask in enumerate(masks):
         if not mask.any():
             raise ValueError(f"AP {n}: personalized test subset is empty")
-        test_subsets.append(models.Batch(test.inputs[mask], test.labels[mask]))
     if fine_tune_steps == 0:
         tuned = np.repeat(np.asarray(w_global, dtype=np.float64)[None], partition.num_aps, axis=0)
     else:
@@ -588,12 +586,13 @@ def personalize(
             raise ValueError(
                 f"fine-tuning diverged at AP {diverged[0]}: parameters are not finite"
             )
+    hits = np.argmax(models._logits(cfg.spec, w_global, test.inputs), axis=1) == test.labels
     return [
         PersonalizationResult(
             ap=n,
-            before_acc=evaluate(cfg.spec, w_global, subset)[1],
-            after_acc=evaluate(cfg.spec, tuned[n], subset)[1],
+            before_acc=float(np.mean(hits[mask])),
+            after_acc=evaluate(cfg.spec, tuned[n], test.select(mask))[1],
             params=tuned[n],
         )
-        for n, subset in enumerate(test_subsets)
+        for n, mask in enumerate(masks)
     ]

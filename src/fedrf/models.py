@@ -30,13 +30,16 @@ Two model kinds operate on stacked modality tensors of shape (L, 2, M):
   they are handed out. All layers share one patch matrix and one input
   gradient.
 
-Evaluation without gradients runs in near-equal blocks of at most
+Evaluation has one forward path, ``_logits``, and one loss, the mean of
+``_row_losses``. It runs in near-equal blocks of at most
 ``SOFTMAX_BLOCK_ROWS`` or ``EVAL_BLOCK_ROWS`` examples, so the softmax input
 block and the mini_resnet patch matrices stay cache-sized. Blocks hold at
 least half a block, so every product stays a matrix-matrix product (a 1-row
 block's matrix-vector products round differently). A convolution's output
 column depends only on its own patch column, and a dense layer's row only on
-its own input row, so the blocked logits are bit-identical to one pass.
+its own input row, so a row's logits do not depend on its block: the blocked
+logits are bit-identical to one pass, and any subset of rows may be scored
+from one pass over all of them.
 
 One backward pass serves both ``loss_and_grad``, which returns the loss of
 one batch and a new gradient array, and ``train_round``, the one SGD step
@@ -409,20 +412,15 @@ def _row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.log(s) - _picked(z, labels)
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy."""
-    return _mean(_row_losses(logits, labels))
-
-
 def _dlogits(logits: np.ndarray, index: np.ndarray, want_loss: bool):
     """Turn C-contiguous (..., n, C) ``logits``, in place, into the gradient
     of the mean cross-entropy with respect to them; return that loss when
     ``want_loss`` (of (n, C) logits only). ``index`` is the ``_label_index``
     of the rows' labels.
 
-    The operations are those of ``_cross_entropy`` and ``_softmax``, in the
-    same order, so the bits are too; the row max is the reduction, which
-    ``_row_max`` equals and which is faster on a training batch.
+    The operations are those of ``_row_losses``, ``_mean`` and ``_softmax``,
+    in the same order, so the bits are too; the row max is the reduction,
+    which ``_row_max`` equals and which is faster on a training batch.
     """
     entries = logits.reshape(-1)
     logits -= logits.max(axis=-1, keepdims=True)
@@ -511,18 +509,12 @@ def block_stops(spec: ModelSpec, n: int) -> List[int]:
     return [k * size + min(k, longer) for k in range(1, parts + 1)]
 
 
-def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = False):
-    """(logits, cache) of a batch of (n, L, 2, M) inputs.
-
-    With ``keep`` (mini_resnet only) the batch runs in one pass whose cache
-    holds the activation masks. Without it there is no cache, and the batch
-    runs in near-equal blocks of at most ``SOFTMAX_BLOCK_ROWS`` or
-    ``EVAL_BLOCK_ROWS`` examples, written into one logits array.
-    """
+def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (n, num_classes) logits of a batch of (n, L, 2, M) inputs, run in
+    near-equal blocks of at most ``SOFTMAX_BLOCK_ROWS`` or
+    ``EVAL_BLOCK_ROWS`` examples and written into one array."""
     _check_input(spec, x)
     views = param_views(spec, params)
-    if keep:
-        return _resnet_forward(spec, views, x, keep)
     logits = np.empty((len(x), spec.num_classes))
     start = 0
     for stop in block_stops(spec, len(x)):
@@ -533,13 +525,12 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray, keep: bool = Fal
             out += views["b"]
         else:
             out[...] = _resnet_forward(spec, views, xb, False)[0]
-    return logits, None
+    return logits
 
 
 def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     """Mean cross-entropy plus (l2/2)*||params||^2, without the gradient."""
-    logits, _ = _logits(spec, params, batch.inputs)
-    loss = _cross_entropy(logits, batch.labels)
+    loss = _mean(_row_losses(_logits(spec, params, batch.inputs), batch.labels))
     if spec.l2_coeff:
         loss += _l2_term(spec, params)
     return loss
@@ -686,8 +677,8 @@ def _activation_signature(spec: ModelSpec, params: np.ndarray, batch: Batch):
     """Loss plus a fingerprint of every ReLU mask and pooling argmax."""
     if spec.kind == KIND_SOFTMAX:
         return batch_loss(spec, params, batch), None
-    logits, cache = _logits(spec, params, batch.inputs, keep=True)
-    loss = _cross_entropy(logits, batch.labels)
+    logits, cache = _resnet_forward(spec, param_views(spec, params), batch.inputs, keep=True)
+    loss = _mean(_row_losses(logits, batch.labels))
     if spec.l2_coeff:
         loss += _l2_term(spec, params)
     return loss, [m.copy() for m in cache["masks"]]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedrf import cli, config as cfg_mod, datafile, federation, modality
+from fedrf import cli, config as cfg_mod, datafile, experiment, federation, modality
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -899,6 +899,56 @@ def test_unstarted_or_killed_training_helper_fails_the_run_with_one_line(
     manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
     assert (manifest["status"], manifest["error"]) == ("failed", error)
     _no_child_left()
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh_dir", "rerun"])
+def test_interrupted_run_fails_with_one_line(tmp_path, capfd, monkeypatch, rerun):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "r"
+    if rerun:  # a 2-round run completed into the out dir before
+        first = small_desk(tmp_path).rename(tmp_path / "first.json")
+        assert cli.main(["run", "--config", str(first), "--out", str(out)]) == 0
+        capfd.readouterr()
+    aggregate, calls = federation.aggregate, []
+
+    def interrupted(params_list):
+        calls.append(1)
+        if len(calls) == 5:  # round 2 of seed 2, with the helper running
+            raise KeyboardInterrupt
+        return aggregate(params_list)
+
+    monkeypatch.setattr(federation, "aggregate", interrupted)
+    cfg_path = small_desk(tmp_path, training={"rounds": 3})
+    fds = len(os.listdir("/proc/self/fd"))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert capfd.readouterr().err == "error: interrupted\n"
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert (manifest["status"], manifest["error"]) == ("failed", "interrupted")
+    assert manifest["outputs"] == ["model_seed1.npz"]
+    _no_child_left()
+
+
+def test_rerun_marks_its_manifest_failed_until_it_completes(tmp_path, monkeypatch):
+    fresh, out = tmp_path / "fresh", tmp_path / "r"
+    first = small_desk(tmp_path, training={"rounds": 1, "seeds": [1]})
+    first = first.rename(tmp_path / "first.json")
+    assert cli.main(["run", "--config", str(first), "--out", str(out)]) == 0
+    cfg_path = small_desk(tmp_path, training={"seeds": [1]})
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(fresh)]) == 0
+    run_single, seen = experiment.run_single, []
+
+    def recording_run_single(*args):
+        seen.append(json.loads((out / cli.MANIFEST_FILENAME).read_text()))
+        return run_single(*args)
+
+    monkeypatch.setattr(experiment, "run_single", recording_run_single)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # a rerun that died here, beyond the reach of main, would leave "failed"
+    assert [(m["status"], m["outputs"]) for m in seen] == [("failed", [])]
+    # and the manifest of a completed rerun is that of a run into a new dir
+    for name in (cli.MANIFEST_FILENAME, cli.METRICS_FILENAME, "model_seed1.npz"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_run_fits_normalization_once_per_shard(tmp_path, monkeypatch):

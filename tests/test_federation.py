@@ -471,16 +471,20 @@ def test_round_scores_match_per_batch_reference(kind, l2, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])
 def test_personalize_before_matches_evaluate(kind):
-    split = make_split(num_tx=4, per_tx=20)
-    part = federation.partition_noniid(split, 3, 2, seed=2, selection=("iq",))
-    cfg = small_cfg(split, rounds=1, kind=kind)
-    _, w = federation.run_training(split, part, cfg)
-    test_x = modality.stack_batch(split.test_iq, cfg.modalities,
-                                  modality.pool_normalization(part.stats))
-    for n, r in enumerate(federation.personalize(split, part, w, 2, cfg)):
-        mask = np.isin(split.test_labels, part.label_sets[n])
-        subset = models.Batch(test_x[mask], split.test_labels[mask])
-        assert r.before_acc == federation.evaluate(cfg.spec, w, subset)[1]
+    # 140 test rows: the global model's one pass runs in two blocks of either kind
+    split = make_split(num_tx=4, per_tx=140)
+    for part in (federation.partition_iid(split, 3, seed=2, selection=("iq",)),
+                 federation.partition_noniid(split, 3, 2, seed=2, selection=("iq",))):
+        cfg = small_cfg(split, rounds=1, kind=kind)
+        _, w = federation.run_training(split, part, cfg)
+        test_x = modality.stack_batch(split.test_iq, cfg.modalities,
+                                      modality.pool_normalization(part.stats))
+        assert len(models.block_stops(cfg.spec, len(test_x))) > 1
+        for n, r in enumerate(federation.personalize(split, part, w, 2, cfg)):
+            mask = np.isin(split.test_labels, part.label_sets[n])
+            subset = models.Batch(test_x[mask], split.test_labels[mask])
+            assert r.before_acc == federation.evaluate(cfg.spec, w, subset)[1]
+            assert r.after_acc == federation.evaluate(cfg.spec, r.params, subset)[1]
 
 
 def test_metric_rounds_and_stride():

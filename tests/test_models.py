@@ -43,7 +43,7 @@ def unslab(a, kernel_len, n):
 
 def probabilities(spec, params, x):
     """Class probabilities, shape (n, num_classes)."""
-    return models._softmax(models._logits(spec, params, x)[0])
+    return models._softmax(models._logits(spec, params, x))
 
 
 def test_param_count_softmax():
@@ -198,7 +198,7 @@ def test_resnet_structure():
         "block2": (128, 2, 32), "pool2": (64, 2, 32),
         "mid_conv": (64, 2, 16), "fc1": (80,), "fc2": (163,),
     }
-    assert models._logits(spec, params, x)[0].shape == (1, 163)
+    assert models._logits(spec, params, x).shape == (1, 163)
     # each residual block carries exactly three convolutions
     names = [n for n, _ in models.param_layout(spec)]
     for block in ("block1", "block2"):
@@ -475,8 +475,9 @@ def test_resnet_matches_naive_network(kernel_len):
     params = 0.5 * rng.standard_normal(models.num_params(spec))
     batch = random_batch(spec, 4, seed=kernel_len)
     logits, loss, grad = naive_resnet_loss_and_grad(spec, params, batch.inputs, batch.labels)
-    for keep in (False, True):
-        got, _ = models._logits(spec, params, batch.inputs, keep=keep)
+    views = models.param_views(spec, params)
+    for got in (models._logits(spec, params, batch.inputs),
+                models._resnet_forward(spec, views, batch.inputs, keep=True)[0]):
         assert np.allclose(got, logits, rtol=0, atol=1e-10)
     got_loss, got_grad = models.loss_and_grad(spec, params, batch)
     assert abs(got_loss - loss) <= 1e-10
@@ -502,9 +503,10 @@ def test_eval_logits_equal_training_logits():
     spec = small_resnet_spec()
     params = models.init_params(spec, 12)
     batch = random_batch(spec, 9, seed=13)
-    eval_logits, cache = models._logits(spec, params, batch.inputs, keep=False)
-    train_logits, _ = models._logits(spec, params, batch.inputs, keep=True)
-    assert cache is None
+    eval_logits = models._logits(spec, params, batch.inputs)
+    views = models.param_views(spec, params)
+    train_logits, cache = models._resnet_forward(spec, views, batch.inputs, keep=True)
+    assert cache["masks"]
     assert np.array_equal(eval_logits, train_logits)
 
 
@@ -517,7 +519,7 @@ def test_blocked_eval_logits_equal_one_pass(sizes):
     x = rng.standard_normal((sizes[-1],) + spec.input_shape)
     views = models.param_views(spec, params)
     for n in sizes:
-        blocked, _ = models._logits(spec, params, x[:n])
+        blocked = models._logits(spec, params, x[:n])
         one_pass, _ = models._resnet_forward(spec, views, x[:n], keep=False)
         assert blocked.shape == (n, 16)
         assert np.array_equal(blocked, one_pass), n
@@ -532,7 +534,7 @@ def test_blocked_softmax_logits_equal_one_pass(sizes):
     x = rng.standard_normal((sizes[-1],) + spec.input_shape)
     views = models.param_views(spec, params)
     for n in sizes:
-        blocked, _ = models._logits(spec, params, x[:n])
+        blocked = models._logits(spec, params, x[:n])
         one_pass = x[:n].reshape(n, -1) @ views["w"] + views["b"]
         assert np.array_equal(blocked, one_pass), n
 
@@ -623,7 +625,7 @@ def test_poisoned_work_arrays_match_fresh_ones(kernel_len, window_len):
             before()
             loss, grad = models.loss_and_grad(spec, params, batch)
             before()
-            logits = models._logits(spec, params, batch.inputs)[0]
+            logits = models._logits(spec, params, batch.inputs)
             return (loss, grad, stepped, *rounds, logits)
 
         fresh = [calls(batch, models._scratch_arrays.clear) for batch in batches]
