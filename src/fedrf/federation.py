@@ -37,7 +37,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Sequence, Tuple
 
 import numpy as np
 
@@ -313,20 +313,18 @@ def _standardized_rows(
     data: SplitDataset,
     partition: Partition,
     selection: Sequence[str],
-    test_stats: Optional[modality.NormStats],
+    test_stats: modality.NormStats,
     shard_stats: Sequence[modality.NormStats],
 ) -> Tuple[np.ndarray, List[models.Batch]]:
-    """Every AP's shard, standardized with ``shard_stats[n]``, built in place
-    into one (rows, L, 2, M) array; returns it and the batches, consecutive
-    views of it in AP order. Unless ``test_stats`` is None the test set,
-    standardized with them, is the first batch.
+    """The test set, standardized with ``test_stats``, and every AP's shard,
+    standardized with ``shard_stats[n]``, built in place into one (rows, L,
+    2, M) array; returns it and the batches, consecutive views of it: the
+    test batch, then the AP batches in AP order.
     """
-    parts = [
+    parts = [(data.test_iq, data.test_labels, test_stats)] + [
         (data.train_iq[ix], data.train_labels[ix], stats)
         for ix, stats in zip(partition.indices, shard_stats)
     ]
-    if test_stats is not None:
-        parts.insert(0, (data.test_iq, data.test_labels, test_stats))
     count = sum(len(labels) for _, labels, _ in parts)
     rows = np.empty((count, data.window_len, 2, len(selection)))
     batches, start = [], 0
@@ -335,13 +333,6 @@ def _standardized_rows(
         batches.append(models.Batch(x, labels))
         start += len(labels)
     return rows, batches
-
-
-def build_ap_batches(
-    data: SplitDataset, partition: Partition, selection: Sequence[str]
-) -> List[models.Batch]:
-    """Standardize each shard with its own AP-local statistics."""
-    return _standardized_rows(data, partition, selection, None, partition.stats)[1]
 
 
 def _round_scores(

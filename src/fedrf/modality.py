@@ -10,6 +10,7 @@ square is accumulated as an integer, so the totals of disjoint sets add, and
 the statistics of a union (the training pool of the AP shards) are derived
 from the shards' totals without transforming the union again. Each sum is
 rounded to float64 once, so it equals ``math.fsum`` over the same values.
+A value that is not finite, or whose square is not, is rejected where it is fit.
 """
 
 from __future__ import annotations
@@ -66,16 +67,14 @@ class NormStats:
     ``means[m]`` and ``stds[m]`` are length-2 arrays for modality ``m``.
     Identity stats (mean 0, std 1) leave inputs unchanged. Stats from
     ``fit_normalization`` also keep the fitted value count and, per modality
-    and column, the exact totals of the values and of their squares (None
-    where a value was not finite), which ``pool_normalization`` adds.
+    and column, the exact totals of the values and of their squares, which
+    ``pool_normalization`` adds. They are fit on finite values only.
     """
 
     means: Dict[str, np.ndarray]
     stds: Dict[str, np.ndarray]
     count: int = 0
-    totals: Dict[str, Tuple[Tuple[Optional[int], Optional[int]], ...]] = field(
-        default_factory=dict
-    )
+    totals: Dict[str, Tuple[Tuple[int, int], ...]] = field(default_factory=dict)
 
     @classmethod
     def identity(cls, selection: Sequence[str]) -> "NormStats":
@@ -90,7 +89,7 @@ def fit_normalization(iq: np.ndarray, selection: Sequence[str]) -> NormStats:
 
     Only the selected modalities are fit, each independently of the others.
     Moments are accumulated with exact (correctly rounded) summation, so the
-    result does not depend on example order.
+    result does not depend on example order. Non-finite values raise ValueError.
     """
     selection = _check_selection(selection)
     stacked = np.asarray(iq, dtype=np.complex128)
@@ -98,65 +97,57 @@ def fit_normalization(iq: np.ndarray, selection: Sequence[str]) -> NormStats:
         raise ValueError("waveforms must be a (n, L) array")
     if len(stacked) < 2:
         raise ValueError("need at least 2 examples to fit normalization stats")
-    count = stacked.shape[0] * stacked.shape[1]
-    stats = NormStats(means={}, stds={}, count=count)
+    totals = {}
     for m in selection:
         mats = transform(stacked, m)  # (n, L, 2)
-        totals, sums = [], []
+        cols = []
         for col in range(2):
             vals = mats[:, :, col].ravel()
-            pair = (vals, vals * vals)
-            col_totals = tuple(exact_total(v) for v in pair)
-            totals.append(col_totals)
-            sums.append([_rounded(t, v) for t, v in zip(col_totals, pair)])
-        stats.totals[m] = tuple(totals)
-        stats.means[m], stats.stds[m] = _moments(sums, count)
-    return stats
+            squares = vals * vals
+            if not np.isfinite(squares).all():
+                raise ValueError(f"cannot fit {m} statistics: a value or its square is not finite")
+            cols.append((exact_total(vals), exact_total(squares)))
+        totals[m] = tuple(cols)
+    return _from_totals(totals, stacked.size)
 
 
 def pool_normalization(parts: Sequence[NormStats]) -> NormStats:
     """Stats of the union of the sets ``parts`` were fit on, from their exact totals.
 
-    Bitwise equal to ``fit_normalization`` on the union. A part fit on
-    non-finite values has no exact totals and raises ValueError.
+    Bitwise equal to ``fit_normalization`` on the union.
     """
-    count = sum(p.count for p in parts)
-    stats = NormStats(means={}, stds={}, count=count)
-    for m in parts[0].totals:
-        totals = []
-        for col in range(2):
-            shard_totals = [[p.totals[m][col][k] for p in parts] for k in range(2)]
-            if any(None in t for t in shard_totals):
-                raise ValueError(f"cannot pool {m} statistics: a shard has non-finite values")
-            totals.append(tuple(sum(t) for t in shard_totals))
-        stats.totals[m] = tuple(totals)
-        # a total beyond float64 raises OverflowError, as math.fsum does
-        sums = [[t / (1 << _TOTAL_SHIFT) for t in col] for col in totals]
-        stats.means[m], stats.stds[m] = _moments(sums, count)
+    totals = {
+        m: tuple(
+            tuple(sum(p.totals[m][col][k] for p in parts) for k in range(2)) for col in range(2)
+        )
+        for m in parts[0].totals
+    }
+    return _from_totals(totals, sum(p.count for p in parts))
+
+
+def _from_totals(totals: Dict[str, Tuple[Tuple[int, int], ...]], count: int) -> NormStats:
+    """Stats of ``count`` values per column from the exact totals of the
+    values and of their squares, each rounded to float64 once."""
+    stats = NormStats(means={}, stds={}, count=count, totals=totals)
+    for m, cols in totals.items():
+        mean, std = np.empty(2), np.empty(2)
+        for col, pair in enumerate(cols):
+            # int / int rounds correctly; beyond float64 it raises OverflowError
+            s, s2 = (t / (1 << _TOTAL_SHIFT) for t in pair)
+            mean[col] = mu = s / count
+            std[col] = math.sqrt(max(s2 / count - mu * mu, 0.0))
+        stats.means[m], stats.stds[m] = mean, std
     return stats
 
 
-def _moments(sums, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean and std per column from the (sum, sum of squares) of each column."""
-    mean = np.empty(2)
-    std = np.empty(2)
-    for col, (s, s2) in enumerate(sums):
-        mu = s / count
-        mean[col] = mu
-        std[col] = math.sqrt(max(s2 / count - mu * mu, 0.0))
-    return mean, std
-
-
-def exact_total(vals: np.ndarray) -> Optional[int]:
+def exact_total(vals: np.ndarray) -> int:
     """Exact sum of a 1-D float64 array as an integer count of 2**-1126.
 
-    None when a value is not finite. Each value is split by ``np.frexp`` into
-    a 53-bit integer mantissa, cut into two halves below 2**27; ``np.bincount``
-    sums the halves of each exponent exactly in float64, and the bins are
+    Each value, which must be finite, is split by ``np.frexp`` into a 53-bit
+    integer mantissa, cut into two halves below 2**27; ``np.bincount`` sums
+    the halves of each exponent exactly in float64, and the bins are
     combined as Python ints. Totals of disjoint arrays add.
     """
-    if not np.isfinite(vals).all():
-        return None
     total = 0
     for i in range(0, len(vals), _BIN_VALUES):
         mant, exp = np.frexp(vals[i : i + _BIN_VALUES])
@@ -169,20 +160,6 @@ def exact_total(vals: np.ndarray) -> Optional[int]:
         for e in np.flatnonzero((his != 0) | (los != 0)).tolist():
             total += (int(his[e]) << (26 + e)) + (int(los[e]) << e)
     return total
-
-
-def _rounded(total: Optional[int], vals: np.ndarray) -> float:
-    """``total`` (the exact total of ``vals``) correctly rounded to float64.
-
-    A non-finite input or a total beyond float64 gets ``math.fsum``'s own
-    result or error.
-    """
-    if total is not None:
-        try:
-            return total / (1 << _TOTAL_SHIFT)  # int / int rounds correctly
-        except OverflowError:
-            pass
-    return math.fsum(vals.tolist())
 
 
 def _check_selection(selection: Sequence[str]) -> Tuple[str, ...]:

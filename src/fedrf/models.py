@@ -41,11 +41,12 @@ its own input row, so a row's logits do not depend on its block: the blocked
 logits are bit-identical to one pass, and any subset of rows may be scored
 from one pass over all of them.
 
-One backward pass serves both ``loss_and_grad``, which returns the loss of
-one batch and a new gradient array, and ``train_round``, the one SGD step
-path: it takes all J in-place steps of a round of local training at G APs in
-one call and computes no loss. A round does its bookkeeping once: it checks
-the input shapes, takes the parameter and gradient views, hands out the kept
+One backward pass serves both ``loss_and_grad``, which returns a new
+gradient array of one batch beside its ``batch_loss``, and ``train_round``,
+the one SGD step path: it takes all J in-place steps of a round of local
+training at G APs in one call. The backward computes no loss; ``_row_losses``
+is the only cross-entropy. A round does its bookkeeping once: it checks the
+input shapes, takes the parameter and gradient views, hands out the kept
 work arrays (the gradient, its l2 term and the softmax logits, which turn in
 place into the probabilities and then the logit gradient) and gathers every
 step's labels from the round plans; for softmax_linear it also computes
@@ -412,27 +413,22 @@ def _row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.log(s) - _picked(z, labels)
 
 
-def _dlogits(logits: np.ndarray, index: np.ndarray, want_loss: bool):
+def _dlogits(logits: np.ndarray, index: np.ndarray) -> None:
     """Turn C-contiguous (..., n, C) ``logits``, in place, into the gradient
-    of the mean cross-entropy with respect to them; return that loss when
-    ``want_loss`` (of (n, C) logits only). ``index`` is the ``_label_index``
-    of the rows' labels.
+    of the mean cross-entropy with respect to them; the loss itself is not
+    computed. ``index`` is the ``_label_index`` of the rows' labels.
 
-    The operations are those of ``_row_losses``, ``_mean`` and ``_softmax``,
-    in the same order, so the bits are too; the row max is the reduction,
-    which ``_row_max`` equals and which is faster on a training batch.
+    The operations are those of ``_softmax``, in the same order, so the bits
+    are too; the row max is the reduction, which ``_row_max`` equals and
+    which is faster on a training batch.
     """
     entries = logits.reshape(-1)
     logits -= logits.max(axis=-1, keepdims=True)
-    picked = entries[index] if want_loss else None
     e = np.exp(logits, out=logits)
-    s = e.sum(axis=-1)
-    loss = _mean(np.log(s) - picked) if want_loss else None
-    probs = np.divide(e, s[..., None], out=e)
+    probs = np.divide(e, e.sum(axis=-1)[..., None], out=e)
     # subtracting 1 at each label leaves every other entry exact
     entries[index] -= 1.0
     probs /= logits.shape[-2]
-    return loss
 
 
 def _l2_term(spec: ModelSpec, params: np.ndarray) -> float:
@@ -537,16 +533,15 @@ def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
 
 
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
-    """(loss, grad): the batch loss and its exact gradient with respect to
+    """(loss, grad): ``batch_loss`` and its exact gradient with respect to
     the flat (P,) parameters, a new array on every call."""
     params = np.asarray(params, dtype=np.float64)
     _check_count(params, ())
     grad = np.empty_like(params)
-    loss = _backward(spec, params, batch.inputs, batch.labels, grad, want_loss=True)
+    _backward(spec, params, batch.inputs, batch.labels, grad)
     if spec.l2_coeff:
-        loss += _l2_term(spec, params)
         grad += spec.l2_coeff * params
-    return loss, grad
+    return batch_loss(spec, params, batch), grad
 
 
 def _check_count(params: np.ndarray, lead: Tuple[int, ...]) -> None:
@@ -590,10 +585,10 @@ def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
             # the plan's indices are in range; "clip" lets take write out unbuffered
             np.take(shard.inputs, plans[g, j], axis=0, out=inputs[g], mode="clip")
         if spec.kind == KIND_SOFTMAX:
-            _softmax_backward(views, gviews, flat, logits, index[j], want_loss=False)
+            _softmax_backward(views, gviews, flat, logits, index[j])
         else:
             for g in range(g_count):
-                _backward(spec, params[g], inputs[g], labels[j, g], grad[g], want_loss=False)
+                _backward(spec, params[g], inputs[g], labels[j, g], grad[g])
         if l2 is not None:
             grad += np.multiply(params, spec.l2_coeff, out=l2)
         grad *= eta
@@ -601,22 +596,21 @@ def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
 
 
 def _softmax_backward(views, gviews, flat: np.ndarray, logits: np.ndarray,
-                      index: np.ndarray, want_loss: bool):
+                      index: np.ndarray) -> None:
     """softmax_linear's pass: the (..., n, C) ``logits`` of the flattened
     inputs ``flat`` under ``views``, turned by ``_dlogits`` into their
     gradient, and the weight and bias gradients written into ``gviews``."""
     np.matmul(flat, views["w"], out=logits)
     logits += views["b"][..., None, :]
-    loss = _dlogits(logits, index, want_loss)
+    _dlogits(logits, index)
     np.matmul(np.swapaxes(flat, -1, -2), logits, out=gviews["w"])
     gviews["b"][...] = logits.sum(axis=-2)
-    return loss
 
 
 def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray,
-              grad: np.ndarray, want_loss: bool):
+              grad: np.ndarray) -> None:
     """Write the gradient of the mean cross-entropy (no l2 term) of one batch
-    into ``grad``; return the loss when ``want_loss``, else None."""
+    into ``grad``."""
     _check_input(spec, x)
     views = param_views(spec, params)
     gviews = param_views(spec, grad)
@@ -624,10 +618,10 @@ def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nda
     if spec.kind == KIND_SOFTMAX:
         flat = x.reshape(len(x), -1)
         logits = np.empty((len(x), spec.num_classes))
-        loss = _softmax_backward(views, gviews, flat, logits, index, want_loss)
+        _softmax_backward(views, gviews, flat, logits, index)
     else:
         dlogits, cache = _resnet_forward(spec, views, x, keep=True)
-        loss = _dlogits(dlogits, index, want_loss)
+        _dlogits(dlogits, index)
         grad.fill(0.0)
         hm, mm, flat, m1, a1f = cache["head"]
 
@@ -658,7 +652,6 @@ def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nda
             da1 += dpre  # additive skip from the block output
             # the input gradient of block1.conv1 would be the data's
             dh = conv_back(f"{name}.conv1", h, da1, input_grad=name != "block1")
-    return loss
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:

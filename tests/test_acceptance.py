@@ -27,6 +27,7 @@ from fedrf import (
     models,
     modality,
 )
+from conftest import ap_batches
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -236,7 +237,7 @@ def test_criterion_7_fedavg_algebra():
             batch_size=len(split.train_labels), eta=0.05, modalities=("iq",), seed=4,
         )
         _, w_fed = federation.run_training(split, part, cfg)
-        batch = federation.build_ap_batches(split, part, cfg.modalities)[0]
+        batch = ap_batches(split, part, cfg.modalities)[0]
         init_seed = int(np.random.SeedSequence(
             (federation._DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
         w_c = models.init_params(spec, init_seed)

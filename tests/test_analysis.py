@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedrf import analysis, cli, datafile, experiment, federation, modality, models
+from conftest import ap_batches
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -214,10 +215,10 @@ def test_zeta2_iid_below_noniid():
         p_iid = federation.partition_iid(split, 4, seed, sel)
         p_non = federation.partition_noniid(split, 4, 2, seed, sel)
         z_iid = analysis.estimate_zeta2(
-            spec, params, federation.build_ap_batches(split, p_iid, sel)
+            spec, params, ap_batches(split, p_iid, sel)
         )
         z_non = analysis.estimate_zeta2(
-            spec, params, federation.build_ap_batches(split, p_non, sel)
+            spec, params, ap_batches(split, p_non, sel)
         )
         diffs.append(z_non - z_iid)
     assert np.median(diffs) > 0
@@ -344,7 +345,7 @@ def test_modality_variance_ratio_reported_not_asserted():
     for sel in (("iq",), ("iq", "dft", "amp_phase")):
         spec = models.ModelSpec("softmax_linear", 16, len(sel), 6, l2_coeff=1e-3)
         params = models.init_params(spec, 0)
-        batches = federation.build_ap_batches(split, part, sel)
+        batches = ap_batches(split, part, sel)
         s2 = np.mean(
             [analysis.estimate_sigma2(spec, params, b, 4, 20, i)
              for i, b in enumerate(batches)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedrf import datafile, experiment, federation, modality, models
+from conftest import ap_batches
 
 
 def make_split(num_tx=4, per_tx=16, window=8, seed=0, test_fraction=0.25):
@@ -169,7 +170,7 @@ def test_local_train_zero_eta_is_identity():
     part = federation.partition_iid(split, 2, seed=1, selection=("iq",))
     cfg = small_cfg(split, rounds=1)
     cfg.eta = 0.0  # zero step size: every update is a no-op
-    batches = federation.build_ap_batches(split, part, cfg.modalities)
+    batches = ap_batches(split, part, cfg.modalities)
     w0 = models.init_params(cfg.spec, 0)
     out = federation.local_train(batches[:1], [federation.ap_stream(cfg.seed, 0, 0)], w0, cfg)
     assert np.array_equal(out, w0[None])
@@ -179,7 +180,7 @@ def test_local_train_deterministic():
     split = make_split()
     part = federation.partition_iid(split, 2, seed=1, selection=("iq",))
     cfg = small_cfg(split, seed=9, rounds=1, local_steps=5, batch=4)
-    batches = federation.build_ap_batches(split, part, cfg.modalities)
+    batches = ap_batches(split, part, cfg.modalities)
     w0 = models.init_params(cfg.spec, 0)
     outs = []
     for _ in range(2):
@@ -205,13 +206,27 @@ def test_pool_stats_from_shard_totals_equal_pool_fit(mode):
     assert derived.totals == fit.totals and derived.count == fit.count
 
 
-def test_pool_stats_reject_non_finite_shard():
-    split = make_split()
-    split.train_iq[3] = complex(np.inf, 0.0)
-    with np.errstate(invalid="ignore"):
-        part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
-    with pytest.raises(ValueError, match="cannot pool iq statistics"):
-        modality.pool_normalization(part.stats)
+def test_normalization_rejects_non_finite_samples_and_overflowing_totals():
+    # an inf or NaN sample fails the fit of each modality, alone and among
+    # the others, whether fit directly or by a partition
+    fits = [
+        lambda split, sel: modality.fit_normalization(split.train_iq, sel),
+        lambda split, sel: federation.partition_iid(split, 2, 0, sel),
+        lambda split, sel: federation.partition_noniid(split, 2, 2, 0, sel),
+    ]
+    for bad in (complex(np.inf, 0.0), complex(0.0, np.nan)):
+        for sel in [(m,) for m in modality.ALL_MODALITIES] + [modality.ALL_MODALITIES[::-1]]:
+            for fit in fits:
+                split = make_split()
+                split.train_iq[3, 2] = bad
+                with pytest.raises(ValueError, match=f"cannot fit {sel[0]} statistics"):
+                    fit(split, sel)
+    # each shard's total of squares fits in float64, the pool's does not
+    big = np.zeros((2, 4), dtype=complex)
+    big[0, 0] = 1.3e154
+    parts = [modality.fit_normalization(big, ("iq",)) for _ in range(2)]
+    with pytest.raises(OverflowError):
+        modality.pool_normalization(parts)
 
 
 def queue_reference(n, batch_size, rng, steps):
@@ -262,7 +277,7 @@ def test_aggregate_permutation_invariant_exactly():
     assert np.array_equal(a, c)
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True, max_examples=100)
 @given(data=st.data(), n=st.integers(1, 6), dim=st.integers(1, 8))
 def test_aggregate_invariant_to_any_permutation(data, n, dim):
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -352,7 +367,7 @@ def test_evaluate_loss_matches_batch_loss_without_l2():
     split = make_split()
     cfg = small_cfg(split, l2=0.0)
     part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
-    batches = federation.build_ap_batches(split, part, cfg.modalities)
+    batches = ap_batches(split, part, cfg.modalities)
     params = models.init_params(cfg.spec, 1)
     loss, _ = federation.evaluate(cfg.spec, params, batches[0])
     assert loss == pytest.approx(models.batch_loss(cfg.spec, params, batches[0]), abs=1e-15)
@@ -384,7 +399,7 @@ def test_single_ap_full_batch_equals_centralized():
     metrics, w_fed = federation.run_training(split, part, cfg)
 
     # centralized: 50 plain gradient steps on the same standardized tensor
-    batches = federation.build_ap_batches(split, part, cfg.modalities)
+    batches = ap_batches(split, part, cfg.modalities)
     init_seed = int(
         np.random.SeedSequence((federation._DOMAIN_INIT, cfg.seed)).generate_state(1)[0]
     )
@@ -420,7 +435,7 @@ def test_stacked_local_train_matches_per_ap_loop(kind, shard_sizes):
     rngs = lambda: [federation.ap_stream(5, n, 7) for n in range(4)]
     for l2 in (0.0, 1e-2):
         cfg = small_cfg(split, seed=5, local_steps=7, batch=6, kind=kind, l2=l2)
-        batches = federation.build_ap_batches(split, part, cfg.modalities)
+        batches = ap_batches(split, part, cfg.modalities)
         if shard_sizes is not None:
             batches = [b.select(np.arange(k)) for b, k in zip(batches, shard_sizes)]
         w0 = models.init_params(cfg.spec, 3)

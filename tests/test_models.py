@@ -300,6 +300,19 @@ def test_loss_and_grad_returns_new_arrays(make_spec):
     assert np.array_equal(grad, kept)
 
 
+@pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("extra", [0, 1], ids=["one_block", "two_blocks"])
+def test_loss_and_grad_loss_is_batch_loss(make_spec, l2, extra):
+    # bit for bit, on a batch of one full evaluation block and of one row more
+    spec = make_spec(l2=l2)
+    block = models.SOFTMAX_BLOCK_ROWS if spec.kind == "softmax_linear" else models.EVAL_BLOCK_ROWS
+    batch = random_batch(spec, block + extra, seed=4)
+    assert len(models.block_stops(spec, len(batch))) == 1 + extra
+    params = models.init_params(spec, 3)
+    assert models.loss_and_grad(spec, params, batch)[0] == models.batch_loss(spec, params, batch)
+
+
 def test_batch_validation():
     with pytest.raises(ValueError):
         models.Batch(np.zeros((0, 4, 2, 1)), np.zeros(0, dtype=int))
