@@ -206,21 +206,20 @@ def test_pool_stats_from_shard_totals_equal_pool_fit(mode):
     assert derived.totals == fit.totals and derived.count == fit.count
 
 
-def test_normalization_rejects_non_finite_samples_and_overflowing_totals():
-    # an inf or NaN sample fails the fit of each modality, alone and among
-    # the others, whether fit directly or by a partition
-    fits = [
-        lambda split, sel: modality.fit_normalization(split.train_iq, sel),
+def test_pool_stats_reject_non_finite_shard():
+    # a shard with an inf or NaN sample fails its own fit, for each modality
+    # alone and among the others, so no pooled stats are built from it
+    partitions = [
         lambda split, sel: federation.partition_iid(split, 2, 0, sel),
         lambda split, sel: federation.partition_noniid(split, 2, 2, 0, sel),
     ]
     for bad in (complex(np.inf, 0.0), complex(0.0, np.nan)):
         for sel in [(m,) for m in modality.ALL_MODALITIES] + [modality.ALL_MODALITIES[::-1]]:
-            for fit in fits:
+            for partition in partitions:
                 split = make_split()
                 split.train_iq[3, 2] = bad
                 with pytest.raises(ValueError, match=f"cannot fit {sel[0]} statistics"):
-                    fit(split, sel)
+                    partition(split, sel)
     # each shard's total of squares fits in float64, the pool's does not
     big = np.zeros((2, 4), dtype=complex)
     big[0, 0] = 1.3e154

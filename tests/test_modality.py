@@ -222,6 +222,22 @@ def test_exact_totals_add_across_splits(vals, cuts):
         assert sum(totals) / 2**1126 == math.fsum(whole.tolist())
 
 
+def test_exact_total_not_finite_falls_back_to_fsum():
+    # no sum is taken of a value that is not finite: the fit refuses it, for
+    # each modality alone and among the others
+    iq = np.random.default_rng(2).standard_normal((6, 8)) + 0j
+    for bad in (complex(np.inf, 0.0), complex(0.0, np.nan)):
+        iq[3, 2] = bad
+        for sel in [(m,) for m in modality.ALL_MODALITIES] + [modality.ALL_MODALITIES[::-1]]:
+            with pytest.raises(ValueError, match=f"cannot fit {sel[0]} statistics"):
+                modality.fit_normalization(iq, sel)
+    # a finite total beyond float64 raises as math.fsum does
+    with pytest.raises(OverflowError):
+        math.fsum([1.7e308, 1.7e308])
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1.7e308, 1.7e308]))
+
+
 @pytest.mark.parametrize("ell", [4, 33, 256])
 @pytest.mark.parametrize("mod", modality.ALL_MODALITIES)
 def test_batch_transform_rows_equal_single_waveform(mod, ell):
