@@ -5,11 +5,11 @@ raw I/Q time samples, real/imaginary parts of the unnormalized DFT, and
 per-sample amplitude/phase. Selected representations are standardized per
 (modality, column) and stacked into an L x 2 x M tensor for the classifiers.
 
-Normalization statistics come from exact sums: every fitted value and its
-square is accumulated as an integer, so the totals of disjoint sets add, and
-the statistics of a union (the training pool of the AP shards) are derived
-from the shards' totals without transforming the union again. Each sum is
-rounded to float64 once, so it equals ``math.fsum`` over the same values.
+Normalization statistics come from exact sums: the fitted values and their
+squares are cut into integer pieces whose float64 sums are exact in any
+order and added as Python ints, so the totals of disjoint sets add, and the
+statistics of a union (the training pool of the AP shards) come from the
+shards' totals. Each sum is rounded to float64 once, as ``math.fsum`` is.
 A value that is not finite, or whose square is not, is rejected where it is fit.
 """
 
@@ -28,12 +28,9 @@ ALL_MODALITIES = (MODALITY_IQ, MODALITY_DFT, MODALITY_AMP_PHASE)
 
 STD_FLOOR = 1e-8
 
-# an exact total counts units of 2**-_TOTAL_SHIFT: np.frexp exponents reach
-# -1073, and a mantissa is scaled to a 53-bit integer
+# an exact total counts units of 2**-_TOTAL_SHIFT: a piece's unit 2**(E - w)
+# is at least 2**-1124, as E >= -1073 and w <= 51
 _TOTAL_SHIFT = 1126
-# values per np.bincount pass: fewer than 2**26 mantissa halves below 2**27
-# keep every bin's float sum below 2**53, where it is exact
-_BIN_VALUES = (1 << 26) - 1
 
 
 def transform(iq: np.ndarray, modality: str) -> np.ndarray:
@@ -102,11 +99,11 @@ def fit_normalization(iq: np.ndarray, selection: Sequence[str]) -> NormStats:
         mats = transform(stacked, m)  # (n, L, 2)
         cols = []
         for col in range(2):
-            vals = mats[:, :, col].ravel()
+            vals = mats[:, :, col].ravel()  # a copy: the column is strided
             squares = vals * vals
             if not np.isfinite(squares).all():
                 raise ValueError(f"cannot fit {m} statistics: a value or its square is not finite")
-            cols.append((exact_total(vals), exact_total(squares)))
+            cols.append((_consume_total(vals), _consume_total(squares)))
         totals[m] = tuple(cols)
     return _from_totals(totals, stacked.size)
 
@@ -143,23 +140,30 @@ def _from_totals(totals: Dict[str, Tuple[Tuple[int, int], ...]], count: int) -> 
 def exact_total(vals: np.ndarray) -> int:
     """Exact sum of a 1-D float64 array as an integer count of 2**-1126.
 
-    Each value, which must be finite, is split by ``np.frexp`` into a 53-bit
-    integer mantissa, cut into two halves below 2**27; ``np.bincount`` sums
-    the halves of each exponent exactly in float64, and the bins are
-    combined as Python ints. Totals of disjoint arrays add.
+    From the top exponent E of the finite values down, with w = 52 -
+    n.bit_length() for n values, a pass takes the integer pieces
+    trunc(r * 2**(w - E)), each below 2**w, off the remainder r and sums them
+    in float64, exact in any order as the sum stays below 2**52 (Rump, Ogita
+    and Oishi, SIAM J. Sci. Comput. 31(1), 2008). Totals of disjoint arrays add.
     """
+    return _consume_total(np.array(vals, dtype=np.float64))
+
+
+def _consume_total(r: np.ndarray) -> int:
+    """``exact_total`` of a 1-D float64 array, which it overwrites."""
+    w = 52 - len(r).bit_length()
+    piece = np.empty_like(r)
     total = 0
-    for i in range(0, len(vals), _BIN_VALUES):
-        mant, exp = np.frexp(vals[i : i + _BIN_VALUES])
-        mant = np.ldexp(mant, 53)
-        hi = np.trunc(mant * 2.0**-26)
-        lo = mant - hi * 2.0**26
-        exp += 1073  # the exponent of the smallest subnormal goes to bin 0
-        his = np.bincount(exp, weights=hi)
-        los = np.bincount(exp, weights=lo)
-        for e in np.flatnonzero((his != 0) | (los != 0)).tolist():
-            total += (int(his[e]) << (26 + e)) + (int(los[e]) << e)
-    return total
+    while True:
+        top = max(r.max(initial=0.0), -r.min(initial=0.0))
+        if top == 0.0:
+            return total
+        k = math.frexp(top)[1] - w  # the pieces count units of 2**k
+        # exact scalings: by normal powers of two, else by ldexp
+        f, up, down = (np.multiply, 2.0**-k, 2.0**k) if abs(k) <= 1022 else (np.ldexp, -k, k)
+        np.trunc(f(r, up, out=piece), out=piece)
+        total += int(piece.sum()) << (k + _TOTAL_SHIFT)
+        r -= f(piece, down, out=piece)
 
 
 def _check_selection(selection: Sequence[str]) -> Tuple[str, ...]:

@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedrf import modality
+from fedrf import config, experiment, modality
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def brute_force_dft(r):
@@ -192,6 +196,18 @@ def _exact_sum(vals):
     return modality.exact_total(vals) / 2**1126
 
 
+def _assert_oracle(vals):
+    """exact_total is the rational sum of ``vals`` in units of 2**-1126."""
+    vals = np.asarray(vals, dtype=np.float64)
+    total = modality.exact_total(vals)
+    assert type(total) is int
+    # each float64 is p / 2**j with j <= 1074, so p * 2**(1126 - j) is exact
+    ratios = map(float.as_integer_ratio, vals.tolist())
+    assert total == sum(p << (1127 - q.bit_length()) for p, q in ratios)
+    if len(vals) <= 4096:  # Fraction sums are slow on long arrays
+        assert total == int(sum(map(Fraction, vals.tolist())) * 2**1126)
+
+
 @pytest.mark.parametrize("squared", [False, True])
 def test_exact_sum_matches_fsum_on_adversarial_arrays(squared):
     rng = np.random.default_rng(8)
@@ -205,6 +221,7 @@ def test_exact_sum_matches_fsum_on_adversarial_arrays(squared):
         ref = math.fsum(v * v for v in vals) if squared else math.fsum(vals)
         summed = vals * vals if squared else vals
         assert _exact_sum(summed) == ref
+        _assert_oracle(summed)
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
@@ -220,6 +237,41 @@ def test_exact_totals_add_across_splits(vals, cuts):
         assert all(type(t) is int for t in totals)
         assert sum(totals) == modality.exact_total(whole)
         assert sum(totals) / 2**1126 == math.fsum(whole.tolist())
+        _assert_oracle(whole)
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [5e-324],
+        [-5e-324],
+        [2.0**-1074] * 1000,
+        [-(2.0**-1074)] * 3 + [2.0**-1022 - 2.0**-1074] * 5,
+        [1.7976931348623157e308],
+        [-1.7976931348623157e308],
+        [1.7976931348623157e308, -1.7976931348623157e308, 5e-324],
+        [1.7976931348623157e308, 5e-324, -5e-324, 2.0**-1022],
+        [0.0],
+        [-0.0],
+        [0.0, -0.0, 0.0],
+        np.zeros(4097),
+        [-(2.0**-600)],
+    ],
+)
+def test_exact_total_equals_rational_sum_at_the_extremes(vals):
+    _assert_oracle(vals)
+
+
+@pytest.mark.parametrize("k", [1, 5, 12, 16])
+def test_exact_total_equals_rational_sum_where_the_piece_width_changes(k):
+    rng = np.random.default_rng(k)
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        # full 53-bit mantissas over many exponents, a dense run near the
+        # maximum width (every piece carries bits), and sign mixtures
+        wide = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-60, 60, n)
+        top = np.nextafter(2.0 ** rng.integers(-3, 4, n), 0.0)
+        for vals in (wide, top, -top, np.abs(wide), wide * 2.0**-1000, wide * 2.0**900):
+            _assert_oracle(vals)
 
 
 def test_exact_total_not_finite_falls_back_to_fsum():
@@ -236,6 +288,37 @@ def test_exact_total_not_finite_falls_back_to_fsum():
         math.fsum([1.7e308, 1.7e308])
     with pytest.raises(OverflowError):
         _exact_sum(np.array([1.7e308, 1.7e308]))
+
+
+def _bincount_total(vals):
+    """A second exact total in units of 2**-1126: frexp splits each value into
+    a 53-bit integer mantissa, cut into halves below 2**27 that np.bincount
+    sums per exponent, exactly in float64 below 2**26 values."""
+    assert len(vals) < 2**26
+    mant, exp = np.frexp(vals)
+    mant = np.ldexp(mant, 53)
+    hi = np.trunc(mant * 2.0**-26)
+    lo = mant - hi * 2.0**26
+    exp += 1073  # the exponent of the smallest subnormal goes to bin 0
+    his = np.bincount(exp, weights=hi)
+    los = np.bincount(exp, weights=lo)
+    nonzero = np.flatnonzero((his != 0) | (los != 0)).tolist()
+    return sum((int(his[e]) << (26 + e)) + (int(los[e]) << e) for e in nonzero)
+
+
+@pytest.mark.parametrize(("name", "seeds"), [("desk_noniid.json", [1, 2, 3, 4, 5]),
+                                             ("desk_iid.json", [1])])
+def test_fit_totals_equal_bincount_reference_on_desk_shards(name, seeds):
+    cfg = config.parse_config(CONFIG_DIR / name)
+    ds = experiment.load_dataset(cfg)
+    for seed in seeds:
+        run = experiment.prepare(cfg, ds, seed)
+        for ix, stats in zip(run.partition.indices, run.partition.stats):
+            for m in cfg.training.modalities:
+                mats = modality.transform(run.split.train_iq[ix], m)
+                cols = (mats[:, :, col].ravel() for col in range(2))
+                ref = tuple((_bincount_total(c), _bincount_total(c * c)) for c in cols)
+                assert stats.totals[m] == ref
 
 
 @pytest.mark.parametrize("ell", [4, 33, 256])
