@@ -126,7 +126,8 @@ def _write_manifest(out: Path, command: str, cfg, status: str, outputs: List[str
 def save_model(path: Path, result: experiment.RunResult) -> None:
     np.savez(
         path,
-        params=result.params,
+        # float64 holds a mini_resnet run's float32 parameters exactly
+        params=np.asarray(result.params, dtype=np.float64),
         spec=json.dumps(asdict(result.train_cfg.spec)),
         seed=result.seed,
         modalities=np.array(result.train_cfg.modalities),

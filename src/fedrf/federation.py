@@ -247,15 +247,16 @@ def local_train(
 ) -> np.ndarray:
     """Run exactly ``cfg.local_steps`` SGD steps at every AP from the broadcast parameters.
 
-    Returns the local parameters stacked as (N, P) in the order of
-    ``shards``. Before the first step, each AP's mini-batches for all steps
-    are drawn as one ``_round_plan`` from its own stream in ``rngs``. APs
-    with the same effective batch size (``batch_size`` capped at the shard
-    size) step together: all their steps are one ``models.train_round``
-    call on their stacked (G, P) parameters. Overflow is not reported here;
-    callers check for divergence.
+    Returns the local parameters, in the dtype of ``w_global`` (float32 or
+    float64), stacked as (N, P) in the order of ``shards``. Before the first
+    step, each AP's mini-batches for all steps are drawn as one
+    ``_round_plan`` from its own stream in ``rngs``. APs with the same
+    effective batch size (``batch_size`` capped at the shard size) step
+    together: all their steps are one ``models.train_round`` call on their
+    stacked (G, P) parameters. Overflow is not reported here; callers check
+    for divergence.
     """
-    w_global = np.asarray(w_global, dtype=np.float64)
+    w_global = models._floats(w_global)
     plans = [
         _round_plan(len(shard), cfg.batch_size, rng, cfg.local_steps)
         for shard, rng in zip(shards, rngs)
@@ -263,7 +264,7 @@ def local_train(
     groups: Dict[int, List[int]] = {}
     for n, plan in enumerate(plans):
         groups.setdefault(plan.shape[1], []).append(n)
-    out = np.empty((len(shards),) + w_global.shape)
+    out = np.empty((len(shards),) + w_global.shape, w_global.dtype)
     for members in groups.values():
         w = np.repeat(w_global[None], len(members), axis=0)
         models.train_round(cfg.spec, w, [shards[n] for n in members],
@@ -281,7 +282,8 @@ def aggregate(params_list: Sequence[np.ndarray]) -> np.ndarray:
     coordinate, in N phases; the rows are then summed in order. The sum equals
     that of ``np.sort(axis=0)`` bit for bit: the two orders can differ only
     between -0.0 and +0.0, whose order no sum depends on. A NaN spreads
-    through the network, so the mean stays non-finite.
+    through the network, so the mean stays non-finite. The mean is float64,
+    rounded once to float32 when the vectors are float32.
     """
     if len(params_list) == 0:
         raise ValueError("nothing to aggregate")
@@ -299,12 +301,13 @@ def aggregate(params_list: Sequence[np.ndarray]) -> np.ndarray:
     total = np.zeros(first.shape)
     for row in rows:
         total += row
-    return total / n
+    return (total / n).astype(np.float32) if first.dtype == np.float32 else total / n
 
 
 def evaluate(spec: models.ModelSpec, params: np.ndarray, batch: models.Batch):
-    """Mean cross-entropy (no l2 term) and accuracy under lowest-index tie-break."""
-    logits = models._logits(spec, params, batch.inputs)
+    """Mean cross-entropy (no l2 term) and accuracy under lowest-index
+    tie-break, computed in the spec's dtype, as a run scores its rounds."""
+    logits = models._logits(spec, np.asarray(params, spec.dtype), batch.inputs)
     loss = models._mean(models._row_losses(logits, batch.labels))
     return loss, float(np.mean(np.argmax(logits, axis=1) == batch.labels))
 
@@ -315,18 +318,19 @@ def _standardized_rows(
     selection: Sequence[str],
     test_stats: modality.NormStats,
     shard_stats: Sequence[modality.NormStats],
+    dtype=np.float64,
 ) -> Tuple[np.ndarray, List[models.Batch]]:
     """The test set, standardized with ``test_stats``, and every AP's shard,
     standardized with ``shard_stats[n]``, built in place into one (rows, L,
-    2, M) array; returns it and the batches, consecutive views of it: the
-    test batch, then the AP batches in AP order.
+    2, M) array of ``dtype`` (see ``modality.stack_batch``); returns it and
+    the batches, its consecutive views: the test batch, then the AP batches in AP order.
     """
     parts = [(data.test_iq, data.test_labels, test_stats)] + [
         (data.train_iq[ix], data.train_labels[ix], stats)
         for ix, stats in zip(partition.indices, shard_stats)
     ]
     count = sum(len(labels) for _, labels, _ in parts)
-    rows = np.empty((count, data.window_len, 2, len(selection)))
+    rows = np.empty((count, data.window_len, 2, len(selection)), dtype)
     batches, start = [], 0
     for iq, labels, stats in parts:
         x = modality.stack_batch(iq, selection, stats, out=rows[start : start + len(labels)])
@@ -470,24 +474,26 @@ def run_training(
 
     When ``_wants_helper``, a forked helper process trains APs ``[N//2:]``
     and scores the rows of the later half of the evaluation blocks while this
-    process does the rest; otherwise this process does all of it. The
-    broadcast parameters, the AP results and the row losses and test hits
-    live in one shared anonymous mapping made before the fork, and the helper
-    inherits the rows. Each AP's parameters and each row's scores are
-    bit-identical whichever process computes them, so the results do not
+    process does the rest; otherwise this process does all of it. The rows
+    and the broadcast, AP and returned parameters are in ``cfg.spec.dtype``
+    (``aggregate`` rounds the mean to it), and the parameters, the row losses
+    and the test hits live in anonymous shared mappings made before the fork;
+    the helper inherits the rows. Each AP's parameters and each row's scores
+    are bit-identical whichever process computes them, so the results do not
     depend on the helper.
     """
-    stats = modality.pool_normalization(partition.stats)
-    rows, batches = _standardized_rows(data, partition, cfg.modalities, stats, partition.stats)
+    stats, dtype = modality.pool_normalization(partition.stats), cfg.spec.dtype
+    rows, batches = _standardized_rows(data, partition, cfg.modalities, stats, partition.stats,
+                                       dtype)
     labels = np.concatenate([b.labels for b in batches])
     init_seed = int(np.random.SeedSequence((_DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
-    w = models.init_params(cfg.spec, init_seed)
+    w = models.init_params(cfg.spec, init_seed).astype(dtype)
 
     num_aps, size, num_test = partition.num_aps, len(w), len(batches[0])
-    shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + num_aps) * size + len(rows) + num_test)))
-    w_shared = shared[:size]
-    local = shared[size : (1 + num_aps) * size].reshape(num_aps, size)
-    losses, hits = np.split(shared[(1 + num_aps) * size :], [len(rows)])
+    scores = np.frombuffer(mmap.mmap(-1, 8 * (len(rows) + num_test)))
+    losses, hits = scores[: len(rows)], scores[len(rows) :]
+    shared = np.frombuffer(mmap.mmap(-1, dtype.itemsize * (1 + num_aps) * size), dtype)
+    w_shared, local = shared[:size], shared[size:].reshape(num_aps, size)
 
     def work(task: bytes, t: int, aps: range, block: slice) -> None:
         """One process's share of a task of round t, from ``w_shared``."""
@@ -555,8 +561,9 @@ def personalize(
     if fine_tune_steps < 0:
         raise ValueError("fine_tune_steps must be >= 0")
     stats = modality.pool_normalization(partition.stats)
+    w_global = np.asarray(w_global, cfg.spec.dtype)
     _, batches = _standardized_rows(
-        data, partition, cfg.modalities, stats, [stats] * partition.num_aps
+        data, partition, cfg.modalities, stats, [stats] * partition.num_aps, cfg.spec.dtype
     )
     test = batches[0]
     masks = [np.isin(test.labels, labels) for labels in partition.label_sets]
@@ -564,7 +571,7 @@ def personalize(
         if not mask.any():
             raise ValueError(f"AP {n}: personalized test subset is empty")
     if fine_tune_steps == 0:
-        tuned = np.repeat(np.asarray(w_global, dtype=np.float64)[None], partition.num_aps, axis=0)
+        tuned = np.repeat(w_global[None], partition.num_aps, axis=0)
     else:
         tuned_cfg = dataclasses.replace(cfg, local_steps=fine_tune_steps)
         rngs = [

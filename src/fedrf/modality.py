@@ -186,15 +186,14 @@ def stack_batch(
 ) -> np.ndarray:
     """Standardize and stack modalities for a (n, L) complex array.
 
-    Returns a float64 tensor of shape (n, L, 2, M): ``out`` when given, whose
-    modality channels are written in place.
+    Writes the (n, L, 2, M) values, standardized in float64, into ``out``
+    (each rounded once to its dtype) or a new float64 array, and returns it.
     """
     selection = _check_selection(selection)
     x = np.asarray(iq, dtype=np.complex128)
     if out is None:
         out = np.empty(x.shape + (2, len(selection)))
     for k, m in enumerate(selection):
-        channel = out[..., k]
-        np.subtract(transform(x, m), stats.means[m], out=channel)
-        channel /= np.maximum(stats.stds[m], STD_FLOOR)
+        np.divide(transform(x, m) - stats.means[m], np.maximum(stats.stds[m], STD_FLOOR),
+                  out=out[..., k])
     return out

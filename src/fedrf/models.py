@@ -57,8 +57,10 @@ for mini_resnet. The l2 term and the update run in place in the order of
 ``sgd_step(params, loss_and_grad(...)[1], eta)`` (``g += l2*w``, then
 ``w -= eta*g``), so each AP's bits are those of that reference.
 
-Everything is float64 and gradients are computed by hand so they can be
-verified against central finite differences.
+Every array of a pass takes its parameters' dtype: a mini_resnet run computes
+in float32 (``ModelSpec.dtype``), and the finite-difference check runs the
+same code in float64. Inputs are rounded into that dtype as they are copied
+in; the cross-entropy and the l2 term are float64.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ import numpy as np
 KIND_SOFTMAX = "softmax_linear"
 KIND_RESNET = "mini_resnet"
 
-# examples per mini_resnet evaluation block: at 64 samples and the default
-# widths a block's largest patch matrix is 25 x 4096 float64 values (0.8 MB),
-# where a 680-example batch would build 16 MB ones
+# examples per mini_resnet evaluation block: at 64 samples and the default widths
+# a block's largest patch matrix is 25 x 4096 float32 values (0.4 MB), where a
+# 680-example batch would build 8.7 MB ones; 64 rows won 4 of 10 desk_resnet pairs
 EVAL_BLOCK_ROWS = 32
 
 # examples per softmax_linear evaluation block: on a 2-core Xeon at 1 BLAS
@@ -120,6 +122,11 @@ class ModelSpec:
     @property
     def input_shape(self) -> Tuple[int, int, int]:
         return (self.window_len, 2, self.num_modalities)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """What a run computes in: float32 for mini_resnet, float64 for softmax_linear."""
+        return np.dtype(np.float32 if self.kind == KIND_RESNET else np.float64)
 
 
 def param_layout(spec: ModelSpec) -> List[Tuple[str, Tuple[int, ...]]]:
@@ -196,15 +203,21 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _floats(a) -> np.ndarray:
+    """``a`` as a float32 array if it is one, else as float64; no copy when it is either."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 @dataclass
 class Batch:
-    """Stacked inputs (n, L, 2, M) with integer labels (n,)."""
+    """Stacked float32 or float64 inputs (n, L, 2, M) with integer labels (n,)."""
 
     inputs: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = _floats(self.inputs)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 4 or self.labels.ndim != 1:
             raise ValueError("inputs must be a 4-D (n, L, 2, M) array with 1-D labels")
@@ -221,36 +234,36 @@ class Batch:
 # ---------------------------------------------------------------------------
 # primitive ops
 
-_scratch_arrays: Dict[str, np.ndarray] = {}
+_scratch_arrays: Dict[Tuple[str, np.dtype], np.ndarray] = {}
 
 
-def _scratch(key: Optional[str], shape: Tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous float64 work array of ``shape`` with undefined contents.
+def _scratch(key: Optional[str], shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A C-contiguous work array of ``shape`` and ``dtype`` with undefined contents.
 
     With a ``key`` (and at most ``SCRATCH_MAX_BYTES``) the array is the start
-    of one that the process keeps for the key, so it holds what the key's
-    previous user left there; every other call gets a new array. Keeping the
-    arrays spares a mini_resnet step from allocating and freeing a few MB of
+    of one that the process keeps for the key and dtype, so it holds what
+    their previous user left there; every other call gets a new array. Keeping
+    the arrays spares a mini_resnet step from allocating and freeing a few MB of
     work arrays, which the C allocator may return to the system and fault in
     again at the next step. Each kept array is a private mapping of its own,
     outside the C heap: one first kept, or grown, late in a run would sit at
     the top of the heap, and the memory freed below it could no longer be
     extended to fit the next large array, which would grow the heap instead.
     """
-    size = math.prod(shape)
-    if key is None or 8 * size > SCRATCH_MAX_BYTES:
-        return np.empty(shape)
-    buf = _scratch_arrays.get(key)
+    dtype, size = np.dtype(dtype), math.prod(shape)
+    if key is None or dtype.itemsize * size > SCRATCH_MAX_BYTES:
+        return np.empty(shape, dtype)
+    buf = _scratch_arrays.get((key, dtype))
     if buf is None or len(buf) < size:
-        mapping = mmap.mmap(-1, 8 * max(size, 1), flags=mmap.MAP_PRIVATE)
-        buf = _scratch_arrays[key] = np.frombuffer(mapping)
+        mapping = mmap.mmap(-1, dtype.itemsize * max(size, 1), flags=mmap.MAP_PRIVATE)
+        buf = _scratch_arrays[key, dtype] = np.frombuffer(mapping, dtype)
     return buf[:size].reshape(shape)
 
 
-def _slab(key: Optional[str], c: int, t: int, s: int, p: int) -> np.ndarray:
+def _slab(key: Optional[str], c: int, t: int, s: int, p: int, dtype) -> np.ndarray:
     """A (c, t + 2p, s) work array (see ``_scratch``) whose first and last p
     time steps are zero: the padding around an interior of t steps."""
-    slab = _scratch(key, (c, t + 2 * p, s))
+    slab = _scratch(key, (c, t + 2 * p, s), dtype)
     slab[:, :p] = 0.0
     slab[:, p + t :] = 0.0
     return slab
@@ -262,12 +275,12 @@ def _interior(slab: np.ndarray, t: int) -> np.ndarray:
     return slab[:, p : p + t].reshape(len(slab), -1)
 
 
-def _to_slab(rows: np.ndarray, key: str, p: int) -> np.ndarray:
+def _to_slab(rows: np.ndarray, key: str, p: int, dtype) -> np.ndarray:
     """(n, t, cols, C) ``rows`` as the interior of a (C, t + 2p, n*cols) work
-    slab, copied a column at a time: one transposed copy of the whole array
-    runs inner loops of 2 values and takes three times as long."""
+    slab of ``dtype``, copied a column at a time: one transposed copy of the
+    whole array runs inner loops of 2 values and takes three times as long."""
     n, t, cols, c = rows.shape
-    slab = _slab(key, c, t, n * cols, p)
+    slab = _slab(key, c, t, n * cols, p, dtype)
     for col in range(cols):
         _interior(slab, t).reshape(c, t, n, cols)[..., col] = rows[:, :, col].transpose(2, 1, 0)
     return slab
@@ -292,11 +305,11 @@ def conv_time(x: np.ndarray, w: np.ndarray, b: np.ndarray, key: Optional[str] = 
     """
     k, cin, cout = w.shape
     t = x.shape[1] - 2 * (k // 2)
-    patches = _scratch(key and "patches", (k * cin + 1, t * x.shape[2]))
+    patches = _scratch(key and "patches", (k * cin + 1, t * x.shape[2]), w.dtype)
     _fill_taps(patches[:-1], x, k, t)
     patches[-1] = 1.0
     wb = np.concatenate((w.reshape(k * cin, cout), b[None]))
-    out = _slab(key and f"{key}.out", cout, t, x.shape[2], k // 2)
+    out = _slab(key and f"{key}.out", cout, t, x.shape[2], k // 2, w.dtype)
     np.matmul(wb.T, patches, out=_interior(out, t))
     return out
 
@@ -312,16 +325,16 @@ def conv_time_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     k, cin, cout = w.shape
     t = dy.shape[1] - 2 * (k // 2)
     dyi = _interior(dy, t)
-    dw, db = np.empty(w.shape), dyi.sum(axis=1)
+    dw, db = np.empty(w.shape, w.dtype), dyi.sum(axis=1)
     for j in range(k):
         np.matmul(x[:, j : j + t].reshape(cin, -1), dyi.T, out=dw[j])
     if not input_grad:
         return None, dw, db
-    windows = _scratch(key and "patches", (k * cout, dyi.shape[1]))
+    windows = _scratch(key and "patches", (k * cout, dyi.shape[1]), w.dtype)
     _fill_taps(windows, dy, k, t)
     # dx[t] = sum over taps j of w[j] @ dy[t + p - j]: the windows run j backwards
     flipped = w[::-1].transpose(0, 2, 1).reshape(k * cout, cin)
-    dx = _slab(key and "dx", cin, t, dy.shape[2], k // 2)
+    dx = _slab(key and "dx", cin, t, dy.shape[2], k // 2, w.dtype)
     np.matmul(flipped.T, windows, out=_interior(dx, t))
     return dx, dw, db
 
@@ -339,7 +352,7 @@ def maxpool2_time(x: np.ndarray, p: int = 0, key: Optional[str] = None,
     """
     th = x.shape[1] // 2 - p
     first, second = x[:, p : p + 2 * th : 2], x[:, p + 1 : p + 2 * th : 2]
-    out = _slab(key and f"{key}.pool", len(x), th, x.shape[2], p)
+    out = _slab(key and f"{key}.pool", len(x), th, x.shape[2], p, x.dtype)
     np.maximum(first, second, out=out[:, p : p + th])
     if not winners:
         return out, None
@@ -358,7 +371,7 @@ def maxpool2_time_backward(win: np.ndarray, dy: np.ndarray,
     c, t, s = win.shape
     th = t - dy.shape[1]
     p = (t - 2 * th) // 2
-    dx = _slab(key and f"{key}.dpool", c, 2 * th, s, p)
+    dx = _slab(key and f"{key}.dpool", c, 2 * th, s, p, dy.dtype)
     # copy dy to both samples of each pair, then zero the losers in one
     # contiguous multiply: a strided multiply of each half by a bool mask
     # took three times as long as this copy
@@ -408,8 +421,8 @@ def _mean(losses: np.ndarray) -> float:
 
 
 def _row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Cross-entropy of every row, in the shape of ``labels``."""
-    z, _, s = _shifted_exp(logits)
+    """Float64 cross-entropy of every row, in the shape of ``labels``."""
+    z, _, s = _shifted_exp(logits.astype(np.float64, copy=False))
     return np.log(s) - _picked(z, labels)
 
 
@@ -432,7 +445,10 @@ def _dlogits(logits: np.ndarray, index: np.ndarray) -> None:
 
 
 def _l2_term(spec: ModelSpec, params: np.ndarray) -> float:
-    """(l2/2)*||params||^2."""
+    """(l2/2)*||params||^2 in float64. The float64 squares of float32 parameters
+    are exact and summed exactly: OpenBLAS splits a dot of over 10,000 values by thread."""
+    if params.dtype == np.float32:
+        return 0.5 * spec.l2_coeff * math.fsum(np.square(params, dtype=np.float64).tolist())
     return 0.5 * spec.l2_coeff * float(params @ params)
 
 
@@ -479,10 +495,10 @@ def _resnet_forward(spec: ModelSpec, views, x: np.ndarray, keep: bool):
             cache["masks"].extend([m2, mo, win])
         return pooled
 
-    h = block("block2", block("block1", _to_slab(x, "input", p)))
+    h = block("block2", block("block1", _to_slab(x, "input", p, views["fc1.w"].dtype)))
     am = _interior(conv("mid_conv", h), t // 4).reshape(-1, t // 4, n, cols)
     # fc1 rows are in (time, column, channel) order; see _to_slab for the loop
-    flat = np.empty((n, t // 4, cols, len(am)))
+    flat = np.empty((n, t // 4, cols, len(am)), am.dtype)
     for col in range(cols):
         flat[:, :, col] = am[..., col].transpose(2, 1, 0)
     flat, mm = relu(flat.reshape(n, -1))
@@ -510,8 +526,9 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     near-equal blocks of at most ``SOFTMAX_BLOCK_ROWS`` or
     ``EVAL_BLOCK_ROWS`` examples and written into one array."""
     _check_input(spec, x)
+    params = np.asarray(params)
     views = param_views(spec, params)
-    logits = np.empty((len(x), spec.num_classes))
+    logits = np.empty((len(x), spec.num_classes), params.dtype)
     start = 0
     for stop in block_stops(spec, len(x)):
         xb, out = x[start:stop], logits[start:stop]
@@ -535,7 +552,7 @@ def batch_loss(spec: ModelSpec, params: np.ndarray, batch: Batch) -> float:
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch):
     """(loss, grad): ``batch_loss`` and its exact gradient with respect to
     the flat (P,) parameters, a new array on every call."""
-    params = np.asarray(params, dtype=np.float64)
+    params = _floats(params)
     _check_count(params, ())
     grad = np.empty_like(params)
     _backward(spec, params, batch.inputs, batch.labels, grad)
@@ -553,7 +570,7 @@ def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
                 plans: np.ndarray, eta: float) -> None:
     """Take the J SGD steps of a round of local training at G APs, in place.
 
-    ``params`` is the (G, P) float64 array of the APs' parameters,
+    ``params`` is the (G, P) float32 or float64 array of the APs' parameters,
     ``shards`` their G unstacked batches and ``plans`` the (G, J, B) row
     indices, each in range, of every AP's J mini-batches in its shard. Step
     j sets ``params[g] -= eta * grad`` of the loss of rows ``plans[g, j]`` of
@@ -571,13 +588,13 @@ def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
     g_count, steps, size = plans.shape
     # (J, G, B): every step's stacked labels
     labels = np.stack([shard.labels[plan] for shard, plan in zip(shards, plans)], axis=1)
-    inputs = np.empty((g_count, size) + spec.input_shape)
-    grad = _scratch("step.grad", params.shape)
-    l2 = _scratch("step.l2", params.shape) if spec.l2_coeff else None
+    inputs = np.empty((g_count, size) + spec.input_shape, params.dtype)
+    grad = _scratch("step.grad", params.shape, params.dtype)
+    l2 = _scratch("step.l2", params.shape, params.dtype) if spec.l2_coeff else None
     if spec.kind == KIND_SOFTMAX:
         views, gviews = param_views(spec, params), param_views(spec, grad)
         flat = inputs.reshape(g_count, size, -1)
-        logits = _scratch("step.logits", (g_count, size, spec.num_classes))
+        logits = _scratch("step.logits", (g_count, size, spec.num_classes), params.dtype)
         # every step's _label_index of its (G, B) labels
         index = spec.num_classes * np.arange(g_count * size) + labels.reshape(steps, -1)
     for j in range(steps):
@@ -617,7 +634,7 @@ def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nda
     index = _label_index(labels, spec.num_classes)
     if spec.kind == KIND_SOFTMAX:
         flat = x.reshape(len(x), -1)
-        logits = np.empty((len(x), spec.num_classes))
+        logits = np.empty((len(x), spec.num_classes), params.dtype)
         _softmax_backward(views, gviews, flat, logits, index)
     else:
         dlogits, cache = _resnet_forward(spec, views, x, keep=True)
@@ -642,7 +659,7 @@ def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nda
         # back from fc1's (time, column, channel) order, into the dx work
         # array, which mid_conv's backward call may overwrite
         rows = (dflat * mm).reshape(len(x), x.shape[1] // 4, x.shape[2], -1)
-        dh = conv_back("mid_conv", hm, _to_slab(rows, "dx", spec.kernel_len // 2))
+        dh = conv_back("mid_conv", hm, _to_slab(rows, "dx", spec.kernel_len // 2, rows.dtype))
         for name in ("block2", "block1"):
             h, a1, a2, m2, mo = cache[name]
             dpre = maxpool2_time_backward(mo, dh, key=name)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedrf import cli, config as cfg_mod, datafile, experiment, federation, modality
+from fedrf import cli, config as cfg_mod, datafile, experiment, federation, modality, models
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -460,6 +460,27 @@ def test_mini_resnet_run_is_byte_identical_with_and_without_the_helper(tmp_path)
         assert a == b, f"{name} differs between one CPU and all of them"
 
 
+@pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])
+def test_saved_model_scores_the_last_metrics_row(tmp_path, kind):
+    # the float64 model file holds the parameters the run scored (mini_resnet's
+    # float32 ones exactly), so evaluating them on the run's test set gives
+    # the last row of metrics.csv bit for bit
+    cfg_path = small_desk(tmp_path, model={"kind": kind}, training={"seeds": [2]},
+                          personalization={"enabled": False})
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    params, spec, seed, modalities = cli.load_model(out / "model_seed2.npz")
+    assert params.dtype == np.float64
+    assert np.array_equal(params.astype(spec.dtype).astype(np.float64), params)
+    cfg = cfg_mod.parse_config(cfg_path)
+    run = experiment.prepare(cfg, experiment.load_dataset(cfg), seed)
+    stats = modality.pool_normalization(run.partition.stats)
+    test = modality.stack_batch(run.split.test_iq, modalities, stats)
+    loss, acc = federation.evaluate(spec, params, models.Batch(test, run.split.test_labels))
+    last = (out / cli.METRICS_FILENAME).read_text().splitlines()[-1].split(",")
+    assert (float(last[2]), float(last[3])) == (loss, acc)
+
+
 def test_manifest_records_the_seeds_each_command_used(tmp_path):
     def seeds(out, status="complete"):
         manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
@@ -822,10 +843,11 @@ def _no_child_left():
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_process", "helper"])
 def test_mini_resnet_divergence_fails_with_round(tmp_path, capfd, monkeypatch, cpus):
     # two CPUs fork the training helper, which has finished round 1 when the
-    # aggregate of round 2 overflows
+    # aggregate of round 2 overflows; mini_resnet trains in float32, whose
+    # range a step of 1e3 leaves within round 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     cfg_path = small_desk(tmp_path, model={"kind": "mini_resnet"},
-                          training={"eta": 1e3, "rounds": 6, "seeds": [1]})
+                          training={"eta": 1e2, "rounds": 6, "seeds": [1]})
     out = tmp_path / "r"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     error = "training diverged at round 2: parameters are not finite"

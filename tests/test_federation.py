@@ -372,6 +372,23 @@ def test_evaluate_loss_matches_batch_loss_without_l2():
     assert loss == pytest.approx(models.batch_loss(cfg.spec, params, batches[0]), abs=1e-15)
 
 
+def test_float32_rows_are_the_float64_rows_rounded_once():
+    # every modality, the test rows with the pool's statistics and each shard
+    # with its own: float32 rows are the float64 standardized values, rounded
+    split = make_split()
+    sel = ("iq", "dft", "amp_phase")
+    part = federation.partition_noniid(split, 3, 2, seed=1, selection=sel)
+    stats = modality.pool_normalization(part.stats)
+    rows64, _ = federation._standardized_rows(split, part, sel, stats, part.stats)
+    rows32, batches = federation._standardized_rows(split, part, sel, stats, part.stats,
+                                                    np.float32)
+    assert rows64.dtype == np.float64 and rows32.dtype == np.float32
+    assert np.array_equal(rows32, rows64.astype(np.float32))
+    # the batches are views of the one float32 array
+    assert all(b.inputs.dtype == np.float32 and np.shares_memory(b.inputs, rows32)
+               for b in batches)
+
+
 # ---------------------------------------------------------------------------
 # full training loop
 

@@ -16,11 +16,19 @@ def small_resnet_spec(l2=0.0):
     )
 
 
-def random_batch(spec, n, seed=0):
+def random_batch(spec, n, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, spec.window_len, 2, spec.num_modalities))
+    x = rng.standard_normal((n, spec.window_len, 2, spec.num_modalities)).astype(dtype)
     y = rng.integers(0, spec.num_classes, n)
     return models.Batch(x, y)
+
+
+# each kind in float64, and mini_resnet in float32 too, the dtype its runs train in
+KINDS_AND_DTYPES = [
+    pytest.param(small_softmax_spec, np.float64, id="small_softmax_spec"),
+    pytest.param(small_resnet_spec, np.float64, id="small_resnet_spec"),
+    pytest.param(small_resnet_spec, np.float32, id="small_resnet_spec_float32"),
+]
 
 
 def slab(a, kernel_len):
@@ -260,17 +268,17 @@ def test_softmax_gradient_strong_monotonicity():
         assert lhs >= lam * np.linalg.norm(w1 - w2) - 1e-9
 
 
-@pytest.mark.parametrize("make_spec", [small_softmax_spec, small_resnet_spec])
+@pytest.mark.parametrize("make_spec, dtype", KINDS_AND_DTYPES)
 @pytest.mark.parametrize("l2", [0.0, 0.05])
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
-def test_train_step_matches_sgd_step_of_loss_and_grad(make_spec, l2, stacked):
+def test_train_step_matches_sgd_step_of_loss_and_grad(make_spec, dtype, l2, stacked):
     # each step of a train_round of 4 steps at G = 1 (single) or 3 (stacked)
     # APs, each step of 5 rows drawn from the AP's shard of 7, equals sgd_step
     # of that AP's own loss_and_grad, from kept work arrays that hold nan
     spec = make_spec(l2=l2)
     rng = np.random.default_rng(6)
-    w = np.stack([models.init_params(spec, s) for s in range(3 if stacked else 1)])
-    shards = [random_batch(spec, 7, seed=10 + g) for g in range(len(w))]
+    w = np.stack([models.init_params(spec, s) for s in range(3 if stacked else 1)]).astype(dtype)
+    shards = [random_batch(spec, 7, seed=10 + g, dtype=dtype) for g in range(len(w))]
     plans = np.sort(rng.permuted(np.tile(np.arange(7), (len(w), 4, 1)), axis=-1)[..., :5])
     expected = []
     for params, shard, plan in zip(w, shards, plans):
@@ -278,8 +286,9 @@ def test_train_step_matches_sgd_step_of_loss_and_grad(make_spec, l2, stacked):
             _, grad = models.loss_and_grad(spec, params, shard.select(rows))
             params = models.sgd_step(params, grad, 0.1)
         expected.append(params)
+    assert np.stack(expected).dtype == dtype
     for key in ("step.grad", "step.l2", "step.logits"):
-        models._scratch(key, (w.size,))
+        models._scratch(key, (w.size,), dtype)
     poison_work_arrays()
     got = w.copy()
     models.train_round(spec, got, shards, plans, 0.1)
@@ -497,6 +506,25 @@ def test_resnet_matches_naive_network(kernel_len):
     assert np.allclose(got_grad, grad, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("kernel_len", [1, 3, 5])
+def test_float32_resnet_agrees_with_float64(kernel_len):
+    # the same float32-representable parameters and inputs in both dtypes:
+    # logits, loss and gradient agree to within 1000 float32 epsilons of
+    # each array's largest float64 magnitude
+    spec = models.ModelSpec("mini_resnet", 16, 2, 5, l2_coeff=1e-3, block_channels=(4, 6),
+                            kernel_len=kernel_len, hidden=8)
+    params = models.init_params(spec, 40 + kernel_len).astype(np.float32)
+    batch = random_batch(spec, 12, seed=kernel_len, dtype=np.float32)
+    tol = 1000 * np.finfo(np.float32).eps
+    wide = params.astype(np.float64)
+    for got, want in ((models._logits(spec, params, batch.inputs),
+                       models._logits(spec, wide, batch.inputs.astype(np.float64))),
+                      *zip(models.loss_and_grad(spec, params, batch),
+                           models.loss_and_grad(spec, wide, batch))):
+        assert np.asarray(want).dtype == np.float64
+        assert np.allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+
 def test_maxpool2_time_tie_takes_earlier_sample():
     x = np.array([3.0, 3.0, 1.0, 2.0, 5.0, 4.0]).reshape(1, 6, 1)
     out, win = models.maxpool2_time(x)
@@ -523,18 +551,23 @@ def test_eval_logits_equal_training_logits():
     assert np.array_equal(eval_logits, train_logits)
 
 
-@pytest.mark.parametrize("sizes", [range(1, 140), range(679, 682)], ids=["1-139", "679-681"])
-def test_blocked_eval_logits_equal_one_pass(sizes):
+@pytest.mark.parametrize("sizes, dtype", [
+    pytest.param(range(1, 140), np.float64, id="1-139"),
+    pytest.param(range(679, 682), np.float64, id="679-681"),
+    pytest.param(range(1, 140), np.float32, id="1-139-float32"),
+    pytest.param(range(679, 682), np.float32, id="679-681-float32"),
+])
+def test_blocked_eval_logits_equal_one_pass(sizes, dtype):
     # the desk profile's shapes: 64 samples, three modalities, 16 classes
     spec = models.ModelSpec("mini_resnet", 64, 3, 16)
     rng = np.random.default_rng(21)
-    params = 0.3 * rng.standard_normal(models.num_params(spec))
-    x = rng.standard_normal((sizes[-1],) + spec.input_shape)
+    params = (0.3 * rng.standard_normal(models.num_params(spec))).astype(dtype)
+    x = rng.standard_normal((sizes[-1],) + spec.input_shape).astype(dtype)
     views = models.param_views(spec, params)
     for n in sizes:
         blocked = models._logits(spec, params, x[:n])
         one_pass, _ = models._resnet_forward(spec, views, x[:n], keep=False)
-        assert blocked.shape == (n, 16)
+        assert blocked.shape == (n, 16) and blocked.dtype == dtype
         assert np.array_equal(blocked, one_pass), n
 
 
@@ -573,38 +606,43 @@ def poison_work_arrays():
 
 def test_keyed_conv_work_arrays_match_fresh_ones():
     # a key hands the next call its previous memory, here first filled with nan;
-    # the patch matrix and dx are shared by all keys
-    for key in ("patches", "test.conv.out", "dx", "test.pool.pool", "test.pool.dpool"):
-        models._scratch(key, (9 * 2 * 10 * (3 * 4 + 1),))
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal((3, 2, 4))
-    b = rng.standard_normal(4)
-    w_back = rng.standard_normal((3, 4, 2))
-    for n in (6, 3, 9):
-        poison_work_arrays()
-        x = slab(rng.standard_normal((n, 8, 2, 2)), 3)
-        dy = slab(rng.standard_normal((n, 8, 2, 4)), 3)
-        out = models.conv_time(x, w, b, key="test.conv")
-        assert np.array_equal(out, models.conv_time(x, w, b))
-        unslab(out, 3, n)
-        got = models.conv_time_backward(x, w, dy, key="test.conv")
-        for g, r in zip(got, models.conv_time_backward(x, w, dy)):
-            assert np.array_equal(g, r)
-        unslab(got[0], 3, n)
-        # the next keyed call may take the last dx as its dy
-        dx = got[0]
-        ref = models.conv_time_backward(out, w_back, dx.copy())
-        got = models.conv_time_backward(out, w_back, dx, key="test.conv")
-        for g, r in zip(got, ref):
-            assert np.array_equal(g, r)
-        unslab(got[0], 3, n)
-        pooled, idx = models.maxpool2_time(x, 1, key="test.pool")
-        ref_pooled, ref_idx = models.maxpool2_time(x, 1)
-        assert np.array_equal(pooled, ref_pooled) and np.array_equal(idx, ref_idx)
-        unslab(pooled, 3, n)
-        dpool = models.maxpool2_time_backward(idx, pooled, key="test.pool")
-        assert np.array_equal(dpool, models.maxpool2_time_backward(idx, pooled))
-        unslab(dpool, 3, n)
+    # the patch matrix and dx are shared by all keys. Each dtype has work arrays
+    # of its own, and the kernels compute in the dtype of w
+    for dtype in (np.float64, np.float32):
+        for key in ("patches", "test.conv.out", "dx", "test.pool.pool", "test.pool.dpool"):
+            models._scratch(key, (9 * 2 * 10 * (3 * 4 + 1),), dtype)
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((3, 2, 4)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        w_back = rng.standard_normal((3, 4, 2)).astype(dtype)
+        for n in (6, 3, 9):
+            poison_work_arrays()
+            x = slab(rng.standard_normal((n, 8, 2, 2)), 3).astype(dtype)
+            dy = slab(rng.standard_normal((n, 8, 2, 4)), 3).astype(dtype)
+            out = models.conv_time(x, w, b, key="test.conv")
+            assert out.dtype == dtype
+            assert np.array_equal(out, models.conv_time(x, w, b))
+            unslab(out, 3, n)
+            got = models.conv_time_backward(x, w, dy, key="test.conv")
+            for g, r in zip(got, models.conv_time_backward(x, w, dy)):
+                assert g.dtype == dtype and np.array_equal(g, r)
+            unslab(got[0], 3, n)
+            # the next keyed call may take the last dx as its dy
+            dx = got[0]
+            ref = models.conv_time_backward(out, w_back, dx.copy())
+            got = models.conv_time_backward(out, w_back, dx, key="test.conv")
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)
+            unslab(got[0], 3, n)
+            pooled, idx = models.maxpool2_time(x, 1, key="test.pool")
+            ref_pooled, ref_idx = models.maxpool2_time(x, 1)
+            assert pooled.dtype == dtype
+            assert np.array_equal(pooled, ref_pooled) and np.array_equal(idx, ref_idx)
+            unslab(pooled, 3, n)
+            dpool = models.maxpool2_time_backward(idx, pooled, key="test.pool")
+            assert dpool.dtype == dtype
+            assert np.array_equal(dpool, models.maxpool2_time_backward(idx, pooled))
+            unslab(dpool, 3, n)
 
 
 @pytest.mark.parametrize("kernel_len", [1, 3, 5])
@@ -613,15 +651,17 @@ def test_poisoned_work_arrays_match_fresh_ones(kernel_len, window_len):
     # window_len 8: mid_conv runs at T=2, below kernel_len 5; the padding of
     # every slab must come back zero from work arrays that another batch size
     # laid out differently and that hold nan everywhere. A round of 3 steps at
-    # G = 1 and G = 3 APs, of either kind, starts from such arrays too
+    # G = 1 and G = 3 APs, of either kind, starts from such arrays too;
+    # mini_resnet runs in float64 and in float32
     resnet = models.ModelSpec("mini_resnet", window_len, 2, 5, l2_coeff=1e-3,
                               block_channels=(3, 4), kernel_len=kernel_len, hidden=6)
     softmax = models.ModelSpec("softmax_linear", window_len, 2, 5, l2_coeff=1e-3)
     sizes = (32, 31, 9, 1)
-    for spec in (resnet, softmax):
-        params = models.init_params(spec, kernel_len)
-        stacks = {g: np.stack([models.init_params(spec, s) for s in range(g)]) for g in (1, 3)}
-        batches = [random_batch(spec, n, seed=n) for n in sizes]
+    for spec, dtype in ((resnet, np.float64), (resnet, np.float32), (softmax, np.float64)):
+        params = models.init_params(spec, kernel_len).astype(dtype)
+        stacks = {g: np.stack([models.init_params(spec, s) for s in range(g)]).astype(dtype)
+                  for g in (1, 3)}
+        batches = [random_batch(spec, n, seed=n, dtype=dtype) for n in sizes]
 
         def calls(batch, before):
             before()
@@ -645,7 +685,35 @@ def test_poisoned_work_arrays_match_fresh_ones(kernel_len, window_len):
         calls(batches[0], lambda: None)  # the largest batch sizes the kept arrays
         for batch, ref in zip(batches, fresh):
             for got, want in zip(calls(batch, poison_work_arrays), ref):
-                assert np.array_equal(got, want), (spec.kind, len(batch))
+                assert np.array_equal(got, want), (spec.kind, dtype, len(batch))
+
+
+def test_work_arrays_stay_right_across_dtype_changes():
+    # one process takes float64 steps, then float32 steps, then float64 again:
+    # each pass equals the same pass from fresh work arrays, and the process
+    # keeps the work arrays of both dtypes
+    spec = small_resnet_spec(l2=1e-3)
+    batch = random_batch(spec, 9, seed=1)
+
+    def calls(dtype):
+        params = models.init_params(spec, 2).astype(dtype)
+        stepped = params[None].copy()
+        plans = np.random.default_rng(3).integers(0, len(batch), (1, 3, 5))
+        models.train_round(spec, stepped, [batch], plans, 0.1)
+        loss, grad = models.loss_and_grad(spec, params, batch)
+        return stepped, loss, grad, models._logits(spec, params, batch.inputs)
+
+    fresh = {}
+    for dtype in (np.float64, np.float32):
+        models._scratch_arrays.clear()
+        fresh[dtype] = calls(dtype)
+    models._scratch_arrays.clear()
+    for dtype in (np.float64, np.float32, np.float64):
+        for got, want in zip(calls(dtype), fresh[dtype]):
+            assert np.array_equal(got, want), dtype
+    assert np.array_equal(calls(np.float32)[0], fresh[np.float32][0])
+    kept = {dtype for _, dtype in models._scratch_arrays}
+    assert kept == {np.dtype(np.float64), np.dtype(np.float32)}
 
 
 def test_scratch_keeps_only_small_keyed_arrays():
