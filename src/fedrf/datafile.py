@@ -15,12 +15,14 @@ the in-memory dataset equals its on-disk representation bit for bit.
 
 from __future__ import annotations
 
+import math
+import mmap
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from . import waveforms
+from . import helper, waveforms
 
 MAGIC = b"RFDS"
 VERSION = 1
@@ -91,7 +93,9 @@ def generate_dataset(
     Records are fully deterministic given ``master_seed``: each record draws
     from its own stream keyed by (seed, transmitter, record index), so
     generation order does not matter. Each transmitter's records go through
-    the impairment chain and the channel as one batch.
+    the impairment chain and the channel as one batch, into an anonymous
+    shared mapping; when ``helper.two_cpus()``, a forked helper process
+    generates transmitters ``[T//2:]`` while this process generates the rest.
     """
     if not 2 <= num_transmitters <= 1 << 16:
         raise ValueError("need 2 to 65536 transmitters (labels are u16)")
@@ -101,19 +105,25 @@ def generate_dataset(
         raise ValueError("window_len must be >= 2")
     waveforms.snr_ratio(snr_db)
 
-    iq = np.empty((num_transmitters, per_tx_count, window_len), dtype=np.complex64)
-    for tx in range(num_transmitters):
-        profile = waveforms.synth_transmitter_profile(master_seed, tx)
-        symbols, normals = waveforms.record_draws(master_seed, tx, per_tx_count, window_len)
-        wf = waveforms.apply_fingerprint(profile, symbols, normals[0])
-        # a float32 overflow would write inf samples that read_dataset rejects
-        with np.errstate(over="raise"):
-            try:
-                iq[tx] = waveforms.add_awgn(wf, snr_db, normals[1:])
-            except FloatingPointError:
-                raise ValueError(
-                    f"snr_db {snr_db} puts samples beyond the float32 range"
-                ) from None
+    shape = (num_transmitters, per_tx_count, window_len)
+    iq = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.complex64).reshape(shape)
+
+    @np.errstate(over="ignore")
+    def work(task: bytes, t: int, txs: range) -> None:
+        for tx in txs:
+            profile = waveforms.synth_transmitter_profile(master_seed, tx)
+            symbols, normals = waveforms.record_draws(master_seed, tx, per_tx_count, window_len)
+            wf = waveforms.apply_fingerprint(profile, symbols, normals[0])
+            iq[tx] = waveforms.add_awgn(wf, snr_db, normals[1:])
+
+    fork = helper.two_cpus()
+    cut = num_transmitters // 2 if fork else num_transmitters
+    with helper.tasks(work, (range(cut),), (range(cut, num_transmitters),), fork,
+                      "dataset", "generation") as run:
+        run(b"G", 0)
+    # a float32 overflow writes inf samples, which read_dataset would reject
+    if not np.isfinite(iq).all():
+        raise ValueError(f"snr_db {snr_db} puts samples beyond the float32 range")
     return DatasetFile(
         num_transmitters=num_transmitters,
         window_len=window_len,

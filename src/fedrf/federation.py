@@ -17,31 +17,27 @@ batches, and an evaluated round takes one blocked forward pass over it for
 the test loss and accuracy and every AP's loss.
 
 A run whose process may use two CPUs (its CPU affinity), that has at least
-two APs and at least one round forks one helper process for the rounds. The
-helper trains the later half of the APs and scores the rows of the later half
-of the evaluation blocks (each row's loss, and for a test row whether it is
-classified right), into memory the two processes share, while the calling
-process does the rest and then aggregates and averages the scores. An AP's
-parameters and a row's scores do not depend on which process computed them,
-so neither do the results.
+two APs and at least one round forks one helper process (``helper.tasks``)
+for the rounds. The helper trains the later half of the APs and scores the
+rows of the later half of the evaluation blocks (each row's loss, and for a
+test row whether it is classified right), into memory the two processes
+share, while the calling process does the rest and then aggregates and
+averages the scores. An AP's parameters and a row's scores do not depend on
+which process computed them, so neither do the results.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import mmap
-import os
-import signal
-import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NoReturn, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import modality, models
+from . import helper, modality, models
 
 # stream domain tags keep unrelated RNG consumers apart
 _DOMAIN_PARTITION = 0xA11
@@ -369,92 +365,8 @@ def _round_scores(
     return loss, acc, tuple(ap_losses)
 
 
-# the tasks of a round, each sent to the helper process as one byte
+# the tasks of a round
 _TRAIN, _SCORE = b"T", b"S"
-
-
-def _wants_helper(num_aps: int, rounds: int) -> bool:
-    """Whether ``run_training`` forks a helper: there are two APs to share,
-    a round to run and two CPUs to run it on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return num_aps >= 2 and rounds >= 1 and affinity is not None and len(affinity(0)) >= 2
-
-
-def _serve(work: Callable[[bytes, int], None], commands: int, replies: int) -> NoReturn:
-    """The helper process: run ``work(task, round)`` for each task read from
-    ``commands`` until the pipe closes, and answer each with an empty line on
-    ``replies``; an exception is answered with one line naming it, and the
-    process ends. It never returns into its caller's stack, writes nothing to
-    stdout or stderr and ignores SIGINT, which the parent handles for both.
-    """
-    status = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        sys.stdout = sys.stderr = open(os.devnull, "w")
-        os.dup2(sys.stdout.fileno(), 1)
-        os.dup2(sys.stdout.fileno(), 2)
-        rounds = 0  # training tasks done: the index of the round under way
-        while task := os.read(commands, 1):
-            work(task, rounds)
-            rounds += task == _TRAIN
-            os.write(replies, b"\n")
-        status = 0
-    except Exception as exc:  # noqa: BLE001 - the parent raises it as one line
-        os.write(replies, " ".join(f"{type(exc).__name__}: {exc}".split()).encode() + b"\n")
-    finally:
-        os._exit(status)
-
-
-@contextlib.contextmanager
-def _round_tasks(work: Callable[..., None], mine: tuple, theirs: tuple, fork: bool):
-    """Yield ``run(task, t)``, which calls ``work(task, t, *mine)`` here and,
-    with ``fork``, ``work(task, t, *theirs)`` at the same time in a forked
-    helper process, and returns when both are done. A helper that cannot be
-    started, fails or has ended makes this raise a one-line RuntimeError. On
-    leaving, the helper's command pipe is closed and the process reaped,
-    after an exception killed first, so no helper outlives the block.
-    """
-    if not fork:
-        yield lambda task, t: work(task, t, *mine)
-        return
-    commands, command_end = os.pipe()
-    reply_end, replies = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        for fd in (commands, command_end, reply_end, replies):
-            os.close(fd)
-        raise RuntimeError(f"cannot start the training helper process: {exc}") from None
-    if pid == 0:
-        os.close(command_end)
-        os.close(reply_end)
-        _serve(lambda task, t: work(task, t, *theirs), commands, replies)
-    os.close(commands)
-    os.close(replies)
-    reader = os.fdopen(reply_end, "rb")
-
-    def run(task: bytes, t: int) -> None:
-        ended = RuntimeError(f"training helper process ended during round {t+1}")
-        try:
-            os.write(command_end, task)
-        except BrokenPipeError:
-            raise ended from None
-        work(task, t, *mine)
-        reply = reader.readline()
-        if reply == b"":
-            raise ended
-        if reply != b"\n":
-            raise RuntimeError(f"training helper failed in round {t+1}: {reply.decode().strip()}")
-
-    try:
-        yield run
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(command_end)
-        reader.close()
-        os.waitpid(pid, 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -472,15 +384,15 @@ def run_training(
     ValueError naming that round; the overflow that leads there is not
     reported as NumPy warnings.
 
-    When ``_wants_helper``, a forked helper process trains APs ``[N//2:]``
-    and scores the rows of the later half of the evaluation blocks while this
-    process does the rest; otherwise this process does all of it. The rows
-    and the broadcast, AP and returned parameters are in ``cfg.spec.dtype``
-    (``aggregate`` rounds the mean to it), and the parameters, the row losses
-    and the test hits live in anonymous shared mappings made before the fork;
-    the helper inherits the rows. Each AP's parameters and each row's scores
-    are bit-identical whichever process computes them, so the results do not
-    depend on the helper.
+    With two APs, a round and two CPUs, a forked helper process trains APs
+    ``[N//2:]`` and scores the rows of the later half of the evaluation
+    blocks while this process does the rest; otherwise this process does all
+    of it. The rows and the broadcast, AP and returned parameters are in
+    ``cfg.spec.dtype`` (``aggregate`` rounds the mean to it), and the
+    parameters, the row losses and the test hits live in anonymous shared
+    mappings made before the fork; the helper inherits the rows. Each AP's
+    parameters and each row's scores are bit-identical whichever process
+    computes them, so the results do not depend on the helper.
     """
     stats, dtype = modality.pool_normalization(partition.stats), cfg.spec.dtype
     rows, batches = _standardized_rows(data, partition, cfg.modalities, stats, partition.stats,
@@ -507,7 +419,7 @@ def run_training(
             hit = hits[block]  # the block's test rows, which come first
             hit[:] = np.argmax(logits[: len(hit)], axis=1) == labels[block][: len(hit)]
 
-    fork = _wants_helper(num_aps, cfg.rounds)
+    fork = num_aps >= 2 and cfg.rounds >= 1 and helper.two_cpus()
     ap_cut = num_aps // 2 if fork else num_aps
     stops = models.block_stops(cfg.spec, len(rows))
     row_cut = stops[(len(stops) - 1) // 2] if fork else len(rows)
@@ -516,7 +428,7 @@ def run_training(
 
     metrics: List[RoundMetrics] = []
     w_shared[:] = w
-    with _round_tasks(work, mine, theirs, fork) as run:
+    with helper.tasks(work, mine, theirs, fork, "training", "round {}") as run:
         for t in range(cfg.rounds):
             start = time.perf_counter()
             run(_TRAIN, t)

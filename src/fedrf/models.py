@@ -446,10 +446,12 @@ def _dlogits(logits: np.ndarray, index: np.ndarray) -> None:
 
 def _l2_term(spec: ModelSpec, params: np.ndarray) -> float:
     """(l2/2)*||params||^2 in float64. The float64 squares of float32 parameters
-    are exact and summed exactly: OpenBLAS splits a dot of over 10,000 values by thread."""
+    are exact and summed exactly. OpenBLAS splits a dot of over 10,000 values
+    by thread, so float64 parameters are summed in order as dots of at most 10,000."""
     if params.dtype == np.float32:
         return 0.5 * spec.l2_coeff * math.fsum(np.square(params, dtype=np.float64).tolist())
-    return 0.5 * spec.l2_coeff * float(params @ params)
+    chunks = (params[i : i + 10_000] for i in range(0, len(params), 10_000))
+    return 0.5 * spec.l2_coeff * sum(float(c @ c) for c in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +587,9 @@ def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
     _check_count(params, plans.shape[:1])
     for shard in shards:
         _check_input(spec, shard.inputs)
+    # in the parameters' dtype, so that take casts nothing, not even the
+    # undefined contents of its output
+    sources = [shard.inputs.astype(params.dtype, copy=False) for shard in shards]
     g_count, steps, size = plans.shape
     # (J, G, B): every step's stacked labels
     labels = np.stack([shard.labels[plan] for shard, plan in zip(shards, plans)], axis=1)
@@ -598,9 +603,9 @@ def train_round(spec: ModelSpec, params: np.ndarray, shards: Sequence[Batch],
         # every step's _label_index of its (G, B) labels
         index = spec.num_classes * np.arange(g_count * size) + labels.reshape(steps, -1)
     for j in range(steps):
-        for g, shard in enumerate(shards):
+        for g, source in enumerate(sources):
             # the plan's indices are in range; "clip" lets take write out unbuffered
-            np.take(shard.inputs, plans[g, j], axis=0, out=inputs[g], mode="clip")
+            np.take(source, plans[g, j], axis=0, out=inputs[g], mode="clip")
         if spec.kind == KIND_SOFTMAX:
             _softmax_backward(views, gviews, flat, logits, index[j])
         else:

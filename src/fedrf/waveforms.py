@@ -205,7 +205,7 @@ def apply_fingerprint(
     )
     x = i + 1j * q
     x = x + (profile.dc_offset_i + 1j * profile.dc_offset_q)
-    x = x + profile.pa_cubic_coeff * (np.abs(x) ** 2) * x
+    x = x + profile.pa_cubic_coeff * (x.real * x.real + x.imag * x.imag) * x
     x = x * np.exp(2j * np.pi * profile.cfo_norm * np.arange(n))
     # 0.0 + s*z is Generator.normal(0.0, s)'s arithmetic: it turns -0.0 steps into 0.0
     walk = np.cumsum(0.0 + profile.phase_noise_std * phase_steps, axis=-1)
@@ -247,7 +247,7 @@ def add_awgn(waveform: np.ndarray, snr_db: float, noise: np.ndarray) -> np.ndarr
     ratio = snr_ratio(snr_db)
     if ratio == math.inf:
         return x.copy()
-    signal_power = np.mean(np.abs(x) ** 2, axis=-1, keepdims=True)
+    signal_power = np.mean(x.real * x.real + x.imag * x.imag, axis=-1, keepdims=True)
     if np.any(signal_power == 0.0):
         raise ValueError("zero-power signal: SNR scaling undefined for finite snr_db")
     s = np.sqrt(signal_power / ratio / 2.0)

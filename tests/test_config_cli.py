@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedrf import cli, config as cfg_mod, datafile, experiment, federation, modality, models
+from fedrf import (cli, config as cfg_mod, datafile, experiment, federation, modality, models,
+                   waveforms)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -897,20 +898,20 @@ def test_unstarted_or_killed_training_helper_fails_the_run_with_one_line(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fork, round_scores, helpers = os.fork, federation._round_scores, []
 
-    def failing_fork():
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    def recorded_fork():
+    def faulty_fork():
+        # the dataset helper, forked first, starts and finishes its share
+        if fault == "fork" and helpers:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         helpers.append(fork())
         return helpers[-1]
 
     def scores_then_kill(*args):
-        os.kill(helpers[0], signal.SIGKILL)
+        os.kill(helpers[-1], signal.SIGKILL)
         # dead, but left for the run to reap
-        os.waitid(os.P_PID, helpers[0], os.WEXITED | os.WNOWAIT)
+        os.waitid(os.P_PID, helpers[-1], os.WEXITED | os.WNOWAIT)
         return round_scores(*args)
 
-    monkeypatch.setattr(os, "fork", failing_fork if fault == "fork" else recorded_fork)
+    monkeypatch.setattr(os, "fork", faulty_fork)
     monkeypatch.setattr(federation, "_round_scores", scores_then_kill)
     cfg_path = small_desk(tmp_path, training={"seeds": [1]})
     out = tmp_path / "r"
@@ -920,6 +921,41 @@ def test_unstarted_or_killed_training_helper_fails_the_run_with_one_line(
     assert capfd.readouterr().err == f"error: {error}\n"
     manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
     assert (manifest["status"], manifest["error"]) == ("failed", error)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("fork", "cannot start the dataset helper process: [Errno 11] Resource temporarily unavailable"),
+    ("kill", "dataset helper process ended during generation"),
+    # the helper's message keeps to one line
+    ("raise", "dataset helper failed in generation: ValueError: no profile"),
+])
+def test_unstarted_killed_or_failed_dataset_helper_fails_the_command_with_one_line(
+        tmp_path, capfd, monkeypatch, fault, error):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, apply_fingerprint = os.getpid(), waveforms.apply_fingerprint
+
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def faulty_in_helper(*args):
+        if os.getpid() != parent:
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("no\nprofile")
+        return apply_fingerprint(*args)
+
+    if fault == "fork":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(waveforms, "apply_fingerprint", faulty_in_helper)
+    cfg_path = small_desk(tmp_path)
+    out = tmp_path / "g"
+    fds = len(os.listdir("/proc/self/fd"))
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert capfd.readouterr().err == f"error: {error}\n"
+    manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())
+    assert (manifest["status"], manifest["error"], manifest["outputs"]) == ("failed", error, [])
     _no_child_left()
 
 

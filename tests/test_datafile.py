@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -55,11 +56,29 @@ GOLDEN_DIGESTS = [
 ]
 
 
+def counted_forks(monkeypatch, cpus):
+    """Give this process the CPU affinity ``cpus``; returns the list that
+    gets one entry for each process forked from it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 @pytest.mark.parametrize("args, digest", GOLDEN_DIGESTS)
-def test_generated_file_bytes_are_pinned(tmp_path, args, digest):
-    path = tmp_path / "d.rfds"
-    datafile.write_dataset(datafile.generate_dataset(*args), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+def test_generated_file_bytes_are_pinned(tmp_path, monkeypatch, args, digest):
+    # one CPU generates every transmitter here; two fork the dataset helper
+    for cpus in ({0}, {0, 1}):
+        forks = counted_forks(monkeypatch, cpus)
+        path = tmp_path / "d.rfds"
+        datafile.write_dataset(datafile.generate_dataset(*args), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert len(forks) == len(cpus) - 1
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 4000.0, -4000.0])
@@ -71,6 +90,18 @@ def test_generate_rejects_unusable_snr(snr_db):
 def test_generate_rejects_snr_beyond_float32_range():
     with pytest.raises(ValueError, match="beyond the float32 range"):
         datafile.generate_dataset(2, 3, 16, -1000.0, 0)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_process", "helper"])
+def test_overflow_in_the_helpers_transmitters_gives_the_one_process_error(monkeypatch, cpus):
+    # at this snr_db only transmitter 3 of 4 leaves the float32 range, and
+    # two CPUs generate it in the helper
+    forks = counted_forks(monkeypatch, cpus)
+    error = "snr_db -764.0 puts samples beyond the float32 range"
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        datafile.generate_dataset(4, 3, 16, -764.0, 4)
+    assert len(forks) == len(cpus) - 1
+    assert np.isfinite(datafile.generate_dataset(3, 3, 16, -764.0, 4).iq).all()
 
 
 def test_round_trip_bit_exact(tmp_path):

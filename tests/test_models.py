@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,6 +718,57 @@ def test_work_arrays_stay_right_across_dtype_changes():
     assert np.array_equal(calls(np.float32)[0], fresh[np.float32][0])
     kept = {dtype for _, dtype in models._scratch_arrays}
     assert kept == {np.dtype(np.float64), np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("param_dtype, input_dtype", [(np.float32, np.float64),
+                                                     (np.float64, np.float32)])
+def test_mixed_dtype_round_reads_no_undefined_memory(monkeypatch, param_dtype, input_dtype):
+    # np.empty's memory may hold a signaling nan; a round whose inputs are of
+    # another dtype than its parameters must not cast it (which warns
+    # "invalid value encountered in cast") and equals the round on the
+    # inputs rounded to the parameters' dtype first
+    spec = small_resnet_spec(l2=1e-3)
+    batch = random_batch(spec, 9, seed=1, dtype=input_dtype)
+    rounded = models.Batch(batch.inputs.astype(param_dtype), batch.labels)
+    plans = np.random.default_rng(3).integers(0, len(batch), (1, 3, 5))
+    params = models.init_params(spec, 2).astype(param_dtype)
+    want = params[None].copy()
+    models.train_round(spec, want, [rounded], plans, 0.1)
+    empty, signaling = np.empty, {4: 0x7FA00000, 8: 0x7FF4000000000000}
+
+    def poisoned(shape, dtype=float, **kwargs):
+        a = empty(shape, dtype, **kwargs)
+        if a.dtype.kind == "f":
+            a.view(f"u{a.itemsize}")[...] = signaling[a.itemsize]
+        return a
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    got = params[None].copy()
+    models.train_round(spec, got, [batch], plans, 0.1)
+    assert np.array_equal(got, want)
+
+
+def test_l2_term_is_the_same_at_one_and_two_blas_threads():
+    # 12,304 softmax parameters: OpenBLAS splits one dot of them by thread,
+    # and for these the split sum differs in the last bit
+    code = (
+        "from fedrf import models\n"
+        "spec = models.ModelSpec('softmax_linear', 128, 3, 16, l2_coeff=1e-3)\n"
+        "print(models._l2_term(spec, models.init_params(spec, 2)).hex())\n"
+    )
+    src = Path(models.__file__).resolve().parents[1]
+    values = {
+        threads: subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads)),
+        ).stdout
+        for threads in (1, 2)
+    }
+    assert values[1] == values[2]
+    spec = models.ModelSpec("softmax_linear", 128, 3, 16, l2_coeff=1e-3)
+    params = models.init_params(spec, 2)
+    exact = 0.5e-3 * math.fsum((params * params).tolist())
+    assert float.fromhex(values[1]) == pytest.approx(exact, rel=1e-14)
 
 
 def test_scratch_keeps_only_small_keyed_arrays():
