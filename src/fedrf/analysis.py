@@ -7,10 +7,13 @@ The federated round-gap recursion
 is checked on synthetic quadratic problems where every constant (smoothness
 L, strong convexity mu, stochastic-gradient variance sigma^2, AP drift
 zeta^2, minimizer and optimal value) is known exactly; ``fedrf verify-bound``
-is its one command-line caller. The module also provides estimators of
-sigma^2 and zeta^2 on real model/dataset pairs, and a numerical check of the
-gradient decomposition identity underlying the bound (both the corrected
-form and the literally printed one, which differ).
+is its one command-line caller. The problem, its Monte Carlo runs and the
+check take every setting from the config's ``analysis`` section, a
+``config.AnalysisConfig``, which declares each one's default and bounds once.
+The module also provides estimators of sigma^2 and zeta^2 on real
+model/dataset pairs, and a numerical check of the gradient decomposition
+identity underlying the bound (both the corrected form and the literally
+printed one, which differ).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import models
+from .config import AnalysisConfig
 
 _DOMAIN_QUAD = 0xB21
 _DOMAIN_VERIFY = 0xB22
@@ -40,16 +44,6 @@ class BoundTrace:
     stderr: np.ndarray
     bound: np.ndarray
     violations: np.ndarray  # round indices where empirical > bound + 3*stderr
-
-
-@dataclass
-class QuadRunConfig:
-    rounds: int
-    local_steps: int
-    batch_size: int
-    eta: float
-    modality_count: int = 1
-    seed: int = 0
 
 
 def grad_decomposition_residuals(
@@ -171,36 +165,27 @@ class QuadraticProblem:
         return self.noise_scale**2 / batch_size
 
 
-def make_quadratic_problem(
-    seed: int,
-    dim: int,
-    num_aps: int,
-    noise_scale: float,
-    mu_target: float = 1.0,
-    smoothness_target: float = 10.0,
-    drift_scale: float = 1.0,
-    init_radius: float = 1.0,
-) -> QuadraticProblem:
+def make_quadratic_problem(cfg: AnalysisConfig) -> QuadraticProblem:
     """Random problem with spectrum spanning [mu_target, smoothness_target].
 
     ``drift_scale`` sets the expected squared norm of each AP's gradient
-    offset from the global gradient (zero when num_aps == 1).
+    offset from the global gradient (zero when num_aps == 1), and the start
+    lies ``init_radius`` from the minimizer.
     """
-    if dim < 1 or num_aps < 1:
-        raise ValueError("dim and num_aps must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence((_DOMAIN_QUAD, seed)))
+    dim, num_aps = cfg.dim, cfg.num_aps
+    rng = np.random.default_rng(np.random.SeedSequence((_DOMAIN_QUAD, cfg.seed)))
     gauss = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))  # fix the QR sign ambiguity
     if dim == 1:
-        eigs = np.array([mu_target])
+        eigs = np.array([cfg.mu_target])
     else:
-        eigs = np.linspace(mu_target, smoothness_target, dim)
+        eigs = np.linspace(cfg.mu_target, cfg.smoothness_target, dim)
     a = (q * eigs) @ q.T
     a = 0.5 * (a + a.T)
     b_mean = rng.standard_normal(dim)
-    if num_aps > 1 and drift_scale > 0:
-        delta = rng.standard_normal((num_aps, dim)) * (drift_scale / np.sqrt(dim))
+    if num_aps > 1 and cfg.drift_scale > 0:
+        delta = rng.standard_normal((num_aps, dim)) * (cfg.drift_scale / np.sqrt(dim))
         delta -= delta.mean(axis=0)
     else:
         delta = np.zeros((num_aps, dim))
@@ -210,15 +195,15 @@ def make_quadratic_problem(
     problem = QuadraticProblem(
         a_matrix=a,
         b_vectors=b_vectors,
-        noise_scale=noise_scale,
+        noise_scale=cfg.noise_scale,
         w_init=np.zeros(dim),
     )
-    problem.w_init = problem.w_star + init_radius * direction
+    problem.w_init = problem.w_star + cfg.init_radius * direction
     return problem
 
 
 def simulate_quadratic_runs(
-    problem: QuadraticProblem, cfg: QuadRunConfig, num_runs: int
+    problem: QuadraticProblem, cfg: AnalysisConfig, num_runs: int
 ) -> np.ndarray:
     """Federated local-SGD trajectories on the quadratic, vectorized over runs.
 
@@ -262,7 +247,7 @@ def _gap_rows(problem: QuadraticProblem, w: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def verify_bound(
-    problem: QuadraticProblem, cfg: QuadRunConfig, seeds: int
+    problem: QuadraticProblem, cfg: AnalysisConfig, seeds: int
 ) -> BoundTrace:
     """Monte Carlo check that the mean gap stays under the iterated bound.
 

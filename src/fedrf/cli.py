@@ -214,34 +214,17 @@ def cmd_run(args, cfg, out: Path, outputs: List[str], seeds: List[int]) -> None:
 def cmd_verify_bound(args, cfg, out: Path, outputs: List[str], seeds: List[int]) -> None:
     a = cfg.analysis
     seeds.append(a.seed)
-    problem = analysis.make_quadratic_problem(
-        seed=a.seed,
-        dim=a.dim,
-        num_aps=a.num_aps,
-        noise_scale=a.noise_scale,
-        mu_target=a.mu_target,
-        smoothness_target=a.smoothness_target,
-        drift_scale=a.drift_scale,
-        init_radius=a.init_radius,
-    )
-    qcfg = analysis.QuadRunConfig(
-        rounds=a.rounds,
-        local_steps=a.local_steps,
-        batch_size=a.batch_size,
-        eta=a.eta,
-        modality_count=a.modality_count,
-        seed=a.seed,
-    )
-    trace = analysis.verify_bound(problem, qcfg, a.mc_seeds)
+    problem = analysis.make_quadratic_problem(a)
+    trace = analysis.verify_bound(problem, a, a.mc_seeds)
     _write(out, outputs, BOUND_TRACE_FILENAME, [
         ["round", "empirical_gap", "stderr", "bound"],
         *([str(r), _fmt(e), _fmt(s), _fmt(b)] for r, e, s, b in
           zip(trace.rounds, trace.empirical, trace.stderr, trace.bound)),
     ])
     summary = {
-        "rounds": int(qcfg.rounds),
-        "mc_seeds": int(a.mc_seeds),
-        "modality_count": int(qcfg.modality_count),
+        "rounds": a.rounds,
+        "mc_seeds": a.mc_seeds,
+        "modality_count": a.modality_count,
         "violations": [int(v) for v in trace.violations],
         "violation_count": int(len(trace.violations)),
         "constants": {

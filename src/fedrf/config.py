@@ -209,7 +209,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("partition.labels_per_ap too small to cover every transmitter")
 
     if m.kind not in ("softmax_linear", "mini_resnet"):
-        raise ConfigError(f"model.kind must be softmax_linear or mini_resnet")
+        raise ConfigError(f"model.kind must be softmax_linear or mini_resnet, got {m.kind!r}")
     if m.kernel_len % 2 == 0:
         raise ConfigError("model.kernel_len must be odd")
     if m.kind == "mini_resnet" and d.path is None and d.window_len % 4 != 0:

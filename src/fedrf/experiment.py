@@ -8,7 +8,7 @@ and ``fedrf personalize``, which fine-tunes a saved model on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -71,7 +71,7 @@ def prepare(
     cfg: cfg_mod.ExperimentConfig, ds: datafile.DatasetFile, seed: int
 ) -> RunResult:
     """One seed's setup, not yet trained: split, partition, model spec, training config."""
-    p, m, t = cfg.partition, cfg.model, cfg.training
+    p, t = cfg.partition, cfg.training
     split = split_train_test(ds, cfg.dataset.test_fraction, seed)
     if p.mode == "iid":
         partition = federation.partition_iid(split, p.num_aps, seed, t.modalities)
@@ -80,14 +80,10 @@ def prepare(
             split, p.num_aps, p.labels_per_ap, seed, t.modalities
         )
     spec = models.ModelSpec(
-        kind=m.kind,
+        **asdict(cfg.model),
         window_len=ds.window_len,
         num_modalities=len(t.modalities),
         num_classes=ds.num_transmitters,
-        l2_coeff=m.l2_coeff,
-        block_channels=m.block_channels,
-        kernel_len=m.kernel_len,
-        hidden=m.hidden,
     )
     train_cfg = federation.TrainingConfig(
         spec=spec,

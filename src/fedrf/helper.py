@@ -2,9 +2,11 @@
 
 ``tasks`` runs one share of the work in the calling process and the other, at
 the same time, in a helper forked for the stage when the CPU affinity holds
-two CPUs (``two_cpus``). The helper writes its results into anonymous shared
-mappings made before the fork. ``datafile.generate_dataset`` and
-``federation.run_training`` use it.
+two CPUs (``two_cpus``). The helper runs pinned to the last CPU of the
+affinity where the system allows it, so the scheduler cannot keep it on the
+caller's CPU; its results do not depend on where it runs. It writes them into
+anonymous shared mappings made before the fork. ``datafile.generate_dataset``
+and ``federation.run_training`` use it.
 """
 
 from __future__ import annotations
@@ -28,10 +30,13 @@ def _serve(work: Callable[[bytes, int], None], commands: int, replies: int) -> N
     answer each with an empty line on ``replies``; an exception is answered
     with one line naming it, and the process ends. It never returns into its
     caller's stack, writes nothing to stdout or stderr and ignores SIGINT,
-    which the parent handles for both.
+    which the parent handles for both. It pins itself to the last CPU of its
+    affinity, and runs unpinned where the system cannot pin it.
     """
     status = 1
     try:
+        with contextlib.suppress(AttributeError, OSError):
+            os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         sys.stdout = sys.stderr = open(os.devnull, "w")
         os.dup2(sys.stdout.fileno(), 1)

@@ -5,6 +5,7 @@ enforces the criterion's tolerance and runtime budget. The desk-scale
 experiment criteria load the shipped configs from ``configs/``.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -130,8 +131,8 @@ def test_criterion_3_gradient_correctness():
         assert rerr <= 1e-3, f"mini_resnet fd error {rerr}"
 
         # quadratic surrogate
-        prob = analysis.make_quadratic_problem(seed=9, dim=8, num_aps=1,
-                                               noise_scale=0.0)
+        prob = analysis.make_quadratic_problem(
+            cfg_mod.AnalysisConfig(seed=9, dim=8, num_aps=1, noise_scale=0.0))
         a, b = prob.a_matrix, prob.b_vectors[0]
         loss_fn = lambda w: 0.5 * w @ a @ w - b @ w
         w0 = np.random.default_rng(11).standard_normal(8)
@@ -161,25 +162,16 @@ def test_criterion_4_gradient_decomposition():
 
 def test_criterion_5_bound_on_quadratics():
     def body():
-        raw = json.loads((CONFIG_DIR / "quad_bound.json").read_text())["analysis"]
-        assert raw["dim"] == 8 and raw["num_aps"] == 4 and raw["local_steps"] == 5
-        prob = analysis.make_quadratic_problem(
-            seed=raw["seed"], dim=raw["dim"], num_aps=raw["num_aps"],
-            noise_scale=raw["noise_scale"], mu_target=raw["mu_target"],
-            smoothness_target=raw["smoothness_target"],
-            drift_scale=raw["drift_scale"], init_radius=raw["init_radius"],
-        )
-        contraction = raw["eta"] * raw["local_steps"] * prob.mu
+        a = cfg_mod.parse_config(CONFIG_DIR / "quad_bound.json").analysis
+        assert a.dim == 8 and a.num_aps == 4 and a.local_steps == 5
+        prob = analysis.make_quadratic_problem(a)
+        contraction = a.eta * a.local_steps * prob.mu
         assert contraction <= 0.2 + 1e-12
         traces = {}
         for m in (1, 3):
-            cfg = analysis.QuadRunConfig(
-                rounds=raw["rounds"], local_steps=raw["local_steps"],
-                batch_size=raw["batch_size"], eta=raw["eta"],
-                modality_count=m, seed=raw["seed"],
-            )
+            cfg = dataclasses.replace(a, modality_count=m)
             trace = analysis.verify_bound(prob, cfg, seeds=200)
-            frac = len(trace.violations) / (raw["rounds"] + 1)
+            frac = len(trace.violations) / (a.rounds + 1)
             assert frac <= 0.01, f"M={m}: {frac:.3f} violating rounds"
             traces[m] = trace
         assert traces[3].bound[0] == traces[1].bound[0]
@@ -190,21 +182,15 @@ def test_criterion_5_bound_on_quadratics():
 
 def test_criterion_6_noiseless_sanity():
     def body():
-        raw = json.loads((CONFIG_DIR / "quad_noiseless.json").read_text())["analysis"]
-        assert raw["noise_scale"] == 0.0 and raw["num_aps"] == 1
-        assert raw["local_steps"] == 1
-        prob = analysis.make_quadratic_problem(
-            seed=raw["seed"], dim=raw["dim"], num_aps=1, noise_scale=0.0,
-            drift_scale=0.0, init_radius=raw["init_radius"],
-        )
-        cfg = analysis.QuadRunConfig(
-            rounds=raw["rounds"], local_steps=1, batch_size=1, eta=raw["eta"]
-        )
+        cfg = cfg_mod.parse_config(CONFIG_DIR / "quad_noiseless.json").analysis
+        assert cfg.noise_scale == 0.0 and cfg.num_aps == 1
+        assert cfg.local_steps == 1
+        prob = analysis.make_quadratic_problem(cfg)
         trace = analysis.verify_bound(prob, cfg, seeds=1)
         a = prob.a_matrix
         eigs, q = np.linalg.eigh(a)
         e0 = q.T @ (prob.w_init - prob.w_star)
-        for t in range(raw["rounds"] + 1):
+        for t in range(cfg.rounds + 1):
             coords = ((1.0 - cfg.eta * eigs) ** t) * e0
             gap = 0.5 * float(np.sum(eigs * coords**2))
             assert abs(trace.empirical[t] - gap) <= 1e-9

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedrf import analysis, cli, datafile, experiment, federation, modality, models
+from fedrf.config import AnalysisConfig
 from conftest import ap_batches
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -125,7 +126,8 @@ def test_scalar_quadratic_exact_values():
 
 
 def test_quadratic_minimizer_and_spectrum():
-    prob = analysis.make_quadratic_problem(seed=4, dim=8, num_aps=4, noise_scale=0.5)
+    prob = analysis.make_quadratic_problem(
+        AnalysisConfig(seed=4, dim=8, num_aps=4, noise_scale=0.5))
     assert np.linalg.norm(prob.a_matrix @ prob.w_star - prob.b_mean) <= 1e-10
     eigs = np.linalg.eigvalsh(prob.a_matrix)
     assert prob.mu <= eigs[0] + 1e-9
@@ -152,7 +154,8 @@ def test_quadratic_drift_closed_form():
 
 
 def test_sigma2_exact_for_batch():
-    prob = analysis.make_quadratic_problem(seed=1, dim=4, num_aps=2, noise_scale=0.8)
+    prob = analysis.make_quadratic_problem(
+        AnalysisConfig(seed=1, dim=4, num_aps=2, noise_scale=0.8))
     assert prob.sigma2(8) == pytest.approx(0.64 / 8, abs=1e-15)
 
 
@@ -228,10 +231,10 @@ def test_zeta2_iid_below_noniid():
 # bound verification
 
 def test_verify_bound_noiseless_matches_closed_form():
-    prob = analysis.make_quadratic_problem(
+    prob = analysis.make_quadratic_problem(AnalysisConfig(
         seed=6, dim=8, num_aps=1, noise_scale=0.0, drift_scale=0.0, init_radius=1.0
-    )
-    cfg = analysis.QuadRunConfig(rounds=50, local_steps=1, batch_size=1, eta=0.05)
+    ))
+    cfg = AnalysisConfig(rounds=50, local_steps=1, batch_size=1, eta=0.05, seed=0)
     trace = analysis.verify_bound(prob, cfg, seeds=1)
     # closed form via eigendecomposition of the exact gradient-descent map
     a = prob.a_matrix
@@ -245,13 +248,13 @@ def test_verify_bound_noiseless_matches_closed_form():
 
 
 def test_verify_bound_monte_carlo_and_m_ordering():
-    prob = analysis.make_quadratic_problem(
+    prob = analysis.make_quadratic_problem(AnalysisConfig(
         seed=5, dim=8, num_aps=4, noise_scale=1.0, init_radius=0.15
-    )
-    c1 = analysis.QuadRunConfig(rounds=30, local_steps=5, batch_size=8, eta=0.035,
-                                modality_count=1, seed=0)
-    c3 = analysis.QuadRunConfig(rounds=30, local_steps=5, batch_size=8, eta=0.035,
-                                modality_count=3, seed=0)
+    ))
+    c1 = AnalysisConfig(rounds=30, local_steps=5, batch_size=8, eta=0.035,
+                        modality_count=1, seed=0)
+    c3 = AnalysisConfig(rounds=30, local_steps=5, batch_size=8, eta=0.035,
+                        modality_count=3, seed=0)
     t1 = analysis.verify_bound(prob, c1, seeds=100)
     t3 = analysis.verify_bound(prob, c3, seeds=100)
     assert len(t1.violations) == 0
@@ -265,11 +268,11 @@ def test_verify_bound_monte_carlo_and_m_ordering():
 def test_one_step_noise_law_closed_form(modality_count, batch_size):
     # one AP, one local step, one round: w1 - w* = (I - eta A)(w0 - w*) - eta xi,
     # with xi ~ N(0, s^2 / (M d B) I), so E[gap1] adds eta^2 s^2 tr(A) / (2 M d B)
-    prob = analysis.make_quadratic_problem(
+    prob = analysis.make_quadratic_problem(AnalysisConfig(
         seed=12, dim=8, num_aps=1, noise_scale=1.0, init_radius=0.1
-    )
-    cfg = analysis.QuadRunConfig(rounds=1, local_steps=1, batch_size=batch_size,
-                                 eta=0.05, modality_count=modality_count, seed=4)
+    ))
+    cfg = AnalysisConfig(rounds=1, local_steps=1, batch_size=batch_size,
+                         eta=0.05, modality_count=modality_count, seed=4)
     runs = 20_000
     gap1 = analysis.simulate_quadratic_runs(prob, cfg, runs)[:, 1]
     a = prob.a_matrix
@@ -302,13 +305,20 @@ BOUND_DIGESTS = [
 ]
 
 
+# an empty analysis section: AnalysisConfig's defaults are quad_bound's M = 1
+# settings, and nothing else declares a default for them
+EMPTY_ANALYSIS = pytest.param(None, None, *BOUND_DIGESTS[0][2:], id="empty-analysis-section")
+
+
 @pytest.mark.parametrize("name, modality_count, trace_digest, summary_digest",
-                         BOUND_DIGESTS)
+                         [*BOUND_DIGESTS, EMPTY_ANALYSIS])
 def test_verify_bound_output_bytes_are_pinned(
     tmp_path, name, modality_count, trace_digest, summary_digest
 ):
-    raw = json.loads((CONFIG_DIR / name).read_text())
-    raw["analysis"]["modality_count"] = modality_count
+    raw = {"analysis": {}}
+    if name is not None:
+        raw = json.loads((CONFIG_DIR / name).read_text())
+        raw["analysis"]["modality_count"] = modality_count
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "out"
@@ -319,9 +329,10 @@ def test_verify_bound_output_bytes_are_pinned(
 
 
 def test_verify_bound_deterministic():
-    prob = analysis.make_quadratic_problem(seed=7, dim=4, num_aps=2, noise_scale=0.5)
-    cfg = analysis.QuadRunConfig(rounds=10, local_steps=3, batch_size=4, eta=0.05,
-                                 modality_count=1, seed=9)
+    prob = analysis.make_quadratic_problem(
+        AnalysisConfig(seed=7, dim=4, num_aps=2, noise_scale=0.5, init_radius=1.0))
+    cfg = AnalysisConfig(rounds=10, local_steps=3, batch_size=4, eta=0.05,
+                         modality_count=1, seed=9)
     a = analysis.verify_bound(prob, cfg, seeds=20)
     b = analysis.verify_bound(prob, cfg, seeds=20)
     assert np.array_equal(a.empirical, b.empirical)
@@ -329,8 +340,9 @@ def test_verify_bound_deterministic():
 
 
 def test_verify_bound_inapplicable_config():
-    prob = analysis.make_quadratic_problem(seed=8, dim=4, num_aps=2, noise_scale=0.5)
-    cfg = analysis.QuadRunConfig(rounds=5, local_steps=30, batch_size=4, eta=0.05)
+    prob = analysis.make_quadratic_problem(
+        AnalysisConfig(seed=8, dim=4, num_aps=2, noise_scale=0.5, init_radius=1.0))
+    cfg = AnalysisConfig(rounds=5, local_steps=30, batch_size=4, eta=0.05, seed=0)
     with pytest.raises(analysis.BoundInapplicableError):
         analysis.verify_bound(prob, cfg, seeds=5)
 

@@ -120,6 +120,8 @@ COERCION_CASES = [
     ("dataset.snr_db", 4000, None, SNR_ERROR + "4000.0"),
     ("dataset.snr_db", -4000, None, SNR_ERROR + "-4000.0"),
     ("analysis.enabled", True, None, "unknown key: analysis.enabled"),
+    ("model.kind", "bogus", None,
+     "model.kind must be softmax_linear or mini_resnet, got 'bogus'"),
 ]
 
 
