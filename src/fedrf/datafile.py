@@ -7,9 +7,10 @@ File layout (little endian):
     |A|     u32      transmitter count
     len     u32      samples per waveform
     count   u64      record count
-    records count x (u16 label, len x 2 float32 interleaved I/Q)
+    records count x (u16 label, len x complex64)
 
-Waveforms are generated in float64 and quantized to float32 on packing, so
+A record's samples are the little-endian bytes of its complex64 values, float32
+(re, im) pairs. Waveforms are generated in float64 and stored as complex64, so
 the in-memory dataset equals its on-disk representation bit for bit.
 """
 
@@ -133,7 +134,7 @@ def generate_dataset(
 
 
 def _record_dtype(window_len: int) -> np.dtype:
-    return np.dtype([("label", "<u2"), ("iq", "<f4", (2 * window_len,))])
+    return np.dtype([("label", "<u2"), ("iq", "<c8", (window_len,))])
 
 
 def write_dataset(ds: DatasetFile, path) -> None:
@@ -141,10 +142,7 @@ def write_dataset(ds: DatasetFile, path) -> None:
     rec_dtype = _record_dtype(ds.window_len)
     records = np.empty(len(ds), dtype=rec_dtype)
     records["label"] = ds.labels
-    flat = np.empty((len(ds), 2 * ds.window_len), dtype=np.float32)
-    flat[:, 0::2] = ds.iq.real
-    flat[:, 1::2] = ds.iq.imag
-    records["iq"] = flat
+    records["iq"] = ds.iq
     header = _HEADER.pack(MAGIC, VERSION, ds.num_transmitters, ds.window_len, len(ds))
     path.write_bytes(header + records.tobytes())
 
@@ -167,15 +165,15 @@ def read_dataset(path) -> DatasetFile:
     if window_len < 2:
         raise BadHeaderError(f"header declares window_len {window_len}, need at least 2")
     rec_dtype = _record_dtype(window_len)
-    body = data[_HEADER.size :]
+    found = len(data) - _HEADER.size
     expected = count * rec_dtype.itemsize
-    if len(body) < expected:
+    if found < expected:
         raise TruncatedFileError(
-            f"record section truncated: expected {expected} bytes, found {len(body)}"
+            f"record section truncated: expected {expected} bytes, found {found}"
         )
-    if len(body) > expected:
+    if found > expected:
         raise DatasetFormatError("trailing bytes after final record")
-    records = np.frombuffer(body, dtype=rec_dtype, count=count)
+    records = np.frombuffer(data, dtype=rec_dtype, count=count, offset=_HEADER.size)
     labels = records["label"]
     bad = labels >= num_tx
     if bad.any():
@@ -184,13 +182,11 @@ def read_dataset(path) -> DatasetFile:
             f"record {row} has label {labels[row]}, but the header declares "
             f"{num_tx} transmitters"
         )
-    flat = records["iq"]
-    bad = ~np.isfinite(flat).all(axis=1)
+    # the field sits 2 bytes into each record: copy it once, aligned and native
+    iq = records["iq"].astype(np.complex64)
+    bad = ~np.isfinite(iq.view(np.float32)).all(axis=1)
     if bad.any():
         raise BadRecordError(f"record {int(np.argmax(bad))} has a non-finite sample")
-    iq = np.empty((count, window_len), dtype=np.complex64)
-    iq.real = flat[:, 0::2]
-    iq.imag = flat[:, 1::2]
     return DatasetFile(
         num_transmitters=num_tx,
         window_len=window_len,

@@ -39,14 +39,14 @@ def transform(iq: np.ndarray, modality: str) -> np.ndarray:
     ``iq``: (Re r[k], Im r[k]). ``dft``: (Re R[p], Im R[p]) of the
     unnormalized DFT sum. ``amp_phase``: (|r[k]|, angle(r[k])) with the angle
     in (-pi, pi] and angle(0) = 0. Rows are transformed independently, so row
-    i of a batch equals the transform of waveform i alone.
+    i of a batch equals the transform of waveform i alone. The ``iq`` and
+    ``dft`` columns are float64 views of complex128 (re, im) pairs; for ``iq``,
+    of the argument itself when it is already complex128.
     """
     x = np.asarray(iq, dtype=np.complex128)
-    if modality == MODALITY_IQ:
-        return np.stack([x.real, x.imag], axis=-1)
-    if modality == MODALITY_DFT:
-        spec = np.fft.fft(x, axis=-1)
-        return np.stack([spec.real, spec.imag], axis=-1)
+    if modality in (MODALITY_IQ, MODALITY_DFT):
+        z = np.fft.fft(x, axis=-1) if modality == MODALITY_DFT else x
+        return z[..., None].view(np.float64)
     if modality == MODALITY_AMP_PHASE:
         amp = np.abs(x)
         phase = np.angle(x)

@@ -777,6 +777,23 @@ def test_noniid_run_on_dataset_file_uses_its_label_count(tmp_path):
     assert manifest["error"] == "more overlap slots than labels (a label would need >2 APs)"
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_run_from_gen_data_file_writes_the_bits_of_a_generating_run(tmp_path, monkeypatch,
+                                                                     cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    generating = small_desk(tmp_path, training={"modalities": list(modality.ALL_MODALITIES)})
+    assert cli.main(["gen-data", "--config", str(generating), "--out", str(tmp_path / "d")]) == 0
+    raw = json.loads(generating.read_text())
+    raw["dataset"] = {"path": str(tmp_path / "d" / cli.DATASET_FILENAME), "test_fraction": 0.25}
+    from_file = write_cfg(tmp_path, raw, name="from_file.json")
+    outs = tmp_path / "gen", tmp_path / "file"
+    for cfg_path, out in zip((generating, from_file), outs):
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for name in (cli.METRICS_FILENAME, "model_seed1.npz", "model_seed2.npz",
+                 cli.PERSONALIZE_FILENAME):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_run_failure_writes_manifest(tmp_path):
     # dataset path that does not exist -> run fails, manifest records it
     cfg_path = small_desk(tmp_path, dataset={"path": str(tmp_path / "missing.rfds")})

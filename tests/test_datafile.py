@@ -105,18 +105,30 @@ def test_overflow_in_the_helpers_transmitters_gives_the_one_process_error(monkey
 
 
 def test_round_trip_bit_exact(tmp_path):
-    ds = datafile.generate_dataset(4, 5, 24, 8.0, 3)
-    path = tmp_path / "data.rfds"
-    datafile.write_dataset(ds, path)
-    back = datafile.read_dataset(path)
-    assert back.num_transmitters == ds.num_transmitters
-    assert back.window_len == ds.window_len
-    assert np.array_equal(back.labels, ds.labels)
-    assert back.iq.tobytes() == ds.iq.tobytes()
-    # writing again yields identical bytes
-    path2 = tmp_path / "data2.rfds"
-    datafile.write_dataset(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    for window_len in (24, 33):
+        ds = datafile.generate_dataset(4, 5, window_len, 8.0, 3)
+        path = tmp_path / "data.rfds"
+        datafile.write_dataset(ds, path)
+        back = datafile.read_dataset(path)
+        assert back.num_transmitters == ds.num_transmitters
+        assert back.window_len == ds.window_len
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.iq.tobytes() == ds.iq.tobytes()
+        # a record's samples, 2 bytes after its label, are the iq row's bytes
+        records = np.frombuffer(path.read_bytes(), np.uint8, offset=24).reshape(len(ds), -1)
+        assert records[:, 2:].tobytes() == back.iq.astype("<c8").tobytes()
+        # a native copy, not the unaligned record field
+        assert back.iq.dtype == np.complex64
+        assert back.iq.flags.c_contiguous and back.iq.flags.aligned
+        # writing again yields identical bytes, from non-contiguous rows too
+        wide = np.zeros((len(ds), 2 * window_len), np.complex64)
+        wide[:, ::2] = ds.iq
+        for iq in (back.iq, wide[:, ::2], np.asfortranarray(ds.iq)):
+            path2 = tmp_path / "data2.rfds"
+            datafile.write_dataset(
+                datafile.DatasetFile(ds.num_transmitters, window_len, ds.labels, iq), path2
+            )
+            assert path.read_bytes() == path2.read_bytes()
 
 
 def test_bad_magic(tmp_path):

@@ -57,6 +57,31 @@ def test_dft_matches_brute_force(ell):
         assert err / np.max(np.abs(ref)) <= 1e-9
 
 
+def stacked_columns(r, mod):
+    """The (..., L, 2) iq or dft columns built by stacking copies of the parts."""
+    x = np.asarray(r, dtype=np.complex128)
+    z = np.fft.fft(x, axis=-1) if mod == "dft" else x
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+@pytest.mark.parametrize("ell", [16, 33])
+@pytest.mark.parametrize("mod", ["iq", "dft"])
+def test_iq_and_dft_columns_equal_the_stacked_parts_bitwise(mod, ell):
+    rng = np.random.default_rng(ell)
+    x = rng.standard_normal((6, ell)) + 1j * rng.standard_normal((6, ell))
+    x[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, np.nan)]
+    for r in (x, x.astype(np.complex64), x[3], x[::2], x[:, 1:]):
+        got, ref = modality.transform(r, mod), stacked_columns(r, mod)
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+        assert got.tobytes() == ref.tobytes()
+    # the iq columns of complex128 waveforms are a view of them, and fitting
+    # normalization on them copies each column before it overwrites it
+    assert np.shares_memory(modality.transform(x, "iq"), x)
+    before = x.tobytes()
+    modality.fit_normalization(x[1:], (mod,))
+    assert x.tobytes() == before
+
+
 def test_parseval():
     rng = np.random.default_rng(3)
     r = rng.standard_normal(128) + 1j * rng.standard_normal(128)
