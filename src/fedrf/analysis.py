@@ -177,10 +177,7 @@ def make_quadratic_problem(cfg: AnalysisConfig) -> QuadraticProblem:
     gauss = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))  # fix the QR sign ambiguity
-    if dim == 1:
-        eigs = np.array([cfg.mu_target])
-    else:
-        eigs = np.linspace(cfg.mu_target, cfg.smoothness_target, dim)
+    eigs = np.linspace(cfg.mu_target, cfg.smoothness_target, dim)
     a = (q * eigs) @ q.T
     a = 0.5 * (a + a.T)
     b_mean = rng.standard_normal(dim)

@@ -138,13 +138,12 @@ def _record_dtype(window_len: int) -> np.dtype:
 
 
 def write_dataset(ds: DatasetFile, path) -> None:
-    path = Path(path)
-    rec_dtype = _record_dtype(ds.window_len)
-    records = np.empty(len(ds), dtype=rec_dtype)
+    records = np.empty(len(ds), dtype=_record_dtype(ds.window_len))
     records["label"] = ds.labels
     records["iq"] = ds.iq
-    header = _HEADER.pack(MAGIC, VERSION, ds.num_transmitters, ds.window_len, len(ds))
-    path.write_bytes(header + records.tobytes())
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, VERSION, ds.num_transmitters, ds.window_len, len(ds)))
+        f.write(records.data)
 
 
 def read_dataset(path) -> DatasetFile:

@@ -69,10 +69,13 @@ class Partition:
     belongs to the split it was built from.
     """
 
-    num_aps: int
     indices: List[np.ndarray]
     label_sets: List[np.ndarray]
     stats: List[modality.NormStats]
+
+    @property
+    def num_aps(self) -> int:
+        return len(self.indices)
 
 
 @dataclass
@@ -119,7 +122,7 @@ def _finalize_partition(
     indices = [np.sort(np.asarray(ix, dtype=np.int64)) for ix in indices]
     label_sets = [np.unique(data.train_labels[ix]) for ix in indices]
     stats = [modality.fit_normalization(data.train_iq[ix], selection) for ix in indices]
-    return Partition(len(indices), indices, label_sets, stats)
+    return Partition(indices, label_sets, stats)
 
 
 def partition_iid(
@@ -152,11 +155,14 @@ def partition_noniid(
 ) -> Partition:
     """Label-skewed partition: each AP holds ``labels_per_ap`` labels.
 
-    Exactly ``num_aps*labels_per_ap - num_labels`` labels, counted from
-    ``data``, are shared between two APs (their examples split evenly);
-    every other label belongs to a single AP and no label appears at more
-    than two APs. Each shard's normalization is fit for the ``selection``
-    modalities.
+    Exactly ``shared = num_aps*labels_per_ap - num_labels`` labels, counted
+    from ``data``, are shared between two APs (their examples split evenly);
+    every other label belongs to a single AP. The labels are dealt in one
+    pass over a random order: each goes to the APs with the most free slots,
+    ties broken by a fresh random ranking of the APs, the first ``shared``
+    labels to the top two and the rest to the top one, so capacities stay
+    balanced and a pair is always distinct. Each shard's normalization is fit
+    for the ``selection`` modalities.
     """
     num_labels = data.num_transmitters
     shared = num_aps * labels_per_ap - num_labels
@@ -170,31 +176,16 @@ def partition_noniid(
         raise ValueError("shared labels need at least 2 APs")
 
     rng = np.random.default_rng(np.random.SeedSequence((_DOMAIN_PARTITION, seed)))
-    order = rng.permutation(num_labels)
-    doubled = order[:shared]
-    singles = order[shared:]
-
     capacity = np.full(num_aps, labels_per_ap, dtype=np.int64)
     assigned: List[List[int]] = [[] for _ in range(num_labels)]
-
-    # shared labels first: take the two APs with the most free slots, so
-    # capacities stay balanced and the pair is always distinct
-    for label in doubled:
+    for i, label in enumerate(rng.permutation(num_labels)):
         tiebreak = rng.permutation(num_aps)
         ranked = sorted(range(num_aps), key=lambda a: (-capacity[a], tiebreak[a]))
-        first, second = ranked[0], ranked[1]
-        if capacity[first] < 1 or capacity[second] < 1:
+        aps = ranked[: 2 if i < shared else 1]
+        if capacity[aps[-1]] < 1:
             raise ValueError("infeasible partition: not enough free label slots")
-        assigned[label] = [first, second]
-        capacity[first] -= 1
-        capacity[second] -= 1
-    for label in singles:
-        tiebreak = rng.permutation(num_aps)
-        ap = min(range(num_aps), key=lambda a: (-capacity[a], tiebreak[a]))
-        if capacity[ap] < 1:
-            raise ValueError("infeasible partition: not enough free label slots")
-        assigned[label] = [ap]
-        capacity[ap] -= 1
+        assigned[label] = aps
+        capacity[aps] -= 1
 
     indices: List[list] = [[] for _ in range(num_aps)]
     for label in range(num_labels):

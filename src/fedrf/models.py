@@ -689,13 +689,13 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
 # finite-difference verification
 
 def _activation_signature(spec: ModelSpec, params: np.ndarray, batch: Batch):
-    """Loss plus a fingerprint of every ReLU mask and pooling argmax."""
+    """``batch_loss`` and, for mini_resnet, copies of every ReLU mask and
+    pooling argmax from one more forward pass that keeps them (None for
+    softmax_linear)."""
+    loss = batch_loss(spec, params, batch)
     if spec.kind == KIND_SOFTMAX:
-        return batch_loss(spec, params, batch), None
-    logits, cache = _resnet_forward(spec, param_views(spec, params), batch.inputs, keep=True)
-    loss = _mean(_row_losses(logits, batch.labels))
-    if spec.l2_coeff:
-        loss += _l2_term(spec, params)
+        return loss, None
+    _, cache = _resnet_forward(spec, param_views(spec, params), batch.inputs, keep=True)
     return loss, [m.copy() for m in cache["masks"]]
 
 
@@ -736,7 +736,8 @@ def central_diff_max_error(loss_fn, params: np.ndarray, grad: np.ndarray,
 
 def finite_diff_check(spec: ModelSpec, params: np.ndarray, batch: Batch, step: float = 1e-5,
                       num_coords: Optional[int] = None, seed: int = 0) -> Tuple[float, int]:
-    """Compare loss_and_grad against central differences.
+    """Compare loss_and_grad's gradient against central differences of
+    ``batch_loss``, the loss that training and evaluation report.
 
     Every coordinate is checked unless ``num_coords`` is smaller than the
     parameter count; then coordinates are drawn in a random order until

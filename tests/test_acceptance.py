@@ -292,8 +292,11 @@ def test_criterion_10_personalization():
                     assert len(set(befores)) == 1, "iid before accuracies differ"
                 for p in pers:
                     gains[p.ap].append(p.after_acc - p.before_acc)
-            for ap, diffs in gains.items():
-                assert np.median(diffs) >= 0.0, f"{mode} ap{ap} regressed"
+            medians = {ap: float(np.median(diffs)) for ap, diffs in gains.items()}
+            print("    %s median gains: %s" % (
+                mode, " / ".join("ap%d %+.5f" % item for item in medians.items())))
+            for ap, med in medians.items():
+                assert med >= 0.0, f"{mode} ap{ap} regressed"
 
     _report(10, "personalized fine-tuning improves every AP (both profiles)", 120, body)
 

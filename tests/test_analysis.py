@@ -136,6 +136,20 @@ def test_quadratic_minimizer_and_spectrum():
     assert prob.smoothness == pytest.approx(10.0, rel=1e-9)
 
 
+def test_one_dimensional_quadratic():
+    # np.linspace(mu, L, 1) is [mu]: the single curvature is mu_target
+    cfg = AnalysisConfig(dim=1, num_aps=3, mu_target=2.0, smoothness_target=10.0,
+                         noise_scale=0.5, init_radius=0.5, rounds=10, local_steps=2,
+                         batch_size=4, eta=0.05, seed=3)
+    prob = analysis.make_quadratic_problem(cfg)
+    assert prob.a_matrix.tolist() == [[2.0]]
+    assert prob.mu == prob.smoothness == 2.0
+    trace = analysis.verify_bound(prob, cfg, seeds=50)
+    assert len(trace.empirical) == len(trace.bound) == cfg.rounds + 1
+    assert np.all(np.isfinite(trace.empirical))
+    assert len(trace.violations) == 0
+
+
 def test_quadratic_drift_closed_form():
     a = np.array([[3.0, 0.0], [0.0, 1.0]])
     b = np.array([[1.0, 0.0], [0.0, 1.0]])  # b_mean = (0.5, 0.5)

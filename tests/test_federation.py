@@ -111,9 +111,63 @@ def test_noniid_infeasible_counts():
         federation.partition_noniid(split, 2, 1, seed=0, selection=("iq",))  # cannot cover
 
 
+def _two_loop_noniid_indices(split, num_aps, labels_per_ap, seed):
+    """The non-IID deal as two loops, shared labels and then single ones:
+    the reference that ``partition_noniid``'s one loop must reproduce."""
+    num_labels = split.num_transmitters
+    shared = num_aps * labels_per_ap - num_labels
+    if shared < 0:
+        raise ValueError("num_aps*labels_per_ap must cover every label")
+    if shared > num_labels:
+        raise ValueError("more overlap slots than labels (a label would need >2 APs)")
+    if labels_per_ap > num_labels:
+        raise ValueError("labels_per_ap exceeds the number of labels")
+    if shared > 0 and num_aps < 2:
+        raise ValueError("shared labels need at least 2 APs")
+    rng = np.random.default_rng(
+        np.random.SeedSequence((federation._DOMAIN_PARTITION, seed)))
+    order = rng.permutation(num_labels)
+    capacity = np.full(num_aps, labels_per_ap, dtype=np.int64)
+    assigned = [[] for _ in range(num_labels)]
+    for label in order[:shared]:
+        tiebreak = rng.permutation(num_aps)
+        ranked = sorted(range(num_aps), key=lambda a: (-capacity[a], tiebreak[a]))
+        first, second = ranked[0], ranked[1]
+        if capacity[first] < 1 or capacity[second] < 1:
+            raise ValueError("infeasible partition: not enough free label slots")
+        assigned[label] = [first, second]
+        capacity[first] -= 1
+        capacity[second] -= 1
+    for label in order[shared:]:
+        tiebreak = rng.permutation(num_aps)
+        ap = min(range(num_aps), key=lambda a: (-capacity[a], tiebreak[a]))
+        if capacity[ap] < 1:
+            raise ValueError("infeasible partition: not enough free label slots")
+        assigned[label] = [ap]
+        capacity[ap] -= 1
+    indices = [[] for _ in range(num_aps)]
+    for label in range(num_labels):
+        rows = np.flatnonzero(split.train_labels == label)
+        if len(rows) == 0:
+            raise ValueError(f"label {label} has no training examples")
+        aps = assigned[label]
+        if len(aps) == 1:
+            indices[aps[0]].extend(rows)
+        else:
+            if len(rows) < 2:
+                raise ValueError(f"shared label {label} needs >= 2 examples")
+            rows = rng.permutation(rows)
+            half = (len(rows) + 1) // 2
+            indices[aps[0]].extend(rows[:half])
+            indices[aps[1]].extend(rows[half:])
+    return [np.sort(np.array(ix, dtype=np.int64)) for ix in indices]
+
+
 def test_noniid_assignment_fuzz():
     # every count on the grid: a ValueError exactly when no label-skewed
-    # partition exists, otherwise the shared-label contracts hold
+    # partition exists, with the message of the two-loop reference;
+    # otherwise the shared-label contracts hold and the shards are the
+    # reference's, byte for byte
     feasible = 0
     for num_tx in range(2, 13):
         split = make_split(num_tx=num_tx, per_tx=6)
@@ -123,12 +177,23 @@ def test_noniid_assignment_fuzz():
                 possible = 0 <= shared <= num_tx and (shared == 0 or aps >= 2)
                 for seed in range(3):
                     if not possible:
-                        with pytest.raises(ValueError):
+                        with pytest.raises(ValueError) as expected:
+                            _two_loop_noniid_indices(split, aps, lpa, seed)
+                        with pytest.raises(ValueError) as got:
                             federation.partition_noniid(split, aps, lpa, seed=seed,
                                                         selection=("iq",))
+                        assert str(got.value) == str(expected.value)
                         continue
                     part = federation.partition_noniid(split, aps, lpa, seed=seed,
                                                        selection=("iq",))
+                    reference = _two_loop_noniid_indices(split, aps, lpa, seed)
+                    assert part.num_aps == len(reference) == aps
+                    for ix, ref in zip(part.indices, reference):
+                        assert ix.dtype == ref.dtype and ix.tobytes() == ref.tobytes()
+                    for labels, ref in zip(part.label_sets, reference):
+                        ref_labels = np.unique(split.train_labels[ref])
+                        assert labels.dtype == ref_labels.dtype
+                        assert labels.tobytes() == ref_labels.tobytes()
                     counts = np.zeros(num_tx, dtype=int)
                     for s in part.label_sets:
                         assert len(s) == lpa
