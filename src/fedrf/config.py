@@ -6,7 +6,8 @@ offending dotted key named in the error message. Each section's dataclass is
 the one place its keys, types, defaults and bounds are declared: a value is
 checked against the annotation of its field, and a number against the bound
 its field declares with ``_bound`` (each element of a tuple; an unset
-Optional passes), failing as ``<key> must be >= <low>``, ``> <low>`` or
+Optional passes) by ``check_bounds``, which the library entries that take
+these values call too, failing as ``<key> must be >= <low>``, ``> <low>`` or
 ``finite, got <value>``. ``validate`` keeps the other rules: enumerations,
 odd and divisible sizes, intervals and rules that relate two keys.
 """
@@ -168,13 +169,15 @@ def _bounds(cls) -> tuple:
     return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
 
 
-def _check_bounds(section, prefix: str) -> None:
-    """Check every bounded value of ``section``; errors name ``prefix + name``."""
-    for name, low, above, bits in _bounds(type(section)):
-        value = getattr(section, name)
+def check_bounds(obj, cls, prefix: str) -> None:
+    """Check each value of ``obj`` that a field of section class ``cls`` bounds,
+    where ``obj`` has that field; errors name ``prefix + name``, so
+    ``generate_dataset``, ``TrainingConfig`` and ``ModelSpec`` use ``validate``'s words."""
+    for name, low, above, bits in _bounds(cls):
+        value = getattr(obj, name, None)
         key = prefix + name
         for v in value if isinstance(value, tuple) else (value,):
-            if v is None:  # an unset Optional
+            if v is None:  # a field ``obj`` lacks, or an unset Optional
                 continue
             # NaN passes every comparison below, and an infinity overflows the runs
             if isinstance(v, float) and not math.isfinite(v):
@@ -191,13 +194,14 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     d, p, m, t, a = cfg.dataset, cfg.partition, cfg.model, cfg.training, cfg.analysis
     # a dataset file replaces the generation keys, so only generation checks them
     if d.path is None:
-        _check_bounds(d, "dataset.")
+        check_bounds(d, DatasetConfig, "dataset.")
         try:
             waveforms.snr_ratio(d.snr_db)
         except ValueError as exc:
             raise ConfigError(f"dataset.{exc}") from None
     for name in ("partition", "model", "training", "analysis", "personalization"):
-        _check_bounds(getattr(cfg, name), name + ".")
+        section = getattr(cfg, name)
+        check_bounds(section, type(section), name + ".")
     if not 0.0 < d.test_fraction < 1.0:
         raise ConfigError("dataset.test_fraction must be in (0, 1)")
 

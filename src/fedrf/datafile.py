@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from . import helper, waveforms
+from . import config, helper, waveforms
 
 MAGIC = b"RFDS"
 VERSION = 1
@@ -82,53 +82,46 @@ class DatasetFile:
         return len(self.labels)
 
 
-def generate_dataset(
-    num_transmitters: int,
-    per_tx_count: int,
-    window_len: int,
-    snr_db: float,
-    master_seed: int,
-) -> DatasetFile:
-    """Generate a labeled dataset of fingerprinted noisy waveforms.
+def generate_dataset(cfg: config.DatasetConfig) -> DatasetFile:
+    """Generate the labeled dataset of fingerprinted noisy waveforms ``cfg`` sets.
 
-    Records are fully deterministic given ``master_seed``: each record draws
+    ``cfg`` is checked against ``config.DatasetConfig``'s bounds in
+    ``config.validate``'s words; its ``path`` and ``test_fraction`` are not
+    read. Records are fully deterministic given ``cfg.seed``: each record draws
     from its own stream keyed by (seed, transmitter, record index), so
     generation order does not matter. Each transmitter's records go through
     the impairment chain and the channel as one batch, into an anonymous
     shared mapping; when ``helper.two_cpus()``, a forked helper process
     generates transmitters ``[T//2:]`` while this process generates the rest.
     """
-    if not 2 <= num_transmitters <= 1 << 16:
+    config.check_bounds(cfg, config.DatasetConfig, "dataset.")
+    if cfg.num_transmitters > 1 << 16:
         raise ValueError("need 2 to 65536 transmitters (labels are u16)")
-    if per_tx_count < 1:
-        raise ValueError("per_tx_count must be >= 1")
-    if window_len < 2:
-        raise ValueError("window_len must be >= 2")
-    waveforms.snr_ratio(snr_db)
+    waveforms.snr_ratio(cfg.snr_db)
 
-    shape = (num_transmitters, per_tx_count, window_len)
+    num_tx, per_tx, window_len = shape = cfg.num_transmitters, cfg.per_tx_count, cfg.window_len
     iq = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.complex64).reshape(shape)
 
     @np.errstate(over="ignore")
     def work(task: bytes, t: int, txs: range) -> None:
         for tx in txs:
-            profile = waveforms.synth_transmitter_profile(master_seed, tx)
-            symbols, normals = waveforms.record_draws(master_seed, tx, per_tx_count, window_len)
+            profile = waveforms.synth_transmitter_profile(cfg.seed, tx)
+            symbols, normals = waveforms.record_draws(cfg.seed, tx, per_tx, window_len)
             wf = waveforms.apply_fingerprint(profile, symbols, normals[0])
-            iq[tx] = waveforms.add_awgn(wf, snr_db, normals[1:])
+            iq[tx] = waveforms.add_awgn(wf, cfg.snr_db, normals[1:])
 
     fork = helper.two_cpus()
-    cut = num_transmitters // 2 if fork else num_transmitters
-    with helper.tasks(work, (range(cut),), (range(cut, num_transmitters),), fork,
+    cut = num_tx // 2 if fork else num_tx
+    with helper.tasks(work, (range(cut),), (range(cut, num_tx),), fork,
                       "dataset", "generation") as run:
         run(b"G", 0)
     # a float32 overflow writes inf samples, which read_dataset would reject
     if not np.isfinite(iq).all():
-        raise ValueError(f"snr_db {snr_db} puts samples beyond the float32 range")
+        raise ValueError(f"snr_db {cfg.snr_db} puts samples beyond the float32 range")
     return DatasetFile(
-        num_transmitters=num_transmitters,
+        num_transmitters=num_tx,
         window_len=window_len,
-        labels=np.repeat(np.arange(num_transmitters), per_tx_count),
+        labels=np.repeat(np.arange(num_tx), per_tx),
         iq=iq.reshape(-1, window_len),
     )
 

@@ -35,9 +35,7 @@ def load_dataset(cfg: cfg_mod.ExperimentConfig) -> datafile.DatasetFile:
     d = cfg.dataset
     if d.path is not None:
         return datafile.read_dataset(d.path)
-    return datafile.generate_dataset(
-        d.num_transmitters, d.per_tx_count, d.window_len, d.snr_db, d.seed
-    )
+    return datafile.generate_dataset(d)
 
 
 def split_train_test(

@@ -29,7 +29,6 @@ which process computed them, so neither do the results.
 from __future__ import annotations
 
 import dataclasses
-import math
 import mmap
 import time
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import helper, modality, models
+from . import config, helper, modality, models
 
 # stream domain tags keep unrelated RNG consumers apart
 _DOMAIN_PARTITION = 0xA11
@@ -80,6 +79,8 @@ class Partition:
 
 @dataclass
 class TrainingConfig:
+    """One seed's training settings, checked against ``config.TrainingConfigSection``."""
+
     spec: models.ModelSpec
     rounds: int
     local_steps: int
@@ -90,13 +91,7 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 0 or self.local_steps < 1 or self.batch_size < 1:
-            raise ValueError("rounds must be >= 0; local_steps and batch_size >= 1")
-        # false for NaN too
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
-        if self.eval_stride < 1:
-            raise ValueError("eval_stride must be >= 1")
+        config.check_bounds(self, config.TrainingConfigSection, "training.")
 
 
 @dataclass

@@ -73,6 +73,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import config
+
 KIND_SOFTMAX = "softmax_linear"
 KIND_RESNET = "mini_resnet"
 
@@ -92,6 +94,8 @@ SCRATCH_MAX_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model's kind and shape; widths and ``l2_coeff`` take ``config.ModelConfig``'s bounds."""
+
     kind: str
     window_len: int
     num_modalities: int
@@ -106,16 +110,12 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        # false for NaN too
-        if not 0.0 <= self.l2_coeff < math.inf:
-            raise ValueError(f"l2_coeff must be finite and >= 0, got {self.l2_coeff!r}")
+        config.check_bounds(self, config.ModelConfig, "model.")
         if self.num_modalities < 1 or self.window_len < 2:
             raise ValueError("invalid input shape")
         if self.kind == KIND_RESNET:
-            if min(self.block_channels) < 1 or self.hidden < 1:
-                raise ValueError("mini_resnet widths must be >= 1")
-            if self.kernel_len < 1 or self.kernel_len % 2 == 0:
-                raise ValueError("kernel_len must be odd and >= 1")
+            if self.kernel_len % 2 == 0:
+                raise ValueError("kernel_len must be odd")
             if self.window_len % 4 != 0:
                 raise ValueError("mini_resnet needs window_len divisible by 4")
 

@@ -162,8 +162,6 @@ def record_draws(master_seed: int, transmitter_id: int, count: int, length: int)
     unit-power symbols, shape ``(count, length)``, and the normals, shape
     ``(3, count, length)``.
     """
-    if length < 2:
-        raise ValueError("waveform length must be >= 2")
     half = (length + 1) // 2
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)

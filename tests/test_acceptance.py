@@ -28,6 +28,7 @@ from fedrf import (
     models,
     modality,
 )
+from fedrf.config import DatasetConfig
 from conftest import ap_batches
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -214,7 +215,7 @@ def test_criterion_7_fedavg_algebra():
             assert np.array_equal(base, federation.aggregate([vs[i] for i in perm]))
 
         # N=1 full batch == centralized gradient descent, 50 steps, bit-exact
-        ds = datafile.generate_dataset(3, 12, 16, 10.0, 21)
+        ds = datafile.generate_dataset(DatasetConfig(3, 12, 16, 10.0, 21))
         split = experiment.split_train_test(ds, 0.25, 0)
         part = federation.partition_iid(split, 1, 0, ("iq",))
         spec = models.ModelSpec("softmax_linear", 16, 1, 3, l2_coeff=1e-3)
@@ -238,7 +239,7 @@ def test_criterion_7_fedavg_algebra():
 def test_criterion_8_partition_contracts():
     def body():
         # i.i.d.: every AP sees the full label set
-        ds = datafile.generate_dataset(163, 8, 8, 10.0, 31)
+        ds = datafile.generate_dataset(DatasetConfig(163, 8, 8, 10.0, 31))
         split = experiment.split_train_test(ds, 0.25, 1)
         part = federation.partition_iid(split, 4, 1, ("iq",))
         for n in range(4):

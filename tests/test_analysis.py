@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedrf import analysis, cli, datafile, experiment, federation, modality, models
-from fedrf.config import AnalysisConfig
+from fedrf.config import AnalysisConfig, DatasetConfig
 from conftest import ap_batches
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -223,7 +223,7 @@ def test_zeta2_iid_below_noniid():
     # label-skewed shards drift more than label-balanced shards of the same data
     diffs = []
     for seed in range(5):
-        ds = datafile.generate_dataset(8, 12, 16, 10.0, seed)
+        ds = datafile.generate_dataset(DatasetConfig(8, 12, 16, 10.0, seed))
         split = experiment.split_train_test(ds, 0.25, seed)
         spec = models.ModelSpec("softmax_linear", 16, 2, 8, l2_coeff=1e-3)
         params = models.init_params(spec, seed)
@@ -364,7 +364,7 @@ def test_verify_bound_inapplicable_config():
 def test_modality_variance_ratio_reported_not_asserted():
     """Measured sigma2/zeta2 ratios between M=1 and M=3 inputs are reported
     as data; the 1/M scaling is an assumption, not an asserted fact."""
-    ds = datafile.generate_dataset(6, 10, 16, 10.0, 3)
+    ds = datafile.generate_dataset(DatasetConfig(6, 10, 16, 10.0, 3))
     split = experiment.split_train_test(ds, 0.25, 3)
     part = federation.partition_iid(split, 3, 3, modality.ALL_MODALITIES)
     ratios = {}

@@ -215,6 +215,38 @@ def test_declared_bound_accepts_its_edge(key, value):
     cfg_mod.from_dict(_one_key(key, value))
 
 
+# a value each library entry checks against a bound that config declares
+LIBRARY_BOUND_CASES = [
+    ("dataset.per_tx_count", 0), ("dataset.window_len", 1), ("dataset.seed", -1),
+    ("training.rounds", -1), ("training.eta", math.nan), ("training.eval_stride", 0),
+    ("model.l2_coeff", -1.0), ("model.hidden", 0),
+]
+
+
+def _library_entry(key, value):
+    """Call the entry that checks ``key`` (generate_dataset, ModelSpec or
+    TrainingConfig) on the defaults with ``key`` set to ``value``."""
+    section, name = key.split(".")
+    if section == "dataset":
+        return datafile.generate_dataset(cfg_mod.DatasetConfig(**{name: value}))
+    model = cfg_mod.ModelConfig(**({name: value} if section == "model" else {}))
+    spec = models.ModelSpec(**dataclasses.asdict(model), window_len=64, num_modalities=1,
+                            num_classes=16)
+    t = cfg_mod.TrainingConfigSection(**({name: value} if section == "training" else {}))
+    return federation.TrainingConfig(spec, t.rounds, t.local_steps, t.batch_size, t.eta,
+                                     t.modalities, t.eval_stride)
+
+
+@pytest.mark.parametrize("key, value", LIBRARY_BOUND_CASES)
+def test_library_entry_rejects_a_bound_in_the_clis_words(tmp_path, capsys, key, value):
+    cfg_path = write_cfg(tmp_path, _one_key(key, value))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 1
+    printed = capsys.readouterr().err
+    with pytest.raises(ValueError) as exc:
+        _library_entry(key, value)
+    assert printed == f"error: {exc.value}\n"
+
+
 def test_labels_per_ap_bound_holds_in_iid_mode():
     with pytest.raises(cfg_mod.ConfigError, match="partition.labels_per_ap must be >= 1"):
         cfg_mod.from_dict({"partition": {"mode": "iid", "labels_per_ap": 0}})
@@ -608,9 +640,11 @@ def test_personalize_pipeline_error_prints_one_line(tmp_path):
     assert proc.stderr == "error: label 0 has fewer than 2 examples to split\n"
 
 
-def test_personalize_repeats_the_runs_rows(tmp_path):
-    # run and personalize build a seed's split, partition and model spec the same way
-    cfg_path = small_desk(tmp_path)
+@pytest.mark.parametrize("kind", ["softmax_linear", "mini_resnet"])
+def test_personalize_repeats_the_runs_rows(tmp_path, kind):
+    # run and personalize build a seed's split, partition and model spec the
+    # same way; personalize rounds a saved mini_resnet's float64 parameters to float32
+    cfg_path = small_desk(tmp_path, model={"kind": kind})
     out = tmp_path / "r"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     run_rows = (out / cli.PERSONALIZE_FILENAME).read_text().splitlines()[1:]
@@ -653,7 +687,7 @@ BAD_MODELS = {
                    "params are not all finite"),
     # json writes NaN, and reads it back
     "l2_nan": (lambda e: {**e, "spec": str(e["spec"]).replace('"l2_coeff": 0.001', '"l2_coeff": NaN')},
-               "l2_coeff must be finite and >= 0, got nan"),
+               "model.l2_coeff must be finite, got nan"),
     "seed_negative": (lambda e: {**e, "seed": np.int64(-1)}, "seed is -1, not >= 0"),
     "seed_float": (lambda e: {**e, "seed": np.float64(1.5)},
                    "seed has dtype float64 and shape (), not one integer"),

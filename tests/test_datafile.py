@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from fedrf import datafile
+from fedrf.config import DatasetConfig
 
 
 def test_generate_counts_and_labels():
-    ds = datafile.generate_dataset(2, 3, 16, 10.0, 42)
+    ds = datafile.generate_dataset(DatasetConfig(2, 3, 16, 10.0, 42))
     assert len(ds) == 6
     assert sorted(ds.labels.tolist()) == [0, 0, 0, 1, 1, 1]
     assert ds.window_len == 16
@@ -18,7 +19,7 @@ def test_generate_counts_and_labels():
 
 
 def test_generate_full_scale_shape():
-    ds = datafile.generate_dataset(163, 10, 256, 10.0, 1)
+    ds = datafile.generate_dataset(DatasetConfig(163, 10, 256, 10.0, 1))
     assert len(ds) == 1630
     assert ds.num_transmitters == 163
     assert ds.window_len == 256
@@ -26,25 +27,25 @@ def test_generate_full_scale_shape():
 
 
 def test_generate_deterministic():
-    a = datafile.generate_dataset(3, 4, 32, 10.0, 9)
-    b = datafile.generate_dataset(3, 4, 32, 10.0, 9)
+    a = datafile.generate_dataset(DatasetConfig(3, 4, 32, 10.0, 9))
+    b = datafile.generate_dataset(DatasetConfig(3, 4, 32, 10.0, 9))
     assert np.array_equal(a.iq, b.iq)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_generate_validation():
     with pytest.raises(ValueError):
-        datafile.generate_dataset(1, 3, 16, 10.0, 0)
+        datafile.generate_dataset(DatasetConfig(1, 3, 16, 10.0, 0))
     with pytest.raises(ValueError):
-        datafile.generate_dataset(2, 0, 16, 10.0, 0)
+        datafile.generate_dataset(DatasetConfig(2, 0, 16, 10.0, 0))
     with pytest.raises(ValueError):
-        datafile.generate_dataset(2, 3, 1, 10.0, 0)
+        datafile.generate_dataset(DatasetConfig(2, 3, 1, 10.0, 0))
     # labels are u16, so the check comes before any record is generated
     with pytest.raises(ValueError, match="need 2 to 65536 transmitters"):
-        datafile.generate_dataset((1 << 16) + 1, 1, 2, 10.0, 0)
+        datafile.generate_dataset(DatasetConfig((1 << 16) + 1, 1, 2, 10.0, 0))
 
 
-# sha256 of write_dataset(generate_dataset(*args)): records are generated
+# sha256 of write_dataset(generate_dataset(DatasetConfig(*args))): records are generated
 # from per-record streams, so these bytes must not change
 GOLDEN_DIGESTS = [
     # the shipped desk_noniid dataset
@@ -76,7 +77,7 @@ def test_generated_file_bytes_are_pinned(tmp_path, monkeypatch, args, digest):
     for cpus in ({0}, {0, 1}):
         forks = counted_forks(monkeypatch, cpus)
         path = tmp_path / "d.rfds"
-        datafile.write_dataset(datafile.generate_dataset(*args), path)
+        datafile.write_dataset(datafile.generate_dataset(DatasetConfig(*args)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert len(forks) == len(cpus) - 1
 
@@ -84,12 +85,12 @@ def test_generated_file_bytes_are_pinned(tmp_path, monkeypatch, args, digest):
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 4000.0, -4000.0])
 def test_generate_rejects_unusable_snr(snr_db):
     with pytest.raises(ValueError, match="snr_db must be Infinity"):
-        datafile.generate_dataset(2, 3, 16, snr_db, 0)
+        datafile.generate_dataset(DatasetConfig(2, 3, 16, snr_db, 0))
 
 
 def test_generate_rejects_snr_beyond_float32_range():
     with pytest.raises(ValueError, match="beyond the float32 range"):
-        datafile.generate_dataset(2, 3, 16, -1000.0, 0)
+        datafile.generate_dataset(DatasetConfig(2, 3, 16, -1000.0, 0))
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_process", "helper"])
@@ -99,14 +100,14 @@ def test_overflow_in_the_helpers_transmitters_gives_the_one_process_error(monkey
     forks = counted_forks(monkeypatch, cpus)
     error = "snr_db -764.0 puts samples beyond the float32 range"
     with pytest.raises(ValueError, match=f"^{error}$"):
-        datafile.generate_dataset(4, 3, 16, -764.0, 4)
+        datafile.generate_dataset(DatasetConfig(4, 3, 16, -764.0, 4))
     assert len(forks) == len(cpus) - 1
-    assert np.isfinite(datafile.generate_dataset(3, 3, 16, -764.0, 4).iq).all()
+    assert np.isfinite(datafile.generate_dataset(DatasetConfig(3, 3, 16, -764.0, 4)).iq).all()
 
 
 def test_round_trip_bit_exact(tmp_path):
     for window_len in (24, 33):
-        ds = datafile.generate_dataset(4, 5, window_len, 8.0, 3)
+        ds = datafile.generate_dataset(DatasetConfig(4, 5, window_len, 8.0, 3))
         path = tmp_path / "data.rfds"
         datafile.write_dataset(ds, path)
         back = datafile.read_dataset(path)
@@ -132,7 +133,7 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 def test_bad_magic(tmp_path):
-    ds = datafile.generate_dataset(2, 2, 8, 10.0, 0)
+    ds = datafile.generate_dataset(DatasetConfig(2, 2, 8, 10.0, 0))
     path = tmp_path / "d.rfds"
     datafile.write_dataset(ds, path)
     raw = bytearray(path.read_bytes())
@@ -143,7 +144,7 @@ def test_bad_magic(tmp_path):
 
 
 def test_version_mismatch(tmp_path):
-    ds = datafile.generate_dataset(2, 2, 8, 10.0, 0)
+    ds = datafile.generate_dataset(DatasetConfig(2, 2, 8, 10.0, 0))
     path = tmp_path / "d.rfds"
     datafile.write_dataset(ds, path)
     raw = bytearray(path.read_bytes())
@@ -154,7 +155,7 @@ def test_version_mismatch(tmp_path):
 
 
 def test_truncated(tmp_path):
-    ds = datafile.generate_dataset(2, 2, 8, 10.0, 0)
+    ds = datafile.generate_dataset(DatasetConfig(2, 2, 8, 10.0, 0))
     path = tmp_path / "d.rfds"
     datafile.write_dataset(ds, path)
     raw = path.read_bytes()
@@ -168,7 +169,7 @@ def test_truncated(tmp_path):
 
 def test_truncated_at_every_offset(tmp_path):
     path = tmp_path / "d.rfds"
-    datafile.write_dataset(datafile.generate_dataset(2, 2, 8, 10.0, 0), path)
+    datafile.write_dataset(datafile.generate_dataset(DatasetConfig(2, 2, 8, 10.0, 0)), path)
     raw = path.read_bytes()
     for size in range(len(raw)):
         path.write_bytes(raw[:size])
@@ -177,7 +178,7 @@ def test_truncated_at_every_offset(tmp_path):
 
 
 def test_trailing_bytes(tmp_path):
-    ds = datafile.generate_dataset(2, 2, 8, 10.0, 0)
+    ds = datafile.generate_dataset(DatasetConfig(2, 2, 8, 10.0, 0))
     path = tmp_path / "d.rfds"
     datafile.write_dataset(ds, path)
     path.write_bytes(path.read_bytes() + b"junk")
@@ -224,7 +225,7 @@ def test_more_transmitters_than_u16_labels_rejected():
 def patched_dataset(tmp_path, offset, fmt, value):
     """A valid 2-transmitter file with one field overwritten in place."""
     path = tmp_path / "d.rfds"
-    datafile.write_dataset(datafile.generate_dataset(2, 2, 8, 10.0, 0), path)
+    datafile.write_dataset(datafile.generate_dataset(DatasetConfig(2, 2, 8, 10.0, 0)), path)
     raw = bytearray(path.read_bytes())
     struct.pack_into(fmt, raw, offset, value)
     path.write_bytes(bytes(raw))

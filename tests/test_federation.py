@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedrf import datafile, experiment, federation, modality, models
+from fedrf.config import DatasetConfig
 from conftest import ap_batches
 
 
 def make_split(num_tx=4, per_tx=16, window=8, seed=0, test_fraction=0.25):
-    ds = datafile.generate_dataset(num_tx, per_tx, window, 10.0, seed)
+    ds = datafile.generate_dataset(DatasetConfig(num_tx, per_tx, window, 10.0, seed))
     return experiment.split_train_test(ds, test_fraction, seed)
 
 
@@ -43,7 +44,7 @@ def small_cfg(split, seed=0, rounds=2, local_steps=3, batch=8, eta=0.05,
 
 def test_iid_partition_basic():
     # 8 examples of each of 2 labels across 4 APs -> 2 each, one per label
-    ds = datafile.generate_dataset(2, 8, 8, 10.0, 1)
+    ds = datafile.generate_dataset(DatasetConfig(2, 8, 8, 10.0, 1))
     split = federation.SplitDataset(2, 8, ds.iq, ds.labels.astype(np.int64),
                                     ds.iq[:2], ds.labels[:2].astype(np.int64))
     part = federation.partition_iid(split, 4, seed=3, selection=("iq",))
@@ -63,7 +64,7 @@ def test_iid_partition_disjoint_union():
 
 
 def test_iid_partition_too_few_examples():
-    ds = datafile.generate_dataset(2, 3, 8, 10.0, 1)
+    ds = datafile.generate_dataset(DatasetConfig(2, 3, 8, 10.0, 1))
     split = federation.SplitDataset(2, 8, ds.iq, ds.labels.astype(np.int64),
                                     ds.iq[:2], ds.labels[:2].astype(np.int64))
     with pytest.raises(ValueError):
@@ -226,7 +227,7 @@ def test_shared_label_examples_split_evenly():
 def test_training_config_rejects_non_finite_eta(eta):
     split = federation.SplitDataset(2, 8, np.zeros((2, 8), np.complex64), np.arange(2),
                                     np.zeros((2, 8), np.complex64), np.arange(2))
-    with pytest.raises(ValueError, match=f"eta must be finite and > 0, got {eta!r}"):
+    with pytest.raises(ValueError, match=f"training.eta must be finite, got {eta!r}"):
         small_cfg(split, eta=eta)
 
 

@@ -6,6 +6,7 @@ import mmap
 import os
 
 from fedrf import datafile, helper
+from fedrf.config import DatasetConfig
 
 REAL_AFFINITY = os.sched_getaffinity
 UNUSABLE_CPU = 1 << 16  # past the CPU mask of the kernel
@@ -41,12 +42,12 @@ def test_unusable_cpu_leaves_the_helper_unpinned_with_the_same_bits(monkeypatch)
 
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one = datafile.generate_dataset(4, 3, 16, 10.0, 5)
+    one = datafile.generate_dataset(DatasetConfig(4, 3, 16, 10.0, 5))
     assert not forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, UNUSABLE_CPU})
     assert helper_affinity() == before
     forks.clear()
-    two = datafile.generate_dataset(4, 3, 16, 10.0, 5)
+    two = datafile.generate_dataset(DatasetConfig(4, 3, 16, 10.0, 5))
     assert len(forks) == 1
     assert two.iq.tobytes() == one.iq.tobytes()
     assert two.labels.tobytes() == one.labels.tobytes()

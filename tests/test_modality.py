@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -359,3 +363,41 @@ def test_batch_transform_rows_equal_single_waveform(mod, ell):
         row = modality.transform(r[i], mod)
         assert np.array_equal(batch[i], row)
         assert np.array_equal(stacked[i, :, :, 0], row)
+
+
+# hashes of the iq and dft columns of a small generated dataset and of their
+# fit totals, and the SIMD groups that NumPy dispatches to and this CPU has,
+# lowest first, as CI detects them
+_DISPATCH_CHILD = """
+import hashlib, json
+from numpy._core import _multiarray_umath as u
+from fedrf import datafile, modality
+from fedrf.config import DatasetConfig
+ds = datafile.generate_dataset(DatasetConfig(4, 6, 33, 10.0, 5))
+stats = modality.fit_normalization(ds.iq, ("iq", "dft"))
+out = {"groups": [g for g in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+                  if g in u.__cpu_dispatch__ and u.__cpu_features__.get(g)]}
+for m in ("iq", "dft"):
+    out[m] = hashlib.sha256(modality.transform(ds.iq, m).tobytes()).hexdigest()
+    out[m + " totals"] = hashlib.sha256(repr(stats.totals[m]).encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def _dispatch_child(disabled):
+    env = dict(os.environ, PYTHONPATH=str(Path(modality.__file__).resolve().parents[1]),
+               NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], capture_output=True,
+                          text=True, check=True, env=env, timeout=120)
+    return json.loads(proc.stdout)
+
+
+def test_iq_and_dft_columns_and_totals_do_not_depend_on_simd_dispatch():
+    """One child process with NumPy's defaults, and one with each group and
+    every group above it switched off; amp_phase is left out, as its bits do
+    depend on the dispatch."""
+    default = _dispatch_child(())
+    groups = default.pop("groups")
+    runs = [default] + [_dispatch_child(groups[i:]) for i in range(len(groups))]
+    for quantity in default:
+        assert len({run[quantity] for run in runs}) == 1, quantity

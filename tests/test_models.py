@@ -358,7 +358,7 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("l2", [math.nan, math.inf, -math.inf])
 def test_spec_rejects_non_finite_l2(l2):
-    with pytest.raises(ValueError, match=f"l2_coeff must be finite and >= 0, got {l2!r}"):
+    with pytest.raises(ValueError, match=f"model.l2_coeff must be finite, got {l2!r}"):
         models.ModelSpec("mini_resnet", 16, 1, 3, l2_coeff=l2)
 
 
