@@ -57,10 +57,10 @@ for mini_resnet. The l2 term and the update run in place in the order of
 ``sgd_step(params, loss_and_grad(...)[1], eta)`` (``g += l2*w``, then
 ``w -= eta*g``), so each AP's bits are those of that reference.
 
-Every array of a pass takes its parameters' dtype: a mini_resnet run computes
-in float32 (``ModelSpec.dtype``), and the finite-difference check runs the
-same code in float64. Inputs are rounded into that dtype as they are copied
-in; the cross-entropy and the l2 term are float64.
+Every array of a pass takes its parameters' dtype: a run of either kind
+computes in float32 (``ModelSpec.dtype``), and the finite-difference check
+runs the same code in float64. Inputs are rounded into that dtype as they are
+copied in; the cross-entropy and the l2 term are float64.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import config
+from . import config, modality
 
 KIND_SOFTMAX = "softmax_linear"
 KIND_RESNET = "mini_resnet"
@@ -125,8 +125,8 @@ class ModelSpec:
 
     @property
     def dtype(self) -> np.dtype:
-        """What a run computes in: float32 for mini_resnet, float64 for softmax_linear."""
-        return np.dtype(np.float32 if self.kind == KIND_RESNET else np.float64)
+        """What a run computes in: float32 for both kinds."""
+        return np.dtype(np.float32)
 
 
 def param_layout(spec: ModelSpec) -> List[Tuple[str, Tuple[int, ...]]]:
@@ -446,10 +446,11 @@ def _dlogits(logits: np.ndarray, index: np.ndarray) -> None:
 
 def _l2_term(spec: ModelSpec, params: np.ndarray) -> float:
     """(l2/2)*||params||^2 in float64. The float64 squares of float32 parameters
-    are exact and summed exactly. OpenBLAS splits a dot of over 10,000 values
-    by thread, so float64 parameters are summed in order as dots of at most 10,000."""
+    (a run's) are exact, and their exact sum is rounded once, as ``math.fsum``
+    rounds it. OpenBLAS splits a dot of over 10,000 values by thread, so
+    float64 parameters are summed in order as dots of at most 10,000."""
     if params.dtype == np.float32:
-        return 0.5 * spec.l2_coeff * math.fsum(np.square(params, dtype=np.float64).tolist())
+        return 0.5 * spec.l2_coeff * modality.exact_sum(np.square(params, dtype=np.float64))
     chunks = (params[i : i + 10_000] for i in range(0, len(params), 10_000))
     return 0.5 * spec.l2_coeff * sum(float(c @ c) for c in chunks)
 
@@ -536,7 +537,9 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         xb, out = x[start:stop], logits[start:stop]
         start = stop
         if spec.kind == KIND_SOFTMAX:
-            np.matmul(xb.reshape(len(xb), -1), views["w"], out=out)
+            # rounded to the parameters' dtype, as _to_slab rounds mini_resnet's
+            flat = xb.reshape(len(xb), -1).astype(params.dtype, copy=False)
+            np.matmul(flat, views["w"], out=out)
             out += views["b"]
         else:
             out[...] = _resnet_forward(spec, views, xb, False)[0]
@@ -638,7 +641,7 @@ def _backward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.nda
     gviews = param_views(spec, grad)
     index = _label_index(labels, spec.num_classes)
     if spec.kind == KIND_SOFTMAX:
-        flat = x.reshape(len(x), -1)
+        flat = x.reshape(len(x), -1).astype(params.dtype, copy=False)
         logits = np.empty((len(x), spec.num_classes), params.dtype)
         _softmax_backward(views, gviews, flat, logits, index)
     else:

@@ -227,7 +227,7 @@ def test_criterion_7_fedavg_algebra():
         batch = ap_batches(split, part, cfg.modalities)[0]
         init_seed = int(np.random.SeedSequence(
             (federation._DOMAIN_INIT, cfg.seed)).generate_state(1)[0])
-        w_c = models.init_params(spec, init_seed)
+        w_c = models.init_params(spec, init_seed).astype(spec.dtype)
         for _ in range(50):
             _, g = models.loss_and_grad(spec, w_c, batch)
             w_c = models.sgd_step(w_c, g, cfg.eta)

@@ -840,9 +840,11 @@ def test_run_failure_writes_manifest(tmp_path):
 
 
 def test_run_divergence_fails_with_round(tmp_path, capsys):
-    # the l2 term multiplies the parameters by (1 - eta * l2) per step, so they
-    # overflow to inf within a few rounds and then turn into nan
-    cfg_path = small_desk(tmp_path, training={"eta": 1e30, "rounds": 6})
+    # the l2 term multiplies the float32 parameters by 1 - eta * l2 = -999 per
+    # step, from about 5e5 after the first: about 5e35 after step 11, and the
+    # logits, sums of 32 inputs times them, pass float32's 3.4e38 in step 12,
+    # the last of round 4 (3 steps a round); they then turn into nan
+    cfg_path = small_desk(tmp_path, training={"eta": 1e6, "rounds": 6})
     out = tmp_path / "r"
     with np.errstate(all="ignore"):
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
@@ -876,12 +878,16 @@ def test_run_fine_tuning_divergence_fails(tmp_path, capsys):
 def test_run_divergence_prints_one_line(tmp_path):
     # fedrf run as a user runs it: NumPy overflow warnings would reach stderr
     raw = json.loads((CONFIG_DIR / "desk_determinism.json").read_text())
-    raw["training"]["eta"] = 1e6
+    # the l2 term multiplies the float32 parameters by 1 - eta * l2 = -9 per
+    # step, from about 3e4 after the first; the logits, sums of 384 inputs times
+    # them, run about 100 times larger and pass float32's 3.4e38 near step
+    # 1 + log(3.4e38 / 3e6) / log(9) = 35, in round 2 (20 steps a round)
+    raw["training"]["eta"] = 1e5
     raw["training"]["seeds"] = [1]
     cfg_path = write_cfg(tmp_path, raw)
     out = tmp_path / "r"
     proc = run_fedrf("run", "--config", str(cfg_path), "--out", str(out))
-    error = "training diverged at round 8: parameters are not finite"
+    error = "training diverged at round 2: parameters are not finite"
     assert proc.returncode == 1
     assert proc.stderr == f"error: {error}\n"
     manifest = json.loads((out / cli.MANIFEST_FILENAME).read_text())

@@ -433,26 +433,37 @@ def test_evaluate_loss_matches_batch_loss_without_l2():
     cfg = small_cfg(split, l2=0.0)
     part = federation.partition_iid(split, 2, seed=0, selection=("iq",))
     batches = ap_batches(split, part, cfg.modalities)
-    params = models.init_params(cfg.spec, 1)
+    params = models.init_params(cfg.spec, 1).astype(cfg.spec.dtype)
     loss, _ = federation.evaluate(cfg.spec, params, batches[0])
     assert loss == pytest.approx(models.batch_loss(cfg.spec, params, batches[0]), abs=1e-15)
 
 
 def test_float32_rows_are_the_float64_rows_rounded_once():
     # every modality, the test rows with the pool's statistics and each shard
-    # with its own: float32 rows are the float64 standardized values, rounded
-    split = make_split()
+    # with its own: in both dtypes the rows are the float64 standardized
+    # values of one unchunked pass, rounded once. At 256 samples stack_batch
+    # standardizes 64 rows a chunk, and every part crosses a chunk boundary
+    split = make_split(per_tx=100, window=256)
     sel = ("iq", "dft", "amp_phase")
     part = federation.partition_noniid(split, 3, 2, seed=1, selection=sel)
     stats = modality.pool_normalization(part.stats)
-    rows64, _ = federation._standardized_rows(split, part, sel, stats, part.stats)
-    rows32, batches = federation._standardized_rows(split, part, sel, stats, part.stats,
-                                                    np.float32)
-    assert rows64.dtype == np.float64 and rows32.dtype == np.float32
-    assert np.array_equal(rows32, rows64.astype(np.float32))
-    # the batches are views of the one float32 array
-    assert all(b.inputs.dtype == np.float32 and np.shares_memory(b.inputs, rows32)
-               for b in batches)
+    parts = [(split.test_iq, stats)] + [
+        (split.train_iq[ix], s) for ix, s in zip(part.indices, part.stats)
+    ]
+    assert min(len(iq) for iq, _ in parts) > modality.STACK_CHUNK_VALUES // (2 * 256)
+    want = np.concatenate([
+        np.stack([(modality.transform(iq, m) - s.means[m])
+                  / np.maximum(s.stds[m], modality.STD_FLOOR) for m in sel], axis=-1)
+        for iq, s in parts
+    ])
+    for dtype in (np.float64, np.float32):
+        rows, batches = federation._standardized_rows(split, part, sel, stats, part.stats,
+                                                      dtype)
+        assert rows.dtype == dtype
+        assert np.array_equal(rows, want.astype(dtype))
+        # the batches are views of the one array
+        assert all(b.inputs.dtype == dtype and np.shares_memory(b.inputs, rows)
+                   for b in batches)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +479,10 @@ def test_run_training_zero_rounds(monkeypatch):
     init_seed = int(
         np.random.SeedSequence((federation._DOMAIN_INIT, cfg.seed)).generate_state(1)[0]
     )
+    init = models.init_params(cfg.spec, init_seed).astype(cfg.spec.dtype)
     for metrics, params in runs:
         assert metrics == []
-        assert np.array_equal(params, models.init_params(cfg.spec, init_seed))
+        assert np.array_equal(params, init)
 
 
 def test_single_ap_full_batch_equals_centralized():
@@ -485,7 +497,7 @@ def test_single_ap_full_batch_equals_centralized():
     init_seed = int(
         np.random.SeedSequence((federation._DOMAIN_INIT, cfg.seed)).generate_state(1)[0]
     )
-    w = models.init_params(cfg.spec, init_seed)
+    w = models.init_params(cfg.spec, init_seed).astype(cfg.spec.dtype)
     for _ in range(50):
         _, g = models.loss_and_grad(cfg.spec, w, batches[0])
         w = models.sgd_step(w, g, cfg.eta)

@@ -771,6 +771,33 @@ def test_l2_term_is_the_same_at_one_and_two_blas_threads():
     assert float.fromhex(values[1]) == pytest.approx(exact, rel=1e-14)
 
 
+def test_float32_l2_term_is_the_fsum_of_the_float64_squares():
+    # 12,304 parameters, past OpenBLAS's 10,000-value split: a run's, values
+    # over 60 decades, and float32's extremes (the largest finite value, the
+    # smallest normal and subnormal values, signed zeros) mixed
+    spec = models.ModelSpec("softmax_linear", 128, 3, 16, l2_coeff=1e-3)
+    size = models.num_params(spec)
+    rng = np.random.default_rng(12)
+    f32 = np.finfo(np.float32)
+    extremes = np.array([f32.max, -f32.max, f32.smallest_normal, f32.smallest_subnormal,
+                         -f32.smallest_subnormal, 0.0, -0.0, 1.0], np.float32)
+    cases = [
+        models.init_params(spec, 2).astype(np.float32),
+        (rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)).astype(np.float32),
+        rng.choice(extremes, size),
+        np.full(size, f32.max),
+        np.full(size, f32.smallest_subnormal),
+    ]
+    for params in cases:
+        want = 0.5 * spec.l2_coeff * math.fsum(np.square(params, dtype=np.float64).tolist())
+        assert models._l2_term(spec, params).hex() == want.hex()
+    params = cases[0].copy()
+    params[7] = np.inf
+    assert models._l2_term(spec, params) == math.inf
+    params[9] = np.nan
+    assert math.isnan(models._l2_term(spec, params))
+
+
 def test_scratch_keeps_only_small_keyed_arrays():
     kept = models._scratch("test.small", (2, 3))
     kept[:] = 7.0
